@@ -24,6 +24,7 @@ import itertools
 import json
 from pathlib import Path
 
+from .laurent import SIGMA
 from .quiver import recurrence_y
 from .tiling import (
     BlockScheme,
@@ -33,7 +34,6 @@ from .tiling import (
     expected_block_type,
     face_adjacency,
     rotate180,
-    sigma_label,
 )
 
 CALIBRATION_SCHEMA_VERSION = 1
@@ -57,7 +57,7 @@ def _octahedral_ok(lab: Labeling) -> bool:
     for up in (True, False):
         for c in range(3):
             f = Face(0, 0, up, c)
-            banned = sigma_label(lab.label(f))
+            banned = SIGMA(lab.label(f))
             if any(lab.label(g) == banned for g in face_adjacency(f)):
                 return False
     return True
@@ -68,7 +68,7 @@ def _rho_sigma_ok(lab: Labeling) -> bool:
         for c in range(3):
             for a, b in ((0, 0), (2, -1)):
                 f = Face(a, b, up, c)
-                if lab.label(rotate180(f, lab)) != sigma_label(lab.label(f)):
+                if lab.label(rotate180(f, lab)) != SIGMA(lab.label(f)):
                     return False
     return True
 
@@ -199,24 +199,40 @@ def save_calibration(scheme: BlockScheme, path: str | Path) -> None:
     path.write_text(scheme_to_json(scheme))
 
 
+def _ints(value, length: int, field: str) -> tuple[int, ...]:
+    """``value`` as a tuple if it is a list of ``length`` integers."""
+    if not (isinstance(value, list) and len(value) == length
+            and all(type(v) is int for v in value)):
+        raise CalibrationError(f"calibration field {field} is not a list of {length} integers")
+    return tuple(value)
+
+
 def load_calibration(path: str | Path) -> BlockScheme:
     """Load and revalidate a stored calibration, refusing version or content
-    mismatches (a stale or edited file must never silently miscalibrate)."""
+    mismatches (a stale or edited file must never silently miscalibrate).
+    A document of the wrong shape raises CalibrationError too."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise CalibrationError("calibration file does not hold a JSON object")
     version = doc.get("schema_version")
     if version != CALIBRATION_SCHEMA_VERSION:
         raise CalibrationError(
             f"calibration schema version {version!r} unsupported "
             f"(expected {CALIBRATION_SCHEMA_VERSION})")
+    labels, shapes = doc.get("labels"), doc.get("shapes")
+    if not (isinstance(labels, dict) and isinstance(shapes, dict)
+            and all(isinstance(e, list) for e in shapes.values())):
+        raise CalibrationError("calibration file lacks the labels or shapes object")
     lab = Labeling(
-        up=tuple(doc["labels"]["up"]),
-        down=tuple(doc["labels"]["down"]),
-        rho_center=tuple(doc["rho_center"]),
+        up=_ints(labels.get("up"), 3, "labels.up"),
+        down=_ints(labels.get("down"), 3, "labels.down"),
+        rho_center=_ints(doc.get("rho_center"), 2, "rho_center"),
     )
     scheme = BlockScheme.from_labeling(lab)
     stored = {
-        name: {(bool(up), c): da for up, c, da in entries}
-        for name, entries in doc["shapes"].items()
+        name: {(bool(up), c): da
+               for up, c, da in (_ints(e, 3, f"shapes.{name}") for e in entries)}
+        for name, entries in shapes.items()
     }
     if stored != scheme.shapes:
         raise CalibrationError("stored block shapes disagree with the labeling")

@@ -15,14 +15,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .laurent import ALL_ONES, SIGMA, LaurentPoly
+from .laurent import ALL_ONES, SIGMA, LaurentPoly, label_exponents
 from .quiver import (
     MUTATION_CYCLE,
     initial_b_matrix,
-    initial_seed,
     mutate_matrix,
-    mutate_seed,
     recurrence_y,
+    run_periodic_sequence,
 )
 from .tiling import BlockScheme, quiver_from_tiling
 from . import calibration as cal
@@ -123,19 +122,12 @@ def suite_counts(cfg: Config, scheme: BlockScheme) -> SuiteReport:
 def suite_theorem(cfg: Config, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("theorem")
     for n in range(1, cfg.max_half_order + 1):
-        y, yp = recurrence_y(n)
         t = time.monotonic()
+        y, yp = recurrence_y(n)
         rep.check(f"theorem/y/N={n}", matchings_route_y(n, False, scheme), y, t)
         t = time.monotonic()
         rep.check(f"theorem/yprime/N={n}", matchings_route_y(n, True, scheme), yp, t)
     return rep
-
-
-def _monomial(*labels: int) -> LaurentPoly:
-    exps = [0] * 6
-    for l in labels:
-        exps[l - 1] += 1
-    return LaurentPoly.monomial(1, exps)
 
 
 def suite_recursions(cfg: Config, scheme: BlockScheme) -> SuiteReport:
@@ -163,13 +155,17 @@ def suite_recursions(cfg: Config, scheme: BlockScheme) -> SuiteReport:
                   covering_monomial_closed(n), t)
     t = time.monotonic()
     rep.check("recursions/cover/N=1", covering_monomial(1, False, scheme),
-              _monomial(1, 2, 3, 5, 6), t)
+              LaurentPoly.monomial(1, label_exponents((1, 2, 3, 5, 6))), t)
     t = time.monotonic()
     rep.check("recursions/cover/N=0", covering_monomial(0, False, scheme),
-              _monomial(3), t)
+              LaurentPoly.var(3), t)
 
     def m(n: int, primed: bool = False) -> LaurentPoly:
         return covering_monomial(n, primed, scheme)
+
+    # the factors of both recursions: x1 x2 x3 x4 x5 x6 and x1 x2^2 x3^2 x5
+    unprimed_factor = LaurentPoly.monomial(1, label_exponents((1, 2, 3, 4, 5, 6)))
+    primed_factor = LaurentPoly.monomial(1, label_exponents((1, 2, 2, 3, 3, 5)))
 
     for n in range(2, top + 1):
         lhs = m(2 * n) * m(2 * n - 3)
@@ -178,10 +174,10 @@ def suite_recursions(cfg: Config, scheme: BlockScheme) -> SuiteReport:
             2 * n * n - 3 * n + 2, 2 * n * n - 3 * n + 3, 2 * n * n - n + 1))
         t = time.monotonic()
         rep.check(f"recursions/cover-rec1/unprimed/n={n}",
-                  m(2 * n - 1) * m(2 * n - 2) * _monomial(1, 2, 3, 4, 5, 6), lhs, t)
+                  m(2 * n - 1) * m(2 * n - 2) * unprimed_factor, lhs, t)
         t = time.monotonic()
         rep.check(f"recursions/cover-rec1/primed/n={n}",
-                  m(2 * n - 1, True) * m(2 * n - 2, True) * _monomial(1, 2, 2, 3, 3, 5), lhs, t)
+                  m(2 * n - 1, True) * m(2 * n - 2, True) * primed_factor, lhs, t)
         t = time.monotonic()
         rep.check(f"recursions/cover-rec1/product/n={n}", lhs, prod, t)
     for n in range(1, top + 1):
@@ -191,10 +187,10 @@ def suite_recursions(cfg: Config, scheme: BlockScheme) -> SuiteReport:
             2 * n * n - n + 1, 2 * n * n - n + 2, 2 * n * n + n + 1))
         t = time.monotonic()
         rep.check(f"recursions/cover-rec2/unprimed/n={n}",
-                  m(2 * n) * m(2 * n - 1) * _monomial(1, 3, 2, 6, 4, 5), lhs, t)
+                  m(2 * n) * m(2 * n - 1) * unprimed_factor, lhs, t)
         t = time.monotonic()
         rep.check(f"recursions/cover-rec2/primed/n={n}",
-                  m(2 * n, True) * m(2 * n - 1, True) * _monomial(1, 3, 2, 3, 2, 5), lhs, t)
+                  m(2 * n, True) * m(2 * n - 1, True) * primed_factor, lhs, t)
         t = time.monotonic()
         rep.check(f"recursions/cover-rec2/product/n={n}", lhs, prod, t)
     return rep
@@ -239,13 +235,9 @@ def suite_quiver(cfg: Config, scheme: BlockScheme) -> SuiteReport:
     rep.check("quiver/tiling-duality", dual == b0 or neg == b0, True, t)
 
     t = time.monotonic()
-    seed = initial_seed()
-    ok = True
-    for s in range(2 * cfg.max_half_order):
-        seed = mutate_seed(seed, MUTATION_CYCLE[s % 6])
-        n = s // 2 + 1
-        want = recurrence_y(n)[s % 2]
-        ok = ok and seed.cluster[MUTATION_CYCLE[s % 6] - 1] == want
+    seq = run_periodic_sequence(2 * cfg.max_half_order)
+    want = tuple(v for n in range(1, cfg.max_half_order + 1) for v in recurrence_y(n))
+    ok = seq.entries == want
     rep.check(f"quiver/seed-vs-recurrence/N<={cfg.max_half_order}", ok, True, t)
 
     for n in range(1, cfg.max_half_order + 1):
@@ -294,13 +286,9 @@ def _get_scheme(cfg: Config, recalibrate: bool = False) -> BlockScheme:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = Config(max_half_order=args.max_half_order,
-                     calibration=args.calibration, fmt=args.format)
-        scheme = _get_scheme(cfg)
-    except (ValueError, OSError, cal.CalibrationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = Config(max_half_order=args.max_half_order,
+                 calibration=args.calibration, fmt=args.format)
+    scheme = _get_scheme(cfg)
     names = SUITES if args.suite == "all" else (args.suite,)
     reports = [_SUITE_FUNCS[name](cfg, scheme) for name in names]
     if cfg.fmt == "json":
@@ -316,41 +304,23 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def seed_route_y(n: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """(y_N, y'_N) computed purely by seed mutation, no recurrence cross-check."""
-    seed = initial_seed()
-    y = yp = None
-    for s in range(2 * n):
-        k = MUTATION_CYCLE[s % 6]
-        seed = mutate_seed(seed, k)
-        if s == 2 * n - 2:
-            y = seed.cluster[k - 1]
-        elif s == 2 * n - 1:
-            yp = seed.cluster[k - 1]
-    return y, yp
-
-
 def cmd_compute(args) -> int:
     n = args.n
     prime = args.target == "yp"
-    try:
-        cfg = Config(calibration=args.calibration, fmt=args.format)
-        if args.via == "matchings":
-            if n < 1:
-                raise ValueError("the matching route needs N >= 1")
-            poly = matchings_route_y(n, prime, _get_scheme(cfg))
-        elif args.via == "seed":
-            if n < 1:
-                raise ValueError("the seed route needs N >= 1")
-            y, yp = seed_route_y(n)
-            poly = yp if prime else y
-        else:
-            if n < -2:
-                raise ValueError("the recurrence needs N >= -2")
-            poly = recurrence_y(n)[1 if prime else 0]
-    except (ValueError, OSError, cal.CalibrationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = Config(calibration=args.calibration, fmt=args.format)
+    if args.via == "matchings":
+        if n < 1:
+            raise ValueError("the matching route needs N >= 1")
+        poly = matchings_route_y(n, prime, _get_scheme(cfg))
+    elif args.via == "seed":
+        if n < 1:
+            raise ValueError("the seed route needs N >= 1")
+        seq = run_periodic_sequence(2 * n)
+        poly = seq.y_prime(n) if prime else seq.y(n)
+    else:
+        if n < -2:
+            raise ValueError("the recurrence needs N >= -2")
+        poly = recurrence_y(n)[1 if prime else 0]
     name = f"y'_{n}" if prime else f"y_{n}"
     if args.format == "json":
         print(json.dumps({
@@ -366,37 +336,26 @@ def cmd_compute(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        cfg = Config(calibration=args.calibration)
-        graph = build_diamond(args.half_order, args.primed, _get_scheme(cfg))
-        render = {"json": graph_to_json, "dot": graph_to_dot, "svg": graph_to_svg}[args.format]
-        text = render(graph)
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-    except (ValueError, OSError, cal.CalibrationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = Config(calibration=args.calibration)
+    graph = build_diamond(args.half_order, args.primed, _get_scheme(cfg))
+    render = {"json": graph_to_json, "dot": graph_to_dot, "svg": graph_to_svg}[args.format]
+    text = render(graph)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        if args.out is not None and Path(args.out).exists() and not args.recalibrate:
-            scheme = cal.load_calibration(args.out)
-            source = "loaded"
-        else:
-            scheme = cal.calibrate()
-            source = "computed"
-            if args.out is not None:
-                cal.save_calibration(scheme, args.out)
-    except (cal.CalibrationFailed, cal.CalibrationAmbiguous) as e:
-        print(f"calibration failed: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, cal.CalibrationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if args.out is not None and Path(args.out).exists() and not args.recalibrate:
+        scheme = cal.load_calibration(args.out)
+        source = "loaded"
+    else:
+        scheme = cal.calibrate()
+        source = "computed"
+        if args.out is not None:
+            cal.save_calibration(scheme, args.out)
     lab = scheme.labeling
     print(f"{source}: up={lab.up} down={lab.down} rho_center={lab.rho_center}")
     return 0
@@ -438,8 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Every command reports errors by raising; this is the
+    one place that turns an exception into a message and an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (cal.CalibrationFailed, cal.CalibrationAmbiguous) as e:
+        # no labeling or several survive the search: the lattice model is broken
+        print(f"calibration failed: {e}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError, cal.CalibrationError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

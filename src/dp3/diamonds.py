@@ -86,13 +86,6 @@ class DiamondGraph:
     def face_set(self) -> frozenset[Face]:
         return frozenset(f for f, _ in self.faces)
 
-    def edge_weight_exponents(self, edge_index: int) -> tuple[int, ...]:
-        _, _, la, lb = self.edges[edge_index]
-        exps = [0] * 6
-        exps[la - 1] -= 1
-        exps[lb - 1] -= 1
-        return tuple(exps)
-
     def is_connected(self) -> bool:
         if not self.vertices:
             return True

@@ -63,6 +63,16 @@ def unpack_key(key: int) -> tuple[int, ...]:
     return tuple(((key >> s) & _MASK) - _BIAS for s in _SHIFTS)
 
 
+def label_exponents(labels: Iterable[int], power: int = 1) -> tuple[int, ...]:
+    """Exponent vector of the product of x_l**power over the labels l, counted
+    with repetition: power -1 gives edge and matching weights, +1 monomials
+    built from face labels."""
+    exps = [0] * N_VARS
+    for l in labels:
+        exps[l - 1] += power
+    return tuple(exps)
+
+
 class VarPermutation:
     """A permutation of the variable indices 1..6, acting via x_i -> x_image(i)."""
 
@@ -85,12 +95,6 @@ class VarPermutation:
 
     def __repr__(self) -> str:
         return f"VarPermutation({self.image})"
-
-    def inverse(self) -> "VarPermutation":
-        inv = [0] * N_VARS
-        for i, j in enumerate(self.image, start=1):
-            inv[j - 1] = i
-        return VarPermutation(inv)
 
     def is_involution(self) -> bool:
         return all(self.image[self.image[i - 1] - 1] == i for i in range(1, N_VARS + 1))
@@ -128,9 +132,7 @@ class LaurentPoly:
         """The monomial x_i**power, 1-based index."""
         if not 1 <= i <= N_VARS:
             raise ValueError(f"variable index {i} out of range 1..{N_VARS}")
-        exps = [0] * N_VARS
-        exps[i - 1] = power
-        return LaurentPoly(_raw={pack_exponents(exps): 1})
+        return LaurentPoly.monomial(1, label_exponents((i,), power))
 
     @staticmethod
     def monomial(coeff: int, exps: Sequence[int]) -> "LaurentPoly":
@@ -167,9 +169,6 @@ class LaurentPoly:
             raise ValueError("not a monomial")
         (k,) = self._terms
         return unpack_key(k)
-
-    def packed_items(self) -> Iterable[tuple[int, int]]:
-        return self._terms.items()
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -339,9 +338,6 @@ class LaurentPoly:
                     v *= p ** e
             total += v
         return total
-
-    def sum_of_coefficients(self) -> int:
-        return sum(self._terms.values())
 
     def min_coefficient(self) -> int:
         if not self._terms:

@@ -1,6 +1,6 @@
 """Exact perfect matching counts and weighted matching sums on diamonds.
 
-Both quantities come from a frontier dynamic program: vertices are swept in
+Both quantities come from one frontier dynamic program: vertices are swept in
 a fixed planar order and a state records, as a bitmask, which already-seen
 vertices still await a partner across the sweep line.  Diamond frontiers
 stay narrow, so the reachable state sets remain small even for graphs with
@@ -8,8 +8,9 @@ millions of matchings.  A vertex is either matched to a pending earlier
 neighbor or deferred (if it still has unseen neighbors); states keeping a
 vertex pending beyond its last neighbor are pruned.
 
-The weighted sum attaches to every state the Laurent polynomial of partial
-matching weights, held as a raw packed-key dict for speed.  Results are
+The count attaches to every state the number of partial matchings, the
+weighted sum their Laurent polynomial of weights, held as a raw packed-key
+dict for speed.  Results are
 exact and independent of the sweep order; the computation is purely
 sequential and deterministic.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import UNIT_KEY, LaurentPoly, pack_exponents
+from .laurent import UNIT_KEY, LaurentPoly, label_exponents, pack_exponents
 from .diamonds import DiamondGraph, build_diamond, covering_monomial
 from .tiling import BlockScheme, vertex_coords
 
@@ -27,13 +28,6 @@ SWEEP_ORDERS = ("yx", "xy")
 
 class LimitExceededError(RuntimeError):
     """Enumeration would produce more matchings than the caller allowed."""
-
-
-def _edge_weight_key(la: int, lb: int) -> int:
-    exps = [0] * 6
-    exps[la - 1] -= 1
-    exps[lb - 1] -= 1
-    return pack_exponents(exps) - UNIT_KEY
 
 
 def _sweep(graph: DiamondGraph, order: str):
@@ -56,7 +50,7 @@ def _sweep(graph: DiamondGraph, order: str):
         i, j = index[u], index[v]
         if i > j:
             i, j = j, i
-        w = _edge_weight_key(la, lb)
+        w = pack_exponents(label_exponents((la, lb), -1)) - UNIT_KEY
         earlier[j].append((i, w))
         has_future[i] = True
         last_nbr[i] = max(last_nbr[i], j)
@@ -73,26 +67,56 @@ def _sweep(graph: DiamondGraph, order: str):
     return verts, earlier, has_future, dead_at
 
 
-def count_pm(graph: DiamondGraph, order: str = "yx") -> int:
-    """The number of perfect matchings, exactly."""
+def _frontier_sum(graph: DiamondGraph, order: str, unit, fold):
+    """The frontier sweep shared by the count and the weighted sum.
+
+    ``unit`` is the value of the empty partial matching.  ``fold(new, mask,
+    value, w)`` adds ``value``, times the edge weight with packed key offset
+    ``w`` (0 when a vertex is deferred, adding no edge), into ``new[mask]``;
+    it must never mutate ``value``.  Returns the value of the empty final
+    frontier, or None when the graph has no perfect matching.
+    """
     verts, earlier, has_future, dead_at = _sweep(graph, order)
-    states = {0: 1}
+    states = {0: unit}
     for s in range(len(verts)):
         bit = 1 << s
-        new: dict[int, int] = {}
-        for mask, cnt in states.items():
-            if has_future[s]:
-                m2 = mask | bit
-                new[m2] = new.get(m2, 0) + cnt
-            for u, _ in earlier[s]:
+        future, back = has_future[s], earlier[s]
+        new: dict = {}
+        for mask, value in states.items():
+            if future:
+                fold(new, mask | bit, value, 0)
+            for u, w in back:
                 if mask >> u & 1:
-                    m2 = mask & ~(1 << u)
-                    new[m2] = new.get(m2, 0) + cnt
+                    fold(new, mask & ~(1 << u), value, w)
         if dead_at[s]:
             d = dead_at[s]
-            new = {m: c for m, c in new.items() if not (m & d)}
+            new = {m: v for m, v in new.items() if not (m & d)}
         states = new
-    return states.get(0, 0)
+    return states.get(0)
+
+
+def _add_count(new: dict[int, int], mask: int, count: int, w: int) -> None:
+    new[mask] = new.get(mask, 0) + count
+
+
+def _add_shifted(new: dict[int, dict[int, int]], mask: int, poly: dict[int, int],
+                 w: int) -> None:
+    tgt = new.get(mask)
+    if tgt is None:
+        new[mask] = {k + w: c for k, c in poly.items()} if w else dict(poly)
+        return
+    for k, c in poly.items():
+        k += w
+        v = tgt.get(k, 0) + c
+        if v:
+            tgt[k] = v
+        else:
+            del tgt[k]
+
+
+def count_pm(graph: DiamondGraph, order: str = "yx") -> int:
+    """The number of perfect matchings, exactly."""
+    return _frontier_sum(graph, order, 1, _add_count) or 0
 
 
 def weighted_pm_sum(graph: DiamondGraph, order: str = "yx") -> LaurentPoly:
@@ -100,43 +124,7 @@ def weighted_pm_sum(graph: DiamondGraph, order: str = "yx") -> LaurentPoly:
 
     The empty graph has the single empty matching of weight 1.
     """
-    verts, earlier, has_future, dead_at = _sweep(graph, order)
-    states: dict[int, dict[int, int]] = {0: {UNIT_KEY: 1}}
-    for s in range(len(verts)):
-        bit = 1 << s
-        new: dict[int, dict[int, int]] = {}
-        for mask, poly in states.items():
-            if has_future[s]:
-                m2 = mask | bit
-                tgt = new.get(m2)
-                if tgt is None:
-                    new[m2] = dict(poly)
-                else:
-                    for k, c in poly.items():
-                        v = tgt.get(k, 0) + c
-                        if v:
-                            tgt[k] = v
-                        else:
-                            del tgt[k]
-            for u, w in earlier[s]:
-                if mask >> u & 1:
-                    m2 = mask & ~(1 << u)
-                    tgt = new.get(m2)
-                    if tgt is None:
-                        new[m2] = {k + w: c for k, c in poly.items()}
-                    else:
-                        for k, c in poly.items():
-                            kk = k + w
-                            v = tgt.get(kk, 0) + c
-                            if v:
-                                tgt[kk] = v
-                            else:
-                                del tgt[kk]
-        if dead_at[s]:
-            d = dead_at[s]
-            new = {m: p for m, p in new.items() if not (m & d)}
-        states = new
-    return LaurentPoly(states.get(0, {}))
+    return LaurentPoly(_frontier_sum(graph, order, {UNIT_KEY: 1}, _add_shifted) or {})
 
 
 Matching = tuple[tuple[int, ...], ...]  # sorted edge indices into graph.edges
@@ -184,12 +172,8 @@ def enumerate_pm(graph: DiamondGraph, limit: int = 1 << 20) -> list[Matching]:
 
 def matching_weight(graph: DiamondGraph, matching: Matching) -> LaurentPoly:
     """Product of the edge weights of one matching."""
-    exps = [0] * 6
-    for ei in matching:
-        _, _, la, lb = graph.edges[ei]
-        exps[la - 1] -= 1
-        exps[lb - 1] -= 1
-    return LaurentPoly.monomial(1, exps)
+    labels = (l for ei in matching for l in graph.edges[ei][2:])
+    return LaurentPoly.monomial(1, label_exponents(labels, -1))
 
 
 def matching_covers(graph: DiamondGraph, matching: Matching) -> bool:
@@ -215,13 +199,6 @@ def aggregate_enumeration(graph: DiamondGraph, limit: int = 1 << 20) -> LaurentP
 # Condensation identities
 
 
-def _inv_monomial(*labels: int) -> LaurentPoly:
-    exps = [0] * 6
-    for l in labels:
-        exps[l - 1] -= 1
-    return LaurentPoly.monomial(1, exps)
-
-
 @dataclass(frozen=True)
 class CondensationInstance:
     """One bilinear matching-weight identity: the graphs and monomial factors
@@ -244,16 +221,16 @@ def condensation_instance(n: int, kind: int, scheme: BlockScheme | None = None) 
             raise ValueError("kind-1 condensation requires n >= 2")
         big, center = build_diamond(2 * n, False, scheme), build_diamond(2 * n - 3, False, scheme)
         a, b = 2 * n - 1, 2 * n - 2
-        mono1 = _inv_monomial(1, 2, 3, 4, 5, 6)
+        mono1 = LaurentPoly.monomial(1, label_exponents((1, 2, 3, 4, 5, 6), -1))
     elif kind == 2:
         if n < 1:
             raise ValueError("kind-2 condensation requires n >= 1")
         big, center = build_diamond(2 * n + 1, False, scheme), build_diamond(2 * n - 2, False, scheme)
         a, b = 2 * n, 2 * n - 1
-        mono1 = _inv_monomial(1, 3, 2, 6, 4, 5)
+        mono1 = LaurentPoly.monomial(1, label_exponents((1, 3, 2, 6, 4, 5), -1))
     else:
         raise ValueError("kind must be 1 or 2")
-    mono2 = _inv_monomial(1, 2, 2, 3, 3, 5)
+    mono2 = LaurentPoly.monomial(1, label_exponents((1, 2, 2, 3, 3, 5), -1))
     return CondensationInstance(
         n=n,
         kind=kind,

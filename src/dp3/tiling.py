@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .laurent import SIGMA
-
 LABELS = (1, 2, 3, 4, 5, 6)
 
 
@@ -226,41 +224,6 @@ def rotate180(f: Face, labeling: Labeling) -> Face:
     return _face_from_geometry((2 * cx - gx, 2 * cy - gy), (2 * cx - tx, 2 * cy - ty))
 
 
-def rotate_vertex(v: Vertex, labeling: Labeling) -> Vertex:
-    cx, cy = labeling.rho_center
-    x, y = vertex_coords(v)
-    return vertex_from_coords(2 * cx - x, 2 * cy - y)
-
-
-def vertex_from_coords(x: int, y: int) -> Vertex:
-    r = y % 12
-    if r == 0:
-        b = y // 12
-        q, s = divmod(x - 6 * b, 12)
-        if s == 0:
-            return tri(q, b)
-        if s == 6:
-            return midpoint(q, b, "E")
-    elif r == 4:
-        b = (y - 4) // 12
-        q, s = divmod(x - 6 * b - 6, 12)
-        if s == 0:
-            return centroid(q, b, True)
-    elif r == 8:
-        b = (y - 8) // 12
-        q, s = divmod(x - 6 * b - 12, 12)
-        if s == 0:
-            return centroid(q, b, False)
-    elif r == 6:
-        b = (y - 6) // 12
-        q, s = divmod(x - 6 * b, 12)
-        if s == 3:
-            return midpoint(q, b, "N")
-        if s == 9:
-            return midpoint(q, b, "D")
-    raise ValueError(f"({x}, {y}) is not a lattice vertex")
-
-
 # ---------------------------------------------------------------------------
 # Blocks
 
@@ -440,7 +403,3 @@ def quiver_from_tiling(labeling: Labeling) -> tuple[tuple[int, ...], ...]:
         b[s - 1][t - 1] += 1
         b[t - 1][s - 1] -= 1
     return tuple(tuple(row) for row in b)
-
-
-def sigma_label(i: int) -> int:
-    return SIGMA(i)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from dp3 import calibration, cli
 from dp3.cli import main, pm_count_closed
+from dp3.laurent import x
 
 
 def run(capsys, *argv):
@@ -42,6 +44,12 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
         assert exc.value.code == 2
+
+    def test_mismatch_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "recurrence_y", lambda n: (x(1), x(2)))
+        code, out, _ = run(capsys, "verify", "--suite", "quiver", "--max-half-order", "1")
+        assert code == 1
+        assert "FAIL  quiver/seed-vs-recurrence/N<=1" in out
 
 
 class TestCompute:
@@ -158,3 +166,42 @@ class TestCalibrateCommand:
         assert code == 0
         assert path.exists()
         assert "suite oracle: pass" in out
+
+
+def _text_labels(doc: dict) -> dict:
+    doc["labels"]["up"] = "abc"
+    return doc
+
+
+MALFORMED_CALIBRATIONS = {
+    "no-labels": lambda doc: {"schema_version": 1},
+    "not-an-object": lambda doc: [1, 2],
+    "text-labels": _text_labels,
+}
+
+CALIBRATION_COMMANDS = {
+    "verify": ("verify", "--suite", "quiver", "--max-half-order", "1", "--calibration"),
+    "calibrate": ("calibrate", "--out"),
+}
+
+
+class TestMalformedCalibration:
+    @pytest.mark.parametrize("command", sorted(CALIBRATION_COMMANDS))
+    @pytest.mark.parametrize("malformed", sorted(MALFORMED_CALIBRATIONS))
+    def test_exits_2_without_traceback(self, capsys, tmp_path, scheme, command, malformed):
+        path = tmp_path / "cal.json"
+        doc = json.loads(calibration.scheme_to_json(scheme))
+        path.write_text(json.dumps(MALFORMED_CALIBRATIONS[malformed](doc)))
+        code, _, err = run(capsys, *CALIBRATION_COMMANDS[command], str(path))
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_failed_search_exits_1(self, capsys, monkeypatch):
+        def fail():
+            raise calibration.CalibrationFailed("no labeling survives")
+
+        monkeypatch.setattr(calibration, "calibrate", fail)
+        code, _, err = run(capsys, "calibrate")
+        assert code == 1
+        assert "calibration failed:" in err

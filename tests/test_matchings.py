@@ -35,7 +35,7 @@ class TestCounts:
         assert count_pm(g) == 1
         assert weighted_pm_sum(g) == LaurentPoly.one()
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_sweep_orders_agree(self, scheme, n):
         g = build_diamond(n, False, scheme)
         assert count_pm(g, "yx") == count_pm(g, "xy")
@@ -50,7 +50,7 @@ class TestWeightedSums:
         got = weighted_pm_sum(build_diamond(1, False, scheme))
         assert got == parse_poly("x2^-2 x3^-1 x5^-1 + x1^-1 x2^-2 x6^-1")
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_specializes_to_count(self, scheme, n):
         for primed in (False, True):
             g = build_diamond(n, primed, scheme)
@@ -68,7 +68,7 @@ class TestWeightedSums:
         assert w.min_coefficient() > 0
         assert w.term_count() <= COUNTS[n]
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_sweep_orders_agree(self, scheme, n):
         g = build_diamond(n, False, scheme)
         assert weighted_pm_sum(g, "yx") == weighted_pm_sum(g, "xy")

@@ -2,11 +2,9 @@
 
 import pytest
 
-from dp3 import quiver
 from dp3.laurent import ALL_ONES, SIGMA, LaurentPoly, parse_poly, x
 from dp3.quiver import (
     MUTATION_CYCLE,
-    MismatchError,
     initial_b_matrix,
     initial_seed,
     mutate_matrix,
@@ -134,12 +132,7 @@ class TestPeriodicSequence:
     def test_twelve_steps_y6(self):
         seq = run_periodic_sequence(12)
         assert seq.y(6).evaluate(ALL_ONES) == 4096
-
-    def test_mismatch_guard(self, monkeypatch):
-        wrong = lambda n: (x(1), x(2))
-        monkeypatch.setattr(quiver, "recurrence_y", wrong)
-        with pytest.raises(MismatchError):
-            run_periodic_sequence(1)
+        assert seq.entries == tuple(v for n in range(1, 7) for v in recurrence_y(n))
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
