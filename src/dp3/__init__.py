@@ -1,122 +1,32 @@
 """Exact computations on the dP3 brane tiling: cluster variables from the
 period-6 mutation sequence, diamond subgraphs, and their weighted perfect
-matching polynomials."""
+matching polynomials.
 
-from .laurent import (
-    ALL_ONES,
-    SIGMA,
-    LaurentPoly,
-    NotDivisibleError,
-    ParseError,
-    VarPermutation,
-    format_poly,
-    parse_poly,
-    x,
-)
-from .quiver import (
-    MUTATION_CYCLE,
-    Seed,
-    YSequence,
-    initial_b_matrix,
-    initial_seed,
-    mutate_matrix,
-    mutate_seed,
-    recurrence_y,
-    run_periodic_sequence,
-)
-from .tiling import (
-    BlockScheme,
-    BlockSchemeError,
-    Face,
-    Labeling,
-    Vertex,
-    face_adjacency,
-    face_boundary,
-    quiver_from_tiling,
-    rotate180,
-)
+The package exports the functions the README documents and the exceptions
+they raise; everything else is imported from its submodule."""
+
+from .laurent import NotDivisibleError
+from .quiver import recurrence_y
 from .calibration import (
     CalibrationAmbiguous,
     CalibrationError,
     CalibrationFailed,
     calibrate,
     default_scheme,
-    load_calibration,
-    save_calibration,
 )
-from .diamonds import (
-    DiamondGraph,
-    boundary_vector,
-    build_diamond,
-    covering_monomial,
-    diamond_face_set,
-    face_vector,
-    graph_to_dot,
-    graph_to_json,
-    graph_to_svg,
-)
-from .matchings import (
-    CondensationInstance,
-    LimitExceededError,
-    condensation_instance,
-    count_pm,
-    enumerate_pm,
-    matchings_route_y,
-    verify_condensation,
-    weighted_pm_sum,
-)
+from .diamonds import build_diamond, covering_monomial
+from .matchings import weighted_pm_sum
 
 __all__ = [
-    "ALL_ONES",
-    "SIGMA",
-    "LaurentPoly",
     "NotDivisibleError",
-    "ParseError",
-    "VarPermutation",
-    "format_poly",
-    "parse_poly",
-    "x",
-    "MUTATION_CYCLE",
-    "Seed",
-    "YSequence",
-    "initial_b_matrix",
-    "initial_seed",
-    "mutate_matrix",
-    "mutate_seed",
     "recurrence_y",
-    "run_periodic_sequence",
-    "BlockScheme",
-    "BlockSchemeError",
-    "Face",
-    "Labeling",
-    "Vertex",
-    "face_adjacency",
-    "face_boundary",
-    "quiver_from_tiling",
-    "rotate180",
     "CalibrationAmbiguous",
     "CalibrationError",
     "CalibrationFailed",
     "calibrate",
     "default_scheme",
-    "load_calibration",
-    "save_calibration",
-    "DiamondGraph",
-    "boundary_vector",
     "build_diamond",
     "covering_monomial",
-    "diamond_face_set",
-    "face_vector",
-    "graph_to_dot",
-    "graph_to_json",
-    "graph_to_svg",
-    "CondensationInstance",
-    "LimitExceededError",
-    "condensation_instance",
-    "count_pm",
-    "enumerate_pm",
-    "matchings_route_y",
-    "verify_condensation",
     "weighted_pm_sum",
 ]
 

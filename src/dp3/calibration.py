@@ -8,7 +8,7 @@ the (forced) block shapes for each, and keeps those passing, in order:
 
   1. octahedral adjacency (no face touches its antipodal label),
   2. sigma-relabeling under the 180-degree rotation,
-  3. a consistent block grid obeying the type parity rule,
+  3. the closed-form block grid agreeing with geometric block adjacency,
   4. opposite boundary edges of a label-2 square facing labels {3,5}/{1,6},
   5. perfect matching counts of the four smallest diamonds (2, 4, 16, 64),
   6. covering monomial closed forms for those diamonds,
@@ -31,7 +31,6 @@ from .tiling import (
     BlockSchemeError,
     Face,
     Labeling,
-    expected_block_type,
     face_adjacency,
     rotate180,
 )
@@ -74,10 +73,27 @@ def _rho_sigma_ok(lab: Labeling) -> bool:
 
 
 def _grid_ok(scheme: BlockScheme) -> bool:
+    """Whether the closed form T(i, j) of ``scheme.block`` is the block grid.
+
+    The geometric N/S/E/W neighbours of each T(i, j), i in {0, 1} and j in
+    {-1, 0, 1, 2}, must be the formula's T(i, j+1), T(i, j-1), T(i+1, j)
+    and T(i-1, j).  That window proves the formula for every (i, j):
+    lattice translation by (1, 0) maps T(i, j) to T(i+2, j), and by (0, 1)
+    maps T(i, j) to T(i+1, j+1).  Both preserve labels, and both preserve
+    ``block_at_face``'s row regime as long as the rows involved stay on one
+    side of the b = 0/1 boundary.  So every block with j <= -1 or j >= 2
+    translates onto the window together with its neighbours, and local
+    agreement holds everywhere.  Walking block adjacency out from the anchor
+    T(0, 0) = ([254], 0, 0) therefore reproduces the formula, so this check
+    is at least as strict as checking a walked grid against the parity rule.
+    """
+    block = scheme.block
     try:
-        for i in range(-7, 4):
-            for j in range(-3, 4):
-                if scheme.block_type(i, j) != expected_block_type(i, j):
+        for i in (0, 1):
+            for j in (-1, 0, 1, 2):
+                want = {"N": block(i, j + 1), "S": block(i, j - 1),
+                        "E": block(i + 1, j), "W": block(i - 1, j)}
+                if scheme._instance_neighbors(*block(i, j)) != want:
                     return False
         scheme.s2()
         scheme.s3()
@@ -132,7 +148,7 @@ def labeling_failures(lab: Labeling) -> list[str]:
     except BlockSchemeError as e:
         return [f"no block scheme: {e}"]
     if not _grid_ok(scheme):
-        return ["block grid violates the type parity rule"]
+        return ["block grid disagrees with geometric block adjacency"]
     if not _opposite_pairs_ok(scheme):
         return ["label-2 square opposite neighbors are not {3,5}/{1,6}"]
     return _oracle_failures(scheme)

@@ -49,17 +49,6 @@ from .matchings import (
 SUITES = ("theorem", "counts", "recursions", "quiver", "oracle")
 
 
-@dataclass
-class Config:
-    max_half_order: int = 8
-    calibration: Path | None = None
-    fmt: str = "text"
-
-    def __post_init__(self):
-        if self.max_half_order < 1:
-            raise ValueError("max_half_order must be >= 1")
-
-
 def pm_count_closed(n: int) -> int:
     """|PM(D_{N/2})|: 2^(m(m+1)) at integer order, 2^((m+1/2)^2) at half."""
     return 2 ** ((n // 2) * (n // 2 + 1)) if n % 2 == 0 else 2 ** (((n + 1) // 2) ** 2)
@@ -107,9 +96,9 @@ class SuiteReport:
         }
 
 
-def suite_counts(cfg: Config, scheme: BlockScheme) -> SuiteReport:
+def suite_counts(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("counts")
-    for n in range(1, cfg.max_half_order + 1):
+    for n in range(1, max_half_order + 1):
         t = time.monotonic()
         got = count_pm(build_diamond(n, False, scheme))
         rep.check(f"counts/pm/N={n}", got, pm_count_closed(n), t)
@@ -119,9 +108,9 @@ def suite_counts(cfg: Config, scheme: BlockScheme) -> SuiteReport:
     return rep
 
 
-def suite_theorem(cfg: Config, scheme: BlockScheme) -> SuiteReport:
+def suite_theorem(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("theorem")
-    for n in range(1, cfg.max_half_order + 1):
+    for n in range(1, max_half_order + 1):
         t = time.monotonic()
         y, yp = recurrence_y(n)
         rep.check(f"theorem/y/N={n}", matchings_route_y(n, False, scheme), y, t)
@@ -130,19 +119,19 @@ def suite_theorem(cfg: Config, scheme: BlockScheme) -> SuiteReport:
     return rep
 
 
-def suite_recursions(cfg: Config, scheme: BlockScheme) -> SuiteReport:
+def suite_recursions(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("recursions")
-    for n in range(2, cfg.max_half_order // 2 + 1):
+    for n in range(2, max_half_order // 2 + 1):
         t = time.monotonic()
         res = verify_condensation(condensation_instance(n, 1, scheme))
         rep.check(f"recursions/weights/kind1/n={n}", res.lhs, res.rhs, t)
-    for n in range(1, (cfg.max_half_order + 1) // 2 + 1):
+    for n in range(1, (max_half_order + 1) // 2 + 1):
         t = time.monotonic()
         res = verify_condensation(condensation_instance(n, 2, scheme))
         rep.check(f"recursions/weights/kind2/n={n}", res.lhs, res.rhs, t)
 
     # the closed-form checks are monomial arithmetic; always cover n <= 5
-    top = max(5, (cfg.max_half_order + 1) // 2)
+    top = max(5, (max_half_order + 1) // 2)
     for n in range(2, 2 * top + 2):
         t = time.monotonic()
         rep.check(f"recursions/faces/N={n}", face_vector(n, False, scheme),
@@ -196,7 +185,7 @@ def suite_recursions(cfg: Config, scheme: BlockScheme) -> SuiteReport:
     return rep
 
 
-def suite_quiver(cfg: Config, scheme: BlockScheme) -> SuiteReport:
+def suite_quiver(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("quiver")
     b0 = initial_b_matrix()
 
@@ -235,12 +224,12 @@ def suite_quiver(cfg: Config, scheme: BlockScheme) -> SuiteReport:
     rep.check("quiver/tiling-duality", dual == b0 or neg == b0, True, t)
 
     t = time.monotonic()
-    seq = run_periodic_sequence(2 * cfg.max_half_order)
-    want = tuple(v for n in range(1, cfg.max_half_order + 1) for v in recurrence_y(n))
+    seq = run_periodic_sequence(2 * max_half_order)
+    want = tuple(v for n in range(1, max_half_order + 1) for v in recurrence_y(n))
     ok = seq.entries == want
-    rep.check(f"quiver/seed-vs-recurrence/N<={cfg.max_half_order}", ok, True, t)
+    rep.check(f"quiver/seed-vs-recurrence/N<={max_half_order}", ok, True, t)
 
-    for n in range(1, cfg.max_half_order + 1):
+    for n in range(1, max_half_order + 1):
         y, yp = recurrence_y(n)
         t = time.monotonic()
         rep.check(f"quiver/sigma-pair/N={n}", y.permute(SIGMA), yp, t)
@@ -249,9 +238,9 @@ def suite_quiver(cfg: Config, scheme: BlockScheme) -> SuiteReport:
     return rep
 
 
-def suite_oracle(cfg: Config, scheme: BlockScheme) -> SuiteReport:
+def suite_oracle(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("oracle")
-    for n in range(1, min(4, cfg.max_half_order) + 1):
+    for n in range(1, min(4, max_half_order) + 1):
         for primed in (False, True):
             tag = f"N={n}/{'primed' if primed else 'unprimed'}"
             g = build_diamond(n, primed, scheme)
@@ -274,24 +263,31 @@ _SUITE_FUNCS = {
 }
 
 
-def _get_scheme(cfg: Config, recalibrate: bool = False) -> BlockScheme:
-    if cfg.calibration is not None:
-        path = cfg.calibration
-        if path.exists() and not recalibrate:
-            return cal.load_calibration(path)
-        scheme = cal.calibrate()
+def _get_scheme(path: Path | None, recalibrate: bool = False) -> tuple[BlockScheme, str]:
+    """The calibrated scheme and whether it was "loaded" or "computed".
+
+    With a path, the calibration stored there is loaded unless the file is
+    missing or ``recalibrate`` is set; then the search runs and its result
+    is saved there.  With no path, the search runs if ``recalibrate`` is
+    set, and otherwise the process-wide default scheme is returned.
+    """
+    if path is not None and path.exists() and not recalibrate:
+        return cal.load_calibration(path), "loaded"
+    if path is None and not recalibrate:
+        return cal.default_scheme(), "computed"
+    scheme = cal.calibrate()
+    if path is not None:
         cal.save_calibration(scheme, path)
-        return scheme
-    return cal.default_scheme()
+    return scheme, "computed"
 
 
 def cmd_verify(args) -> int:
-    cfg = Config(max_half_order=args.max_half_order,
-                 calibration=args.calibration, fmt=args.format)
-    scheme = _get_scheme(cfg)
+    if args.max_half_order < 1:
+        raise ValueError("max_half_order must be >= 1")
+    scheme, _ = _get_scheme(args.calibration)
     names = SUITES if args.suite == "all" else (args.suite,)
-    reports = [_SUITE_FUNCS[name](cfg, scheme) for name in names]
-    if cfg.fmt == "json":
+    reports = [_SUITE_FUNCS[name](args.max_half_order, scheme) for name in names]
+    if args.format == "json":
         print(json.dumps([r.to_doc() for r in reports], indent=1))
     else:
         for rep in reports:
@@ -307,11 +303,10 @@ def cmd_verify(args) -> int:
 def cmd_compute(args) -> int:
     n = args.n
     prime = args.target == "yp"
-    cfg = Config(calibration=args.calibration, fmt=args.format)
     if args.via == "matchings":
         if n < 1:
             raise ValueError("the matching route needs N >= 1")
-        poly = matchings_route_y(n, prime, _get_scheme(cfg))
+        poly = matchings_route_y(n, prime, _get_scheme(args.calibration)[0])
     elif args.via == "seed":
         if n < 1:
             raise ValueError("the seed route needs N >= 1")
@@ -336,8 +331,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cfg = Config(calibration=args.calibration)
-    graph = build_diamond(args.half_order, args.primed, _get_scheme(cfg))
+    graph = build_diamond(args.half_order, args.primed, _get_scheme(args.calibration)[0])
     render = {"json": graph_to_json, "dot": graph_to_dot, "svg": graph_to_svg}[args.format]
     text = render(graph)
     out = Path(args.out)
@@ -348,14 +342,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.out is not None and Path(args.out).exists() and not args.recalibrate:
-        scheme = cal.load_calibration(args.out)
-        source = "loaded"
-    else:
-        scheme = cal.calibrate()
-        source = "computed"
-        if args.out is not None:
-            cal.save_calibration(scheme, args.out)
+    # with no file to load from, the command always runs the search
+    scheme, source = _get_scheme(args.out, args.recalibrate or args.out is None)
     lab = scheme.labeling
     print(f"{source}: up={lab.up} down={lab.down} rho_center={lab.rho_center}")
     return 0

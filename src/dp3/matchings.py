@@ -251,19 +251,19 @@ class VerifyResult:
         return self.lhs - self.rhs
 
 
-def verify_condensation(inst: CondensationInstance, order: str = "yx") -> VerifyResult:
+def verify_condensation(inst: CondensationInstance) -> VerifyResult:
     """Check the identity with all six weighted sums computed independently."""
-    lhs = weighted_pm_sum(inst.big, order) * weighted_pm_sum(inst.center, order)
+    lhs = weighted_pm_sum(inst.big) * weighted_pm_sum(inst.center)
     rhs = LaurentPoly.zero()
     for ga, gb, mono in (inst.pair1, inst.pair2):
-        rhs = rhs + weighted_pm_sum(ga, order) * weighted_pm_sum(gb, order) * mono
+        rhs = rhs + weighted_pm_sum(ga) * weighted_pm_sum(gb) * mono
     return VerifyResult(lhs == rhs, lhs, rhs)
 
 
-def matchings_route_y(n: int, primed: bool = False, scheme: BlockScheme | None = None,
-                      order: str = "yx") -> LaurentPoly:
+def matchings_route_y(n: int, primed: bool = False,
+                      scheme: BlockScheme | None = None) -> LaurentPoly:
     """y_N (or y'_N) through the matching model: w(D_{N/2}) m(D_{N/2})."""
     if n < 1:
         raise ValueError("matching route defined for N >= 1")
     graph = build_diamond(n, primed, scheme)
-    return weighted_pm_sum(graph, order) * covering_monomial(n, primed, scheme)
+    return weighted_pm_sum(graph) * covering_monomial(n, primed, scheme)

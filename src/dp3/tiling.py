@@ -264,13 +264,13 @@ class BlockScheme:
     Rows b <= 0 are tiled by [254]/[316] triples, rows b >= 1 by [214]/[356]
     triples; ``shapes`` holds each type's face classes with their relative
     a-offsets, and T(0,0) is the [254] block with unit index a = b = 0.
-    The grid is walked lazily through block adjacency and cached.
+    T(i, j) has the closed form of ``block``, which calibration checks
+    against the geometric block adjacency of ``_instance_neighbors``.
     """
 
     def __init__(self, labeling: Labeling, shapes: dict[str, dict[tuple[bool, int], int]]):
         self.labeling = labeling
         self.shapes = shapes
-        self._grid: dict[tuple[int, int], tuple[str, int, int]] = {(0, 0): ("254", 0, 0)}
 
     @staticmethod
     def from_labeling(labeling: Labeling) -> "BlockScheme":
@@ -320,20 +320,9 @@ class BlockScheme:
         return {"W": same_row[0], "E": same_row[1], "N": north[0], "S": south[0]}
 
     def block(self, i: int, j: int) -> tuple[str, int, int]:
-        """Block T(i, j): walked east/west along strip j after stepping
-        north/south from the anchor column."""
-        blk = self._grid.get((i, j))
-        if blk is None:
-            if j != 0:
-                step = 1 if j > 0 else -1
-                prev = self.block(i, j - step)
-                blk = self._instance_neighbors(*prev)["N" if step > 0 else "S"]
-            else:
-                step = 1 if i > 0 else -1
-                prev = self.block(i - step, 0)
-                blk = self._instance_neighbors(*prev)["E" if step > 0 else "W"]
-            self._grid[(i, j)] = blk
-        return blk
+        """Block T(i, j) as (type, a, b), in closed form: the parity rule's
+        type, unit index a = (i - j + 1) // 2 and row b = j."""
+        return expected_block_type(i, j), (i - j + 1) // 2, j
 
     def block_faces(self, i: int, j: int) -> tuple[Face, ...]:
         """The three faces of block T(i, j)."""

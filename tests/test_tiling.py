@@ -6,6 +6,7 @@ import pytest
 
 from dp3.calibration import (
     CalibrationError,
+    CalibrationFailed,
     calibrate,
     labeling_failures,
     load_calibration,
@@ -186,6 +187,19 @@ class TestBlocks:
         assert nbrs["E"] == scheme.block(1, 0)
         assert nbrs["N"] == scheme.block(0, 1)
 
+    def test_closed_form_matches_geometry(self, scheme):
+        block = scheme.block
+        for i in range(-30, 11):
+            for j in range(-15, 16):
+                want = {"N": block(i, j + 1), "S": block(i, j - 1),
+                        "E": block(i + 1, j), "W": block(i - 1, j)}
+                assert scheme._instance_neighbors(*block(i, j)) == want, (i, j)
+
+    def test_deep_block_index(self, scheme):
+        # T(i - 2k, j) is T(i, j) translated by -k lattice units along a
+        shifted = sorted(Face(f.a - 2500, f.b, f.up, f.c) for f in scheme.block_faces(0, 3))
+        assert list(scheme.block_faces(-5000, 3)) == shifted
+
     def test_block_multiplicities_in_diamonds(self, scheme):
         from dp3.diamonds import diamond_blocks
 
@@ -265,6 +279,16 @@ class TestCalibration:
         path.write_text(swapped)
         with pytest.raises(CalibrationError):
             load_calibration(path)
+
+    def test_wrong_block_formula_fails(self, scheme, monkeypatch):
+        def off_by_one(self, i, j):
+            return expected_block_type(i, j), (i - j) // 2, j
+
+        monkeypatch.setattr(BlockScheme, "block", off_by_one)
+        assert labeling_failures(scheme.labeling) == [
+            "block grid disagrees with geometric block adjacency"]
+        with pytest.raises(CalibrationFailed):
+            calibrate()
 
     def test_calibrated_labeling_has_no_failures(self, scheme):
         assert labeling_failures(scheme.labeling) == []
