@@ -26,6 +26,7 @@ from .quiver import (
 from .tiling import BlockScheme, quiver_from_tiling
 from . import calibration as cal
 from .diamonds import (
+    RECURSION_FACTOR_LABELS,
     build_diamond,
     boundary_vector,
     boundary_vector_closed,
@@ -36,6 +37,7 @@ from .diamonds import (
     graph_to_dot,
     graph_to_json,
     graph_to_svg,
+    pm_count_closed,
 )
 from .matchings import (
     aggregate_enumeration,
@@ -45,14 +47,6 @@ from .matchings import (
     verify_condensation,
     weighted_pm_sum,
 )
-
-SUITES = ("theorem", "counts", "recursions", "quiver", "oracle")
-
-
-def pm_count_closed(n: int) -> int:
-    """|PM(D_{N/2})|: 2^(m(m+1)) at integer order, 2^((m+1/2)^2) at half."""
-    return 2 ** ((n // 2) * (n // 2 + 1)) if n % 2 == 0 else 2 ** (((n + 1) // 2) ** 2)
-
 
 def _digest(value) -> str:
     text = str(value)
@@ -70,18 +64,26 @@ class CheckResult:
 
 @dataclass
 class SuiteReport:
+    """The checks of one suite, in order.  A check's seconds run from the end
+    of the previous check (for the first, from the report's creation), so
+    they add up to the suite's run time."""
+
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
+
+    def __post_init__(self):
+        self._last_end = time.monotonic()
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def check(self, check_id: str, lhs, rhs, started: float) -> bool:
+    def check(self, check_id: str, lhs, rhs) -> None:
         ok = lhs == rhs
-        self.checks.append(CheckResult(check_id, ok, _digest(lhs), _digest(rhs),
-                                       time.monotonic() - started))
-        return ok
+        digests = _digest(lhs), _digest(rhs)
+        end = time.monotonic()
+        self.checks.append(CheckResult(check_id, ok, *digests, end - self._last_end))
+        self._last_end = end
 
     def to_doc(self) -> dict:
         return {
@@ -99,89 +101,70 @@ class SuiteReport:
 def suite_counts(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("counts")
     for n in range(1, max_half_order + 1):
-        t = time.monotonic()
         got = count_pm(build_diamond(n, False, scheme))
-        rep.check(f"counts/pm/N={n}", got, pm_count_closed(n), t)
-        t = time.monotonic()
+        rep.check(f"counts/pm/N={n}", got, pm_count_closed(n))
         spec = recurrence_y(n)[0].evaluate(ALL_ONES)
-        rep.check(f"counts/specialize/N={n}", spec, pm_count_closed(n), t)
+        rep.check(f"counts/specialize/N={n}", spec, pm_count_closed(n))
     return rep
 
 
 def suite_theorem(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("theorem")
     for n in range(1, max_half_order + 1):
-        t = time.monotonic()
         y, yp = recurrence_y(n)
-        rep.check(f"theorem/y/N={n}", matchings_route_y(n, False, scheme), y, t)
-        t = time.monotonic()
-        rep.check(f"theorem/yprime/N={n}", matchings_route_y(n, True, scheme), yp, t)
+        rep.check(f"theorem/y/N={n}", matchings_route_y(n, False, scheme), y)
+        rep.check(f"theorem/yprime/N={n}", matchings_route_y(n, True, scheme), yp)
     return rep
 
 
 def suite_recursions(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("recursions")
     for n in range(2, max_half_order // 2 + 1):
-        t = time.monotonic()
-        res = verify_condensation(condensation_instance(n, 1, scheme))
-        rep.check(f"recursions/weights/kind1/n={n}", res.lhs, res.rhs, t)
+        rep.check(f"recursions/weights/kind1/n={n}",
+                  *verify_condensation(condensation_instance(n, 1, scheme)))
     for n in range(1, (max_half_order + 1) // 2 + 1):
-        t = time.monotonic()
-        res = verify_condensation(condensation_instance(n, 2, scheme))
-        rep.check(f"recursions/weights/kind2/n={n}", res.lhs, res.rhs, t)
+        rep.check(f"recursions/weights/kind2/n={n}",
+                  *verify_condensation(condensation_instance(n, 2, scheme)))
 
     # the closed-form checks are monomial arithmetic; always cover n <= 5
     top = max(5, (max_half_order + 1) // 2)
     for n in range(2, 2 * top + 2):
-        t = time.monotonic()
         rep.check(f"recursions/faces/N={n}", face_vector(n, False, scheme),
-                  face_vector_closed(n), t)
-        t = time.monotonic()
+                  face_vector_closed(n))
         rep.check(f"recursions/boundary/N={n}", boundary_vector(n, False, scheme),
-                  boundary_vector_closed(n), t)
-        t = time.monotonic()
+                  boundary_vector_closed(n))
         rep.check(f"recursions/cover/N={n}", covering_monomial(n, False, scheme),
-                  covering_monomial_closed(n), t)
-    t = time.monotonic()
+                  covering_monomial_closed(n))
     rep.check("recursions/cover/N=1", covering_monomial(1, False, scheme),
-              LaurentPoly.monomial(1, label_exponents((1, 2, 3, 5, 6))), t)
-    t = time.monotonic()
+              LaurentPoly.monomial(1, label_exponents((1, 2, 3, 5, 6))))
     rep.check("recursions/cover/N=0", covering_monomial(0, False, scheme),
-              LaurentPoly.var(3), t)
+              LaurentPoly.var(3))
 
     def m(n: int, primed: bool = False) -> LaurentPoly:
         return covering_monomial(n, primed, scheme)
 
-    # the factors of both recursions: x1 x2 x3 x4 x5 x6 and x1 x2^2 x3^2 x5
-    unprimed_factor = LaurentPoly.monomial(1, label_exponents((1, 2, 3, 4, 5, 6)))
-    primed_factor = LaurentPoly.monomial(1, label_exponents((1, 2, 2, 3, 3, 5)))
-
+    unprimed_factor, primed_factor = (LaurentPoly.monomial(1, label_exponents(labels))
+                                      for labels in RECURSION_FACTOR_LABELS)
     for n in range(2, top + 1):
         lhs = m(2 * n) * m(2 * n - 3)
         prod = LaurentPoly.monomial(1, (
             2 * n * n - 3 * n + 3, 2 * n * n - 3 * n + 3, 2 * n * n - n + 2,
             2 * n * n - 3 * n + 2, 2 * n * n - 3 * n + 3, 2 * n * n - n + 1))
-        t = time.monotonic()
         rep.check(f"recursions/cover-rec1/unprimed/n={n}",
-                  m(2 * n - 1) * m(2 * n - 2) * unprimed_factor, lhs, t)
-        t = time.monotonic()
+                  m(2 * n - 1) * m(2 * n - 2) * unprimed_factor, lhs)
         rep.check(f"recursions/cover-rec1/primed/n={n}",
-                  m(2 * n - 1, True) * m(2 * n - 2, True) * primed_factor, lhs, t)
-        t = time.monotonic()
-        rep.check(f"recursions/cover-rec1/product/n={n}", lhs, prod, t)
+                  m(2 * n - 1, True) * m(2 * n - 2, True) * primed_factor, lhs)
+        rep.check(f"recursions/cover-rec1/product/n={n}", lhs, prod)
     for n in range(1, top + 1):
         lhs = m(2 * n + 1) * m(2 * n - 2)
         prod = LaurentPoly.monomial(1, (
             2 * n * n - n + 2, 2 * n * n - n + 2, 2 * n * n + n + 2,
             2 * n * n - n + 1, 2 * n * n - n + 2, 2 * n * n + n + 1))
-        t = time.monotonic()
         rep.check(f"recursions/cover-rec2/unprimed/n={n}",
-                  m(2 * n) * m(2 * n - 1) * unprimed_factor, lhs, t)
-        t = time.monotonic()
+                  m(2 * n) * m(2 * n - 1) * unprimed_factor, lhs)
         rep.check(f"recursions/cover-rec2/primed/n={n}",
-                  m(2 * n, True) * m(2 * n - 1, True) * primed_factor, lhs, t)
-        t = time.monotonic()
-        rep.check(f"recursions/cover-rec2/product/n={n}", lhs, prod, t)
+                  m(2 * n, True) * m(2 * n - 1, True) * primed_factor, lhs)
+        rep.check(f"recursions/cover-rec2/product/n={n}", lhs, prod)
     return rep
 
 
@@ -189,52 +172,41 @@ def suite_quiver(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("quiver")
     b0 = initial_b_matrix()
 
-    t = time.monotonic()
     rep.check("quiver/skew", all(b0[i][j] == -b0[j][i] for i in range(6) for j in range(6)),
-              True, t)
-    t = time.monotonic()
+              True)
     sig = [SIGMA(i) for i in range(1, 7)]
     rep.check("quiver/sigma-invariant",
               all(b0[sig[i] - 1][sig[j] - 1] == b0[i][j] for i in range(6) for j in range(6)),
-              True, t)
-    t = time.monotonic()
-    rep.check("quiver/antipodal-zero", [b0[i][sig[i] - 1] for i in range(6)], [0] * 6, t)
+              True)
+    rep.check("quiver/antipodal-zero", [b0[i][sig[i] - 1] for i in range(6)], [0] * 6)
 
-    t = time.monotonic()
     b = b0
     for k in MUTATION_CYCLE:
         b = mutate_matrix(b, k)
-    rep.check("quiver/period-6", b, b0, t)
+    rep.check("quiver/period-6", b, b0)
 
-    t = time.monotonic()
     rep.check("quiver/involution",
-              all(mutate_matrix(mutate_matrix(b0, k), k) == b0 for k in range(1, 7)), True, t)
+              all(mutate_matrix(mutate_matrix(b0, k), k) == b0 for k in range(1, 7)), True)
 
     for a in (1, 2, 3):
-        t = time.monotonic()
         pair = {a, SIGMA(a)}
         got = mutate_matrix(mutate_matrix(b0, a), SIGMA(a))
         want = tuple(tuple(-b0[i][j] if (i + 1 in pair) != (j + 1 in pair) else b0[i][j]
                            for j in range(6)) for i in range(6))
-        rep.check(f"quiver/pair-negation/a={a}", got, want, t)
+        rep.check(f"quiver/pair-negation/a={a}", got, want)
 
-    t = time.monotonic()
     dual = quiver_from_tiling(scheme.labeling)
     neg = tuple(tuple(-v for v in row) for row in dual)
-    rep.check("quiver/tiling-duality", dual == b0 or neg == b0, True, t)
+    rep.check("quiver/tiling-duality", dual == b0 or neg == b0, True)
 
-    t = time.monotonic()
     seq = run_periodic_sequence(2 * max_half_order)
     want = tuple(v for n in range(1, max_half_order + 1) for v in recurrence_y(n))
-    ok = seq.entries == want
-    rep.check(f"quiver/seed-vs-recurrence/N<={max_half_order}", ok, True, t)
+    rep.check(f"quiver/seed-vs-recurrence/N<={max_half_order}", seq.entries == want, True)
 
     for n in range(1, max_half_order + 1):
         y, yp = recurrence_y(n)
-        t = time.monotonic()
-        rep.check(f"quiver/sigma-pair/N={n}", y.permute(SIGMA), yp, t)
-        t = time.monotonic()
-        rep.check(f"quiver/positivity/N={n}", y.min_coefficient() > 0, True, t)
+        rep.check(f"quiver/sigma-pair/N={n}", y.permute(SIGMA), yp)
+        rep.check(f"quiver/positivity/N={n}", y.min_coefficient() > 0, True)
     return rep
 
 
@@ -244,13 +216,10 @@ def suite_oracle(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
         for primed in (False, True):
             tag = f"N={n}/{'primed' if primed else 'unprimed'}"
             g = build_diamond(n, primed, scheme)
-            t = time.monotonic()
             dp = weighted_pm_sum(g, "yx")
-            rep.check(f"oracle/enumeration/{tag}", dp, aggregate_enumeration(g), t)
-            t = time.monotonic()
-            rep.check(f"oracle/sweep-order/{tag}", weighted_pm_sum(g, "xy"), dp, t)
-            t = time.monotonic()
-            rep.check(f"oracle/count-order/{tag}", count_pm(g, "xy"), count_pm(g, "yx"), t)
+            rep.check(f"oracle/enumeration/{tag}", dp, aggregate_enumeration(g))
+            rep.check(f"oracle/sweep-order/{tag}", weighted_pm_sum(g, "xy"), dp)
+            rep.check(f"oracle/count-order/{tag}", count_pm(g, "xy"), count_pm(g, "yx"))
     return rep
 
 
@@ -261,6 +230,7 @@ _SUITE_FUNCS = {
     "quiver": suite_quiver,
     "oracle": suite_oracle,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def _get_scheme(path: Path | None, recalibrate: bool = False) -> tuple[BlockScheme, str]:
@@ -394,7 +364,8 @@ def main(argv=None) -> int:
         # no labeling or several survive the search: the lattice model is broken
         print(f"calibration failed: {e}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, cal.CalibrationError) as e:
+    except (ValueError, OSError, RecursionError, cal.CalibrationError) as e:
+        # RecursionError: an input too deep for the interpreter's recursion limit
         print(f"error: {e}", file=sys.stderr)
         return 2
 

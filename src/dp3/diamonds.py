@@ -83,9 +83,6 @@ class DiamondGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[Vertex, Vertex, int, int], ...]
 
-    def face_set(self) -> frozenset[Face]:
-        return frozenset(f for f, _ in self.faces)
-
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
@@ -161,16 +158,11 @@ def face_vector(n: int, primed: bool = False, scheme: BlockScheme | None = None)
     return patch_face_vector(diamond_face_set(n, primed, scheme), scheme)
 
 
-def boundary_faces(n: int, primed: bool = False, scheme: BlockScheme | None = None) -> frozenset[Face]:
-    """The distinct lattice faces outside the diamond sharing an edge with it."""
-    scheme = scheme or _default_scheme()
-    return patch_boundary_faces(diamond_face_set(n, primed, scheme))
-
-
 def boundary_vector(n: int, primed: bool = False, scheme: BlockScheme | None = None) -> tuple[int, ...]:
-    """Count of neighboring faces per label, each distinct face once."""
+    """Count of the distinct lattice faces outside the diamond sharing an
+    edge with it, per label."""
     scheme = scheme or _default_scheme()
-    return patch_face_vector(boundary_faces(n, primed, scheme), scheme)
+    return patch_face_vector(patch_boundary_faces(diamond_face_set(n, primed, scheme)), scheme)
 
 
 def covering_monomial(n: int, primed: bool = False, scheme: BlockScheme | None = None) -> LaurentPoly:
@@ -184,6 +176,11 @@ def covering_monomial(n: int, primed: bool = False, scheme: BlockScheme | None =
 
 
 # -- closed forms (valid for N >= 2; the paper notes D_{1/2} is special) ----
+
+def pm_count_closed(n: int) -> int:
+    """|PM(D_{N/2})|: 2^(m(m+1)) at integer order, 2^((m+1/2)^2) at half."""
+    return 2 ** ((n // 2) * (n // 2 + 1)) if n % 2 == 0 else 2 ** (((n + 1) // 2) ** 2)
+
 
 def face_vector_closed(n: int) -> tuple[int, ...]:
     if n % 2 == 0:
@@ -210,6 +207,11 @@ def covering_monomial_closed(n: int) -> LaurentPoly:
         k = (n - 1) // 2
         exps = (k * k + k + 1, k * k + k + 1, (k + 1) ** 2, k * k + k, k * k + k + 1, (k + 1) ** 2)
     return LaurentPoly.monomial(1, exps)
+
+
+# Factor labels shared by the weight and covering-monomial recursions: the
+# unprimed pair's x1 x2 x3 x4 x5 x6 and the primed pair's x1 x2^2 x3^2 x5.
+RECURSION_FACTOR_LABELS = ((1, 2, 3, 4, 5, 6), (1, 2, 2, 3, 3, 5))
 
 
 def sigma_vector(v: Iterable[int]) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import UNIT_KEY, LaurentPoly, label_exponents, pack_exponents
-from .diamonds import DiamondGraph, build_diamond, covering_monomial
+from .diamonds import RECURSION_FACTOR_LABELS, DiamondGraph, build_diamond, covering_monomial
 from .tiling import BlockScheme, vertex_coords
 
 SWEEP_ORDERS = ("yx", "xy")
@@ -221,16 +221,15 @@ def condensation_instance(n: int, kind: int, scheme: BlockScheme | None = None) 
             raise ValueError("kind-1 condensation requires n >= 2")
         big, center = build_diamond(2 * n, False, scheme), build_diamond(2 * n - 3, False, scheme)
         a, b = 2 * n - 1, 2 * n - 2
-        mono1 = LaurentPoly.monomial(1, label_exponents((1, 2, 3, 4, 5, 6), -1))
     elif kind == 2:
         if n < 1:
             raise ValueError("kind-2 condensation requires n >= 1")
         big, center = build_diamond(2 * n + 1, False, scheme), build_diamond(2 * n - 2, False, scheme)
         a, b = 2 * n, 2 * n - 1
-        mono1 = LaurentPoly.monomial(1, label_exponents((1, 3, 2, 6, 4, 5), -1))
     else:
         raise ValueError("kind must be 1 or 2")
-    mono2 = LaurentPoly.monomial(1, label_exponents((1, 2, 2, 3, 3, 5), -1))
+    mono1, mono2 = (LaurentPoly.monomial(1, label_exponents(labels, -1))
+                    for labels in RECURSION_FACTOR_LABELS)
     return CondensationInstance(
         n=n,
         kind=kind,
@@ -241,23 +240,14 @@ def condensation_instance(n: int, kind: int, scheme: BlockScheme | None = None) 
     )
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    lhs: LaurentPoly
-    rhs: LaurentPoly
-
-    def diff(self) -> LaurentPoly:
-        return self.lhs - self.rhs
-
-
-def verify_condensation(inst: CondensationInstance) -> VerifyResult:
-    """Check the identity with all six weighted sums computed independently."""
+def verify_condensation(inst: CondensationInstance) -> tuple[LaurentPoly, LaurentPoly]:
+    """Both sides of the identity, with all six weighted sums computed
+    independently; the identity holds when they are equal."""
     lhs = weighted_pm_sum(inst.big) * weighted_pm_sum(inst.center)
     rhs = LaurentPoly.zero()
     for ga, gb, mono in (inst.pair1, inst.pair2):
         rhs = rhs + weighted_pm_sum(ga) * weighted_pm_sum(gb) * mono
-    return VerifyResult(lhs == rhs, lhs, rhs)
+    return lhs, rhs
 
 
 def matchings_route_y(n: int, primed: bool = False,

@@ -110,8 +110,8 @@ def test_criterion_4_quiver_behavior():
 def test_criterion_5_weight_recursions(scheme):
     for kind, ns in ((1, (2, 3, 4)), (2, (1, 2, 3, 4))):
         for n in ns:
-            res = verify_condensation(condensation_instance(n, kind, scheme))
-            assert res.ok, f"kind-{kind} recursion fails at n={n}"
+            lhs, rhs = verify_condensation(condensation_instance(n, kind, scheme))
+            assert lhs == rhs, f"kind-{kind} recursion fails at n={n}"
     _report("criterion-5 weight recursions", "kind 1 n=2..4, kind 2 n=1..4, exact")
 
 

@@ -1,11 +1,13 @@
 """CLI behavior: suites, compute routes, export determinism, exit codes."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from dp3 import calibration, cli
-from dp3.cli import main, pm_count_closed
+from dp3.cli import main
+from dp3.diamonds import pm_count_closed
 from dp3.laurent import x
 
 
@@ -45,11 +47,50 @@ class TestVerify:
             main(["verify", "--suite", "nonsense"])
         assert exc.value.code == 2
 
+    def test_check_counts_per_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--max-half-order", "4",
+                           "--format", "json")
+        assert code == 0
+        docs = json.loads(out)
+        assert {d["suite"]: len(d["checks"]) for d in docs} == {
+            "theorem": 8, "counts": 8, "recursions": 62, "quiver": 18, "oracle": 24}
+        ids = [c["id"] for d in docs for c in d["checks"]]
+        assert len(ids) == len(set(ids))
+
     def test_mismatch_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "recurrence_y", lambda n: (x(1), x(2)))
         code, out, _ = run(capsys, "verify", "--suite", "quiver", "--max-half-order", "1")
         assert code == 1
         assert "FAIL  quiver/seed-vs-recurrence/N<=1" in out
+
+
+class TestSuiteReport:
+    def test_seconds_are_gaps_between_checks(self, monkeypatch):
+        ticks = iter([10.0, 10.5, 12.0, 12.25])
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        rep = cli.SuiteReport("stub")
+        rep.check("a", 1, 1)
+        rep.check("b", 1, 2)
+        rep.check("c", "x", "x")
+        assert [c.seconds for c in rep.checks] == [0.5, 1.5, 0.25]
+        assert [c.ok for c in rep.checks] == [True, False, True]
+        assert sum(c.seconds for c in rep.checks) == 12.25 - 10.0
+
+    def test_suite_seconds_include_work_between_checks(self, monkeypatch, scheme):
+        # each diamond build advances the stub clock by one second; the oracle
+        # suite builds its diamonds before the checks that use them
+        clock = [0.0]
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        build = cli.build_diamond
+
+        def slow_build(*args):
+            clock[0] += 1.0
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_diamond", slow_build)
+        rep = cli.suite_oracle(2, scheme)
+        assert [c.seconds for c in rep.checks] == [1.0, 0.0, 0.0] * 4
+        assert sum(c.seconds for c in rep.checks) == clock[0] == 4.0
 
 
 class TestCompute:
@@ -84,6 +125,13 @@ class TestCompute:
                            "--via", "matchings")
         assert code == 2
         assert "N >= 1" in err
+
+    def test_too_deep_for_recursion_limit_exits_2(self, capsys):
+        code, out, err = run(capsys, "compute", "--target", "y", "--n", "1500")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: maximum recursion depth exceeded")
+        assert "Traceback" not in err
 
 
 class TestExport:
