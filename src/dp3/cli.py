@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .laurent import ALL_ONES, SIGMA, LaurentPoly, label_exponents
@@ -60,6 +61,20 @@ class CheckResult:
     lhs_digest: str
     rhs_digest: str
     seconds: float
+    diff: dict | None = None  # what differs, for a failed check only
+
+
+def _difference(lhs, rhs) -> dict:
+    """What a failed check shows: for two polynomials, their term counts and
+    the three leading terms of lhs - rhs; for other values, both values."""
+    if not (isinstance(lhs, LaurentPoly) and isinstance(rhs, LaurentPoly)):
+        return {"lhs": str(lhs)[:80], "rhs": str(rhs)[:80]}
+    diff = lhs - rhs
+    text = str(LaurentPoly.from_exponent_terms(dict(islice(diff.terms(), 3))))
+    if diff.term_count() > 3:
+        text += " + ..."
+    return {"lhs_terms": lhs.term_count(), "rhs_terms": rhs.term_count(),
+            "diff_terms": diff.term_count(), "lhs_minus_rhs": text}
 
 
 @dataclass
@@ -81,8 +96,9 @@ class SuiteReport:
     def check(self, check_id: str, lhs, rhs) -> None:
         ok = lhs == rhs
         digests = _digest(lhs), _digest(rhs)
+        diff = None if ok else _difference(lhs, rhs)
         end = time.monotonic()
-        self.checks.append(CheckResult(check_id, ok, *digests, end - self._last_end))
+        self.checks.append(CheckResult(check_id, ok, *digests, end - self._last_end, diff))
         self._last_end = end
 
     def to_doc(self) -> dict:
@@ -92,7 +108,7 @@ class SuiteReport:
             "checks": [
                 {"id": c.check_id, "status": "pass" if c.ok else "fail",
                  "lhs": c.lhs_digest, "rhs": c.rhs_digest,
-                 "seconds": round(c.seconds, 3)}
+                 "seconds": round(c.seconds, 3), **({"diff": c.diff} if c.diff else {})}
                 for c in self.checks
             ],
         }
@@ -265,6 +281,8 @@ def cmd_verify(args) -> int:
                 status = "PASS" if c.ok else "FAIL"
                 print(f"{status}  {c.check_id}  lhs={c.lhs_digest} rhs={c.rhs_digest}"
                       f"  ({c.seconds:.3f}s)")
+                if c.diff:
+                    print("      " + ", ".join(f"{k}={v}" for k, v in c.diff.items()))
             print(f"suite {rep.suite}: {'pass' if rep.ok else 'FAIL'} "
                   f"({len(rep.checks)} checks)")
     return 0 if all(r.ok for r in reports) else 1

@@ -8,9 +8,23 @@ millions of matchings.  A vertex is either matched to a pending earlier
 neighbor or deferred (if it still has unseen neighbors); states keeping a
 vertex pending beyond its last neighbor are pruned.
 
-The count attaches to every state the number of partial matchings, the
-weighted sum their Laurent polynomial of weights, held as a raw packed-key
-dict for speed.  Results are
+The count attaches to every state the number of partial matchings.  The
+weighted sum attaches one big integer: the state's polynomial of weights
+after a Kronecker substitution, so that a transition is one shift and one
+addition of Python integers instead of a loop over terms.  The substitution
+is exact because of a standard dimer fact.  Orient every edge from one
+colour class of the bipartite graph to the other; two partial matchings
+covering the same vertices then differ by a chain with no boundary, i.e. by
+a sum of closed alternating cycles.  The partial matchings of one state all
+cover the swept vertices minus the pending ones, so their exponent vectors
+lie in a single coset of the lattice ``L`` spanned by the alternating
+weight sums around the fundamental cycles of a spanning forest
+(``_difference_lattice``).  Projecting ``L`` onto its pivot
+coordinates is injective, so a matching's exponent is determined by its
+pivot exponents and by one representative matching.  The pivot exponents
+are packed in a mixed radix whose digit widths are the ranges the perfect
+matchings span, and every coefficient is stored in ``B`` bits, where ``B``
+is the bit length of the matching count (``weighted_pm_sum``).  Results are
 exact and independent of the sweep order; the computation is purely
 sequential and deterministic.
 """
@@ -19,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import UNIT_KEY, LaurentPoly, label_exponents, pack_exponents
+from .laurent import N_VARS, UNIT_KEY, LaurentPoly, label_exponents, pack_exponents, unpack_key
 from .diamonds import RECURSION_FACTOR_LABELS, DiamondGraph, build_diamond, covering_monomial
 from .tiling import BlockScheme, vertex_coords
 
@@ -67,16 +81,24 @@ def _sweep(graph: DiamondGraph, order: str):
     return verts, earlier, has_future, dead_at
 
 
-def _frontier_sum(graph: DiamondGraph, order: str, unit, fold):
-    """The frontier sweep shared by the count and the weighted sum.
+def _reweigh(sweep, weight: dict[int, int]):
+    """The same sweep with every edge's weight key offset ``w`` replaced by
+    ``weight[w]``."""
+    verts, earlier, has_future, dead_at = sweep
+    return verts, [[(u, weight[w]) for u, w in back] for back in earlier], has_future, dead_at
 
-    ``unit`` is the value of the empty partial matching.  ``fold(new, mask,
-    value, w)`` adds ``value``, times the edge weight with packed key offset
-    ``w`` (0 when a vertex is deferred, adding no edge), into ``new[mask]``;
-    it must never mutate ``value``.  Returns the value of the empty final
-    frontier, or None when the graph has no perfect matching.
+
+def _frontier_sum(sweep, unit, fold):
+    """The frontier sweep shared by the count and every weighted pass.
+
+    ``sweep`` is what ``_sweep`` returns, possibly reweighed.  ``unit`` is
+    the value of the empty partial matching.  ``fold(new, mask, value, w)``
+    adds ``value``, times the edge weight ``w`` (0 when a vertex is
+    deferred, adding no edge), into ``new[mask]``; it must never mutate
+    ``value``.  Returns the value of the empty final frontier, or None when
+    the graph has no perfect matching.
     """
-    verts, earlier, has_future, dead_at = _sweep(graph, order)
+    verts, earlier, has_future, dead_at = sweep
     states = {0: unit}
     for s in range(len(verts)):
         bit = 1 << s
@@ -99,32 +121,180 @@ def _add_count(new: dict[int, int], mask: int, count: int, w: int) -> None:
     new[mask] = new.get(mask, 0) + count
 
 
-def _add_shifted(new: dict[int, dict[int, int]], mask: int, poly: dict[int, int],
-                 w: int) -> None:
-    tgt = new.get(mask)
-    if tgt is None:
-        new[mask] = {k + w: c for k, c in poly.items()} if w else dict(poly)
-        return
-    for k, c in poly.items():
-        k += w
-        v = tgt.get(k, 0) + c
-        if v:
-            tgt[k] = v
-        else:
-            del tgt[k]
+def _add_extremes(new: dict[int, tuple[int, int, int]], mask: int,
+                  value: tuple[int, int, int], w: int) -> None:
+    # value = (number of partial matchings, largest and smallest weight sum)
+    old = new.get(mask)
+    if old is None:
+        new[mask] = (value[0], value[1] + w, value[2] + w) if w else value
+    else:
+        count, hi, lo = value
+        hi += w
+        lo += w
+        count0, hi0, lo0 = old
+        new[mask] = (count0 + count, hi if hi > hi0 else hi0, lo if lo < lo0 else lo0)
+
+
+def _add_packed(new: dict[int, tuple[int, int]], mask: int, value: tuple[int, int],
+                w: int) -> None:
+    # a value (off, big) stands for big * 2**off: a polynomial in t = 2**B
+    # whose lowest digit is the coefficient of t**(off // B); w is a shift
+    # in bits, a multiple of B
+    off, big = value
+    off += w
+    old = new.get(mask)
+    if old is None:
+        new[mask] = (off, big) if w else value
+    elif off < old[0]:
+        new[mask] = (off, big + (old[1] << old[0] - off))
+    else:
+        new[mask] = (old[0], old[1] + (big << off - old[0]))
+
+
+def _difference_lattice(sweep) -> tuple[list[list[int]], list[int]]:
+    """An echelon basis of the lattice spanned by the exponent differences of
+    matchings covering the same vertices, and its pivot columns.
+
+    A breadth-first forest over the sweep's edges colours the vertices +1/-1
+    and gives each vertex the alternating weight sum along its tree path (+
+    on an edge left from a +1 vertex, - from a -1 vertex), as a packed key
+    offset.  Every non-tree edge closes a cycle whose alternating weight sum
+    generates the lattice; integer row reduction turns the generators into
+    an echelon basis.  Raises ValueError for a graph that is not bipartite.
+    """
+    verts, earlier, _, _ = sweep
+    adj: list[list[tuple[int, int]]] = [[] for _ in verts]
+    for j, back in enumerate(earlier):
+        for i, w in back:
+            adj[i].append((j, w))
+            adj[j].append((i, w))
+    side = [0] * len(verts)
+    potential = [0] * len(verts)
+    cycles = set()
+    for root in range(len(verts)):
+        if side[root]:
+            continue
+        side[root] = 1
+        queue = [root]
+        for u in queue:
+            su, pu = side[u], potential[u]
+            for v, w in adj[u]:
+                step = pu + w if su > 0 else pu - w
+                if not side[v]:
+                    side[v], potential[v] = -su, step
+                    queue.append(v)
+                elif side[v] == su:
+                    raise ValueError("the matching lattice needs a bipartite graph")
+                else:
+                    cycles.add(step - potential[v])
+    return _echelon(unpack_key(UNIT_KEY + c) for c in cycles)
+
+
+def _echelon(vectors) -> tuple[list[list[int]], list[int]]:
+    """Integer row reduction: an echelon basis of the lattice the vectors
+    span, each row's leading entry positive, and the leading columns."""
+    rows = [list(v) for v in vectors if any(v)]
+    basis, pivots = [], []
+    for col in range(N_VARS):
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            piv, others = live[0], live[1:]
+            live = [piv]
+            for r in others:
+                k = r[col] // piv[col]
+                r = [a - k * b for a, b in zip(r, piv)]
+                if r[col]:
+                    live.append(r)
+                elif any(r):
+                    rows.append(r)
+        if live:
+            piv = live[0] if live[0][col] > 0 else [-a for a in live[0]]
+            basis.append(piv)
+            pivots.append(col)
+    return basis, pivots
 
 
 def count_pm(graph: DiamondGraph, order: str = "yx") -> int:
     """The number of perfect matchings, exactly."""
-    return _frontier_sum(graph, order, 1, _add_count) or 0
+    return _frontier_sum(_sweep(graph, order), 1, _add_count) or 0
 
 
 def weighted_pm_sum(graph: DiamondGraph, order: str = "yx") -> LaurentPoly:
     """Sum over perfect matchings of the product of edge weights 1/(x_a x_b).
 
-    The empty graph has the single empty matching of weight 1.
+    The empty graph has the single empty matching of weight 1.  One integer
+    pass over the sweep comes first.  It yields the count, whose bit length
+    ``B`` is the digit width: a state that can still be completed holds at
+    most ``count`` partial matchings, and only such states feed the final
+    one, so no digit that reaches the result ever carries into the next.
+    The pass also yields the lexicographically largest and smallest
+    exponent of a perfect matching, which give the representative matching
+    and the range of the first pivot exponent.  Each further pivot but the
+    last, whose range the mixed radix does not need, takes one more such
+    pass.  The packed pass then substitutes ``t = 2**B`` and
+    ``x_p -> t**R_p`` for the pivot exponents, with mixed radices ``R``, so
+    each state is one integer.
+    Decoding reads the pivot exponents off each digit's position and lifts
+    them to all six exponents through the lattice basis.  Raises
+    ArithmeticError if the decoding is not exact: a lifted exponent is not
+    an integer, or the coefficients do not add up to the count, or the
+    largest or smallest decoded exponent is not the integer pass's.
     """
-    return LaurentPoly(_frontier_sum(graph, order, {UNIT_KEY: 1}, _add_shifted) or {})
+    sweep = _sweep(graph, order)
+    found = _frontier_sum(sweep, (1, 0, 0), _add_extremes)
+    if found is None:
+        return LaurentPoly.zero()
+    count, top_key, bottom_key = found
+    top, bottom = unpack_key(UNIT_KEY + top_key), unpack_key(UNIT_KEY + bottom_key)
+    basis, pivots = _difference_lattice(sweep)
+    exps = {w: unpack_key(w + UNIT_KEY) for back in sweep[1] for _, w in back}
+    lows, widths = [], []
+    for i, p in enumerate(pivots[:-1]):
+        if i == 0:
+            lo, hi = bottom[p], top[p]
+        else:
+            _, hi, lo = _frontier_sum(_reweigh(sweep, {w: e[p] for w, e in exps.items()}),
+                                      (1, 0, 0), _add_extremes)
+        lows.append(lo)
+        widths.append(hi - lo + 1)
+    radix = [1]
+    for width in widths:
+        radix.append(radix[-1] * width)
+    bits = count.bit_length()
+    shift = {w: bits * sum(e[p] * r for p, r in zip(pivots, radix)) for w, e in exps.items()}
+    off, big = _frontier_sum(_reweigh(sweep, shift), (0, 1), _add_packed)
+
+    # digit i of big, read from the least significant end, is the
+    # coefficient of t**(off // bits + i)
+    text = format(big, "b")
+    text = text.zfill(-(-len(text) // bits) * bits)
+    exponent = off // bits + len(text) // bits
+    terms: dict[int, int] = {}
+    for i in range(0, len(text), bits):
+        exponent -= 1
+        c = int(text[i:i + bits], 2)
+        if not c:
+            continue
+        rest, a = exponent, list(top)
+        for j, (row, p) in enumerate(zip(basis, pivots)):
+            if j < len(widths):
+                q = lows[j] + (rest - lows[j]) % widths[j]
+                rest = (rest - q) // widths[j]
+            else:
+                q = rest
+            k, r = divmod(q - a[p], row[p])
+            if r:
+                raise ArithmeticError(f"pivot exponent {q} of x{p + 1} is off the lattice")
+            if k:
+                a = [x + k * y for x, y in zip(a, row)]
+        terms[pack_exponents(a)] = c
+    total = sum(terms.values())
+    if total != count or max(terms) != UNIT_KEY + top_key or min(terms) != UNIT_KEY + bottom_key:
+        raise ArithmeticError(f"decoded terms disagree with the integer pass: coefficients "
+                              f"add up to {total} for {count} perfect matchings")
+    return LaurentPoly(_raw=terms)
 
 
 Matching = tuple[tuple[int, ...], ...]  # sorted edge indices into graph.edges

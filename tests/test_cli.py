@@ -1,10 +1,15 @@
 """CLI behavior: suites, compute routes, export determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import dp3
 from dp3 import calibration, cli
 from dp3.cli import main
 from dp3.diamonds import pm_count_closed
@@ -62,6 +67,42 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "quiver", "--max-half-order", "1")
         assert code == 1
         assert "FAIL  quiver/seed-vs-recurrence/N<=1" in out
+
+    def test_fail_shows_difference(self, capsys, monkeypatch):
+        # a deliberately wrong right-hand side: y_1 + x1 instead of y_1
+        real = cli.recurrence_y
+        monkeypatch.setattr(cli, "recurrence_y", lambda n: (real(n)[0] + x(1), real(n)[1]))
+        code, out, _ = run(capsys, "verify", "--suite", "theorem", "--max-half-order", "1")
+        assert code == 1
+        lines = out.splitlines()
+        fail = lines.index(next(l for l in lines if l.startswith("FAIL  theorem/y/N=1")))
+        assert lines[fail + 1] == ("      lhs_terms=2, rhs_terms=3, diff_terms=1, "
+                                   "lhs_minus_rhs=-x1")
+        assert lines[fail + 2].startswith("PASS  theorem/yprime/N=1")
+
+        code, out, _ = run(capsys, "verify", "--suite", "theorem", "--max-half-order", "1",
+                           "--format", "json")
+        assert code == 1
+        failed, passed = json.loads(out)[0]["checks"]
+        assert failed["diff"] == {"lhs_terms": 2, "rhs_terms": 3, "diff_terms": 1,
+                                  "lhs_minus_rhs": "-x1"}
+        assert "diff" not in passed
+
+    def test_fail_shows_values_of_non_polynomials(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "pm_count_closed", lambda n: 3)
+        code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-half-order", "1")
+        assert code == 1
+        assert "FAIL  counts/pm/N=1" in out
+        assert "\n      lhs=2, rhs=3\n" in out
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(dp3.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "dp3", "verify", "--suite", "counts",
+                               "--max-half-order", "2"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "suite counts: pass (4 checks)" in proc.stdout
 
 
 class TestSuiteReport:

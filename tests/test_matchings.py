@@ -1,9 +1,13 @@
 """Matching counts, weighted sums, the enumeration oracle, condensation."""
 
+import dataclasses
+import random
+
 import pytest
 
+from dp3 import matchings
 from dp3.diamonds import build_diamond, covering_monomial
-from dp3.laurent import ALL_ONES, SIGMA, LaurentPoly, parse_poly
+from dp3.laurent import ALL_ONES, SIGMA, UNIT_KEY, LaurentPoly, parse_poly
 from dp3.matchings import (
     LimitExceededError,
     aggregate_enumeration,
@@ -72,6 +76,97 @@ class TestWeightedSums:
     def test_sweep_orders_agree(self, scheme, n):
         g = build_diamond(n, False, scheme)
         assert weighted_pm_sum(g, "yx") == weighted_pm_sum(g, "xy")
+
+
+def _add_shifted(new, mask, poly, w):
+    """The weighted fold the packed one replaced: a dict of packed exponent
+    keys per state, merged term by term."""
+    tgt = new.get(mask)
+    if tgt is None:
+        new[mask] = {k + w: c for k, c in poly.items()} if w else dict(poly)
+        return
+    for k, c in poly.items():
+        k += w
+        v = tgt.get(k, 0) + c
+        if v:
+            tgt[k] = v
+        else:
+            del tgt[k]
+
+
+def dict_fold_sum(graph, order):
+    sweep = matchings._sweep(graph, order)
+    return LaurentPoly(matchings._frontier_sum(sweep, {UNIT_KEY: 1}, _add_shifted) or {})
+
+
+def relabelled(graph, rng):
+    """The graph with about a tenth of its edges deleted and each remaining
+    edge given two labels drawn from a random palette of 1 to 6 labels."""
+    palette = rng.sample(range(1, 7), rng.randint(1, 6))
+    edges = tuple((u, v, *sorted(rng.choices(palette, k=2)))
+                  for u, v, _, _ in graph.edges if rng.random() > 0.1)
+    return dataclasses.replace(graph, edges=edges)
+
+
+class TestPackedFold:
+    @pytest.mark.parametrize("order", ["yx", "xy"])
+    @pytest.mark.parametrize("primed", [False, True])
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_equals_dict_fold(self, scheme, n, primed, order):
+        g = build_diamond(n, primed, scheme)
+        assert weighted_pm_sum(g, order) == dict_fold_sum(g, order)
+
+    def test_general_lattice_ranks(self, scheme):
+        # random labels give difference lattices of every rank 0..5; random
+        # deletions give graphs without a perfect matching
+        ranks, empty = set(), 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            g = relabelled(build_diamond(rng.randint(1, 5), rng.random() < 0.5, scheme), rng)
+            got = weighted_pm_sum(g)
+            assert got == aggregate_enumeration(g), seed
+            assert got == weighted_pm_sum(g, "xy"), seed
+            ranks.add(len(matchings._difference_lattice(matchings._sweep(g, "yx"))[0]))
+            empty += not got
+        assert ranks == {0, 1, 2, 3, 4, 5}
+        assert empty > 0
+
+    def test_unknown_order_rejected(self, scheme):
+        with pytest.raises(ValueError):
+            weighted_pm_sum(build_diamond(1, False, scheme), "zigzag")
+
+    def test_odd_cycle_rejected(self, scheme):
+        # a triangle with a pendant edge: one perfect matching, one odd cycle
+        g = build_diamond(2, False, scheme)
+        u, v, w, z = g.vertices[:4]
+        g = dataclasses.replace(g, vertices=(u, v, w, z),
+                                edges=((u, v, 1, 2), (v, w, 1, 3), (u, w, 2, 3), (w, z, 4, 5)))
+        with pytest.raises(ValueError, match="bipartite"):
+            weighted_pm_sum(g)
+
+    def test_off_lattice_decoding_raises(self, scheme, monkeypatch):
+        # doubling the first basis row puts half the decoded exponents off it
+        lattice = matchings._difference_lattice
+
+        def coarse(sweep):
+            basis, pivots = lattice(sweep)
+            return [[2 * a for a in basis[0]]] + basis[1:], pivots
+
+        monkeypatch.setattr(matchings, "_difference_lattice", coarse)
+        with pytest.raises(ArithmeticError, match="off the lattice"):
+            weighted_pm_sum(build_diamond(4, False, scheme))
+
+    def test_carry_raises(self, scheme, monkeypatch):
+        # a fold that adds every value twice overflows the digits
+        fold = matchings._add_packed
+
+        def twice(new, mask, value, w):
+            fold(new, mask, value, w)
+            fold(new, mask, value, w)
+
+        monkeypatch.setattr(matchings, "_add_packed", twice)
+        with pytest.raises(ArithmeticError, match="disagree"):
+            weighted_pm_sum(build_diamond(1, False, scheme))
 
 
 class TestEnumeration:
