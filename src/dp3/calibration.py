@@ -137,7 +137,7 @@ def _oracle_failures(scheme: BlockScheme) -> list[str]:
 
 def labeling_failures(lab: Labeling) -> list[str]:
     """Every reason a labeling fails calibration; empty means it passes.
-    Used both by the search and by the mutation-testing hook."""
+    Used both by the search and by the perturbation tests."""
     if not _octahedral_ok(lab):
         return ["adjacent faces carry antipodal labels"]
     if not _rho_sigma_ok(lab):
@@ -151,16 +151,6 @@ def labeling_failures(lab: Labeling) -> list[str]:
     if not _opposite_pairs_ok(scheme):
         return ["label-2 square opposite neighbors are not {3,5}/{1,6}"]
     return _oracle_failures(scheme)
-
-
-def perturbation_failures(up: tuple[int, int, int], down: tuple[int, int, int]) -> list[str]:
-    """Like labeling_failures but accepting raw (possibly non-bijective)
-    label tables, as produced by single-entry perturbations."""
-    try:
-        lab = Labeling(up=tuple(up), down=tuple(down))
-    except ValueError as e:
-        return [str(e)]
-    return labeling_failures(lab)
 
 
 def calibrate() -> BlockScheme:

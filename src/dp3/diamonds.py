@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .laurent import SIGMA, LaurentPoly
+from .laurent import LaurentPoly
 from .tiling import (
     BlockScheme,
     Face,
@@ -82,22 +82,6 @@ class DiamondGraph:
     faces: tuple[tuple[Face, int], ...]
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[Vertex, Vertex, int, int], ...]
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-        for u, v, _, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
 
 def build_patch(faces: Iterable[Face], scheme: BlockScheme,
@@ -212,14 +196,6 @@ def covering_monomial_closed(n: int) -> LaurentPoly:
 # Factor labels shared by the weight and covering-monomial recursions: the
 # unprimed pair's x1 x2 x3 x4 x5 x6 and the primed pair's x1 x2^2 x3^2 x5.
 RECURSION_FACTOR_LABELS = ((1, 2, 3, 4, 5, 6), (1, 2, 2, 3, 3, 5))
-
-
-def sigma_vector(v: Iterable[int]) -> tuple[int, ...]:
-    v = tuple(v)
-    out = [0] * 6
-    for i in range(6):
-        out[SIGMA(i + 1) - 1] = v[i]
-    return tuple(out)
 
 
 # -- export -----------------------------------------------------------------

@@ -1,18 +1,46 @@
 """Exact Laurent polynomial arithmetic in the six cluster variables x1..x6.
 
 A Laurent polynomial is a finite sum of integer multiples of monomials
-x1^e1 ... x6^e6 with integer (possibly negative) exponents.  Internally a
-polynomial is a dict mapping a packed exponent key to a nonzero arbitrary
-precision integer coefficient, so equality is dict equality and no zero
-coefficient is ever stored.
+x1^e1 ... x6^e6 with integer (possibly negative) exponents.  It is stored as
+a dict mapping a packed exponent key to a nonzero arbitrary precision
+integer coefficient, so equality is dict equality and no zero coefficient is
+ever stored.
 
 Exponent packing: each of the six exponents is biased by 2**23 and stored
 in its own 24-bit field, x1 in the most significant field.  Packed keys
 therefore compare like exponent vectors in lexicographic order (x1 most
-significant), monomial multiplication is a single integer addition, and
-dict operations stay cheap even for polynomials with many thousands of
-terms.  Exponents must stay below 2**22 in magnitude, far beyond anything
-the diamond computations produce.
+significant), and monomial multiplication is a single integer addition.
+Exponents must stay below 2**22 in magnitude; a product, power or quotient
+whose exponents would leave that range raises OverflowError.
+
+Products and quotients of dense polynomials are computed on big integers
+(a Kronecker substitution).  The exponent differences within each operand
+span a lattice ``L``; every operand lies in one coset of ``L``, and so do
+the product and any exact quotient (cosets of ``L`` cannot cancel against
+each other, and the Laurent ring is a domain).  ``echelon`` gives a basis
+of ``L`` whose pivot exponents determine a point of a coset.  Each operand
+becomes one integer: a coefficient is one digit, of a fixed number of bytes
+and balanced around zero, at the mixed-radix position of its pivot
+exponents in the result's pivot box.  One multiplication or ``divmod`` of
+Python integers then does the work; the digits are read back with one
+``to_bytes`` pass (``unpack_digits``) and lifted to packed keys through
+the basis (``lift_pivots``), both shared with the weighted matching sum.
+
+A product is exact by construction: the box's widths are the sums of the
+operands', so positions never wrap, and the digit width holds the largest
+possible coefficient.  A quotient is exact only by proof.  A nonzero
+remainder proves that no exact quotient exists, because an exact one makes
+the packed equation hold at every width.  Otherwise the decoded quotient is
+returned only after ``q * den == num`` is shown on packed integers at a
+width that holds every coefficient of both sides; a failed decode or proof
+doubles the width a few times and then leaves the call to leading-term
+elimination.
+
+Packing pays only when the pivot box is dense: sparse supports of high
+rank make it exponentially large.  So a product (quotient) is packed only
+when its box holds at most _PACK_DENSITY digits per pair of operand terms
+(per numerator term); otherwise the dict schoolbook loop (the
+elimination) runs.  A monomial operand shifts the other's keys in one pass.
 
 All values are immutable after construction; every operation returns a new
 polynomial, so values can be shared freely between threads.
@@ -21,6 +49,7 @@ polynomial, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 N_VARS = 6
@@ -34,6 +63,16 @@ _SHIFTS = tuple(_FIELD_BITS * (N_VARS - 1 - i) for i in range(N_VARS))
 UNIT_KEY = sum(_BIAS << s for s in _SHIFTS)
 
 _EXP_LIMIT = 1 << 22
+
+# A product (quotient) is packed only when its pivot box holds at most this
+# many digits per pair of operand terms (per numerator term); sparse
+# high-rank supports would make the box exponentially large.  The y_N of
+# the quiver and theorem suites need at most 0.75 (1.25), so the bound has
+# room to spare; only sparse input reaches the dict loops.
+_PACK_DENSITY = 8
+# A packed division that cannot decode or prove its quotient doubles the
+# digit width at most this many times before handing over to elimination.
+_MAX_DOUBLINGS = 3
 
 
 class NotDivisibleError(ArithmeticError):
@@ -161,9 +200,6 @@ class LaurentPoly:
     def coefficients(self) -> list[int]:
         return list(self._terms.values())
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def exponents_of_monomial(self) -> tuple[int, ...]:
         if len(self._terms) != 1:
             raise ValueError("not a monomial")
@@ -225,27 +261,25 @@ class LaurentPoly:
             return _ZERO
         if len(a) < len(b):
             a, b = b, a
-        out: dict[int, int] = {}
-        get = out.get
-        for kb, cb in b.items():
+        abox, bbox = _ranges(a), _ranges(b)
+        _check_range([x + y for x, y in zip(abox[0], bbox[0])],
+                     [x + y for x, y in zip(abox[1], bbox[1])])
+        if len(b) == 1:
+            ((kb, cb),) = b.items()
             off = kb - UNIT_KEY
-            for ka, ca in a.items():
-                k = ka + off
-                s = get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return LaurentPoly(_raw=out)
+            return LaurentPoly(_raw={k + off: c * cb for k, c in a.items()})
+        out = _packed_mul(a, b, abox, bbox)
+        return LaurentPoly(_raw=_schoolbook_mul(a, b) if out is None else out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            if not self.is_monomial():
+            if len(self._terms) != 1:
                 raise NotDivisibleError("negative powers exist only for monomials")
-            (k,), (c,) = self._terms.keys(), self._terms.values()
+            ((k, c),) = self._terms.items()
             if abs(c) != 1:
                 raise NotDivisibleError("negative powers need a unit coefficient")
-            return LaurentPoly(_raw={UNIT_KEY + n * (k - UNIT_KEY): c ** (n & 1) if c < 0 else 1})
+            exps = [n * e for e in unpack_key(k)]
+            return LaurentPoly(_raw={pack_exponents(exps): c ** (n & 1) if c < 0 else 1})
         result = _ONE
         base = self
         while n:
@@ -259,55 +293,36 @@ class LaurentPoly:
     def exact_div(self, den: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / den, raising NotDivisibleError if none exists.
 
-        Iterated leading-term elimination under the canonical (lex) order.
         Exact quotients have, in every variable, max and min degree equal to
-        the difference of the operands' max/min degrees; any tentative
-        quotient term outside that box proves inexactness, which also bounds
-        the number of elimination steps.
+        the difference of the operands' max/min degrees; an empty such box
+        proves inexactness.  A monomial divisor shifts every term; a
+        numerator dense in its pivot box goes through ``_packed_div``,
+        anything else (or a packed division that cannot settle the
+        quotient) through ``_eliminate``.
         """
         if not den:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return _ZERO
-        if len(den._terms) == 1:
-            (kd,), (cd,) = den._terms.keys(), den._terms.values()
+        num, d = self._terms, den._terms
+        nbox, dbox = _ranges(num), _ranges(d)
+        lo = [x - y for x, y in zip(nbox[0], dbox[0])]
+        hi = [x - y for x, y in zip(nbox[1], dbox[1])]
+        if any(l > h for l, h in zip(lo, hi)):
+            raise NotDivisibleError("no exact quotient (empty degree box)")
+        _check_range(lo, hi)
+        if len(d) == 1:
+            ((kd, cd),) = d.items()
             off = kd - UNIT_KEY
             out = {}
-            for k, c in self._terms.items():
+            for k, c in num.items():
                 q, r = divmod(c, cd)
                 if r:
                     raise NotDivisibleError("coefficient not divisible")
                 out[k - off] = q
             return LaurentPoly(_raw=out)
-
-        lo, hi = _degree_box(self, den)
-        if any(l > h for l, h in zip(lo, hi)):
-            raise NotDivisibleError("no exact quotient (empty degree box)")
-
-        rem = dict(self._terms)
-        den_items = list(den._terms.items())
-        kd = max(den._terms)
-        cd = den._terms[kd]
-        quot: dict[int, int] = {}
-        while rem:
-            kr = max(rem)
-            cq, r = divmod(rem[kr], cd)
-            if r:
-                raise NotDivisibleError("leading coefficient not divisible")
-            kq = kr - kd + UNIT_KEY
-            eq = unpack_key(kq)
-            if any(e < l or e > h for e, l, h in zip(eq, lo, hi)):
-                raise NotDivisibleError("no exact quotient")
-            quot[kq] = cq
-            off = kq - UNIT_KEY
-            for k, c in den_items:
-                kk = k + off
-                s = rem.get(kk, 0) - cq * c
-                if s:
-                    rem[kk] = s
-                else:
-                    del rem[kk]
-        return LaurentPoly(_raw=quot)
+        out = _packed_div(num, d, nbox, dbox)
+        return LaurentPoly(_raw=_eliminate(num, d, lo, hi) if out is None else out)
 
     def permute(self, perm: VarPermutation) -> "LaurentPoly":
         """Apply x_i -> x_perm(i) to every monomial."""
@@ -360,24 +375,380 @@ _ZERO = LaurentPoly(_raw={})
 _ONE = LaurentPoly(_raw={UNIT_KEY: 1})
 
 
-def _degree_box(num: LaurentPoly, den: LaurentPoly) -> tuple[list[int], list[int]]:
-    """Componentwise exponent bounds any exact quotient num/den must satisfy."""
+# -- dict arithmetic -------------------------------------------------------------
 
-    def spread(p: LaurentPoly) -> tuple[list[int], list[int]]:
-        lo = [_EXP_LIMIT] * N_VARS
-        hi = [-_EXP_LIMIT] * N_VARS
-        for k in p._terms:
-            for i, e in enumerate(unpack_key(k)):
-                if e < lo[i]:
-                    lo[i] = e
-                if e > hi[i]:
-                    hi[i] = e
-        return lo, hi
 
-    nlo, nhi = spread(num)
-    dlo, dhi = spread(den)
-    return [a - b for a, b in zip(nlo, dlo)], [a - b for a, b in zip(nhi, dhi)]
+def _ranges(terms: dict[int, int]) -> tuple[list[int], list[int]]:
+    """Per-variable lowest and highest exponent of a nonzero polynomial."""
+    lo, hi = [], []
+    for s in _SHIFTS:
+        col = [k >> s & _MASK for k in terms]
+        lo.append(min(col) - _BIAS)
+        hi.append(max(col) - _BIAS)
+    return lo, hi
 
+
+def _check_range(lo: Sequence[int], hi: Sequence[int]) -> None:
+    """Raise OverflowError unless every exponent in [lo, hi] is packable."""
+    if min(lo) <= -_EXP_LIMIT or max(hi) >= _EXP_LIMIT:
+        raise OverflowError(f"result exponents {lo}..{hi} out of packable range")
+
+
+def _schoolbook_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    get = out.get
+    for kb, cb in b.items():
+        off = kb - UNIT_KEY
+        for ka, ca in a.items():
+            k = ka + off
+            s = get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _eliminate(num: dict[int, int], den: dict[int, int], lo: list[int],
+               hi: list[int]) -> dict[int, int]:
+    """Iterated leading-term elimination under the canonical (lex) order.
+    A tentative quotient term outside the degree box [lo, hi] proves
+    inexactness, which also bounds the number of elimination steps."""
+    rem = dict(num)
+    den_items = list(den.items())
+    kd = max(den)
+    cd = den[kd]
+    quot: dict[int, int] = {}
+    while rem:
+        kr = max(rem)
+        cq, r = divmod(rem[kr], cd)
+        if r:
+            raise NotDivisibleError("leading coefficient not divisible")
+        kq = kr - kd + UNIT_KEY
+        eq = unpack_key(kq)
+        if any(e < l or e > h for e, l, h in zip(eq, lo, hi)):
+            raise NotDivisibleError("no exact quotient")
+        quot[kq] = cq
+        off = kq - UNIT_KEY
+        for k, c in den_items:
+            kk = k + off
+            s = rem.get(kk, 0) - cq * c
+            if s:
+                rem[kk] = s
+            else:
+                del rem[kk]
+    return quot
+
+
+# -- lattice packing -------------------------------------------------------------
+
+
+def echelon(vectors: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Integer row reduction: an echelon basis of the lattice the vectors
+    span, each row's leading entry positive, and the leading columns."""
+    rows = [list(v) for v in vectors if any(v)]
+    basis, pivots = [], []
+    for col in range(N_VARS):
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            piv, others = live[0], live[1:]
+            live = [piv]
+            for r in others:
+                k = r[col] // piv[col]
+                r = [a - k * b for a, b in zip(r, piv)]
+                if r[col]:
+                    live.append(r)
+                elif any(r):
+                    rows.append(r)
+        if live:
+            piv = live[0] if live[0][col] > 0 else [-a for a in live[0]]
+            basis.append(piv)
+            pivots.append(col)
+    return basis, pivots
+
+
+def _offset(exps: Sequence[int]) -> int:
+    """The packed-key offset of an exponent vector: key(e + f) = key(e) +
+    _offset(f), for any integers as long as the sum stays packable."""
+    return sum(e << s for e, s in zip(exps, _SHIFTS))
+
+
+def _coordinates(basis, pivots, deltas, exact: bool) -> list[list[int]] | None:
+    """Columns of lattice coordinates: for each i, the coefficients c with
+    sum_j c[j] * basis[j] having pivot entries deltas[.][i].  With ``exact``,
+    None when some point is off the lattice; without, the coordinates are
+    floored and only a later comparison tells."""
+    coords: list[list[int]] = []
+    for row, p, x in zip(basis, pivots, deltas):
+        for prev, c in zip(basis, coords):
+            m = prev[p]
+            if m:
+                x = [a - m * b for a, b in zip(x, c)]
+        d = row[p]
+        if d != 1:
+            c = [a // d for a in x]
+            if exact and any(a != d * b for a, b in zip(x, c)):
+                return None
+            x = c
+        coords.append(x)
+    return coords
+
+
+def _combine(key0: int, basis, coords: list[list[int]], n: int) -> list[int]:
+    """The keys key0 + sum_j coords[j][i] * offset(basis[j]), i < n."""
+    keys = [key0] * n
+    for row, c in zip(basis, coords):
+        k = _offset(row)
+        keys = [a + b * k for a, b in zip(keys, c)]
+    return keys
+
+
+def lift_pivots(base: Sequence[int], basis, pivots, qs: list[list[int]]) -> list[int] | None:
+    """Packed keys of the points of the coset ``base + L``, ``L`` spanned
+    by the echelon ``basis``, whose pivot exponents are the columns ``qs``
+    (``qs[j][i]`` the exponent of x at ``pivots[j]`` of the i-th point), or
+    None when some column entry is off the coset.  The pivot exponents of a
+    point determine it, because each basis row is zero left of its pivot.
+    The keys are exact whenever the points' exponents are packable."""
+    coords = _coordinates(basis, pivots,
+                          [[q - base[p] for q in col] for col, p in zip(qs, pivots)], True)
+    if coords is None:
+        return None
+    return _combine(UNIT_KEY + _offset(base), basis, coords, len(qs[0]))
+
+
+def _support_lattice(polys, boxes) -> tuple[list[list[int]], list[int]] | None:
+    """An echelon basis and pivots of the lattice ``L`` spanned by the
+    exponent differences within each polynomial, so that each one lies in a
+    single coset of ``L``; None when the packed membership test below
+    cannot be trusted for them.
+
+    A term is in the coset of the polynomial's first term when its key
+    equals the key rebuilt from its pivot exponents through the basis.
+    The first term that fails adds its difference to the generators.  Both
+    sides of the comparison are exact integers; they are equal only for
+    equal exponent vectors as long as the rebuilt vector stays packable,
+    which the coordinate bounds from the pivot ranges ``boxes`` check.
+    """
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for terms, (lo, hi) in zip(polys, boxes):
+        keys = list(terms)
+        key0 = keys[0]
+        t = 1
+        while t < len(keys):
+            if not _rebuild_packable(basis, pivots, lo, hi):
+                return None
+            rest = keys[t:]
+            deltas = []
+            for p in pivots:
+                s = _SHIFTS[p]
+                low = key0 >> s & _MASK
+                deltas.append([(k >> s & _MASK) - low for k in rest])
+            rebuilt = _combine(key0, basis, _coordinates(basis, pivots, deltas, False),
+                               len(rest))
+            bad = next((i for i, (k, r) in enumerate(zip(rest, rebuilt)) if k != r), None)
+            if bad is None:
+                break
+            t += bad
+            basis, pivots = echelon(
+                basis + [[a - b for a, b in zip(unpack_key(keys[t]), unpack_key(key0))]])
+            t += 1
+    return basis, pivots
+
+
+def _rebuild_packable(basis, pivots, lo, hi) -> bool:
+    """Whether every vector rebuilt from pivot differences within [lo, hi]
+    has entries below _EXP_LIMIT in magnitude (floored coordinates)."""
+    bounds: list[int] = []
+    for row, p in zip(basis, pivots):
+        x = hi[p] - lo[p] + sum(c * abs(prev[p]) for prev, c in zip(basis, bounds))
+        bounds.append(x // row[p] + 1)
+    return all(sum(c * abs(row[i]) for row, c in zip(basis, bounds)) < _EXP_LIMIT
+               for i in range(N_VARS))
+
+
+def _positions(terms: dict[int, int], pivots, lows, radix) -> list[int]:
+    """Mixed-radix digit positions of the terms: sum_j (q_j - lows[j]) *
+    radix[j], q_j the term's exponent of x at pivots[j]."""
+    pos = [0] * len(terms)
+    for p, low, r in zip(pivots, lows, radix):
+        s, low = _SHIFTS[p], low + _BIAS
+        pos = [a + ((k >> s & _MASK) - low) * r for a, k in zip(pos, terms)]
+    return pos
+
+
+def _pack(positions: Sequence[int], coeffs: Iterable[int], length: int, width: int) -> int:
+    """sum c * 256**(width * i) over the (position i, coefficient c) pairs,
+    all positions below ``length`` and all |c| < 256**width.  Positive and
+    negative coefficients are packed apart, each in one linear conversion."""
+    pos, neg = bytearray(length * width), None
+    for i, c in zip(positions, coeffs):
+        i *= width
+        if c > 0:
+            pos[i:i + width] = c.to_bytes(width, "little")
+        else:
+            if neg is None:
+                neg = bytearray(length * width)
+            neg[i:i + width] = (-c).to_bytes(width, "little")
+    value = int.from_bytes(pos, "little")
+    return value if neg is None else value - int.from_bytes(neg, "little")
+
+
+def unpack_digits(value: int, length: int, width: int) -> tuple[list[int], list[int]] | None:
+    """The nonzero digits of ``value`` in base 256**width, balanced: |value|'s
+    digits are taken in [-256**width / 2, 256**width / 2) from the least
+    significant end, carrying one into the next digit when a digit is
+    lowered.  Returns position and coefficient lists, or None when it needs
+    more than ``length`` digits.  One linear conversion to bytes, then one
+    slice per digit.  The decoder of both the packed Laurent arithmetic and
+    the weighted matching sum."""
+    sign = -1 if value < 0 else 1
+    value = abs(value)
+    if value.bit_length() > 8 * width * length:
+        return None
+    data = value.to_bytes(width * length, "little")
+    full = 1 << 8 * width
+    half, zero = full >> 1, bytes(width)
+    positions, coeffs = [], []
+    carry = 0
+    for i in range(length):
+        chunk = data[i * width:(i + 1) * width]
+        if chunk == zero and not carry:
+            continue
+        d = int.from_bytes(chunk, "little") + carry
+        carry = d >= half
+        if carry:
+            d -= full
+        if d:
+            positions.append(i)
+            coeffs.append(sign * d)
+    return None if carry else (positions, coeffs)
+
+
+def _radix(widths: Sequence[int]) -> list[int]:
+    radix = [1]
+    for w in widths[:-1]:
+        radix.append(radix[-1] * w)
+    return radix
+
+
+def _pivot_box(box, pivots) -> tuple[list[int], list[int]]:
+    lo, hi = box
+    return [lo[p] for p in pivots], [hi[p] - lo[p] + 1 for p in pivots]
+
+
+def _norms(coeffs: Iterable[int]) -> tuple[int, int]:
+    mags = [abs(c) for c in coeffs]
+    return max(mags), sum(mags)
+
+
+def digit_bytes(bound: int) -> int:
+    """Bytes per digit that hold every coefficient of magnitude at most
+    ``bound`` as a balanced digit, sign included."""
+    return bound.bit_length() // 8 + 1
+
+
+def _product_width(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Digit width for every coefficient of a product of polynomials with
+    (max, sum) coefficient magnitudes ``a`` and ``b``."""
+    return digit_bytes(min(a[0] * b[1], a[1] * b[0]))
+
+
+def _packed_mul(a: dict[int, int], b: dict[int, int], abox, bbox) -> dict[int, int] | None:
+    """The product by one big-integer multiplication, or None when the
+    operands' pivot box is too sparse (or too wide to trust) for packing.
+
+    Both operands are packed with the mixed radix of the product's pivot
+    box, whose widths are the sums of theirs, so positions add without
+    wrapping; the digit width holds every product coefficient, so the
+    balanced digits of the integer product are its coefficients."""
+    lattice = _support_lattice((a, b), (abox, bbox))
+    if lattice is None:
+        return None
+    basis, pivots = lattice
+    alo, aw = _pivot_box(abox, pivots)
+    blo, bw = _pivot_box(bbox, pivots)
+    widths = [x + y - 1 for x, y in zip(aw, bw)]
+    size = prod(widths)
+    if size > _PACK_DENSITY * len(a) * len(b):
+        return None
+    radix = _radix(widths)
+    width = _product_width(_norms(a.values()), _norms(b.values()))
+    apos = _positions(a, pivots, alo, radix)
+    bpos = _positions(b, pivots, blo, radix)
+    value = (_pack(apos, a.values(), max(apos) + 1, width)
+             * _pack(bpos, b.values(), max(bpos) + 1, width))
+    positions, coeffs = unpack_digits(value, size, width)
+    qs = [[low + i // r % w for i in positions] for low, r, w in zip(
+        [x + y for x, y in zip(alo, blo)], radix, widths)]
+    base = [x + y for x, y in zip(unpack_key(next(iter(a))), unpack_key(next(iter(b))))]
+    keys = lift_pivots(base, basis, pivots, qs)
+    if keys is None:
+        raise ArithmeticError("packed product left the lattice of its operands")
+    return dict(zip(keys, coeffs))
+
+
+def _packed_div(num: dict[int, int], den: dict[int, int], nbox, dbox) -> dict[int, int] | None:
+    """The exact quotient by one big-integer division, or None when packing
+    does not apply or cannot settle it.  Raises NotDivisibleError on an
+    empty quotient pivot box or a nonzero remainder.
+
+    Everything is packed with the mixed radix of the numerator's pivot box.
+    An exact quotient ``q`` lies in the coset of num's base minus den's, in
+    the box of pivot ranges num's minus den's, so ``pack(num) = pack(q) *
+    pack(den)`` at every digit width: a nonzero remainder proves there is
+    none.  With remainder 0 the integer quotient is decoded and lifted; the
+    result is returned only once ``q * den == num`` is proven by comparing
+    packed integers at a digit width that holds every coefficient of both
+    sides, with q's pivot exponents inside the box (then packing is
+    injective and a ring homomorphism).  When the width of the division
+    already holds them, its own exact equation is that comparison.  A failed
+    decode or proof doubles the width, up to _MAX_DOUBLINGS times."""
+    lattice = _support_lattice((num, den), (nbox, dbox))
+    if lattice is None:
+        return None
+    basis, pivots = lattice
+    nlo, nw = _pivot_box(nbox, pivots)
+    dlo, dw = _pivot_box(dbox, pivots)
+    qw = [x - y + 1 for x, y in zip(nw, dw)]
+    if min(qw) < 1:
+        raise NotDivisibleError("no exact quotient (empty pivot box)")
+    size = prod(nw)
+    if size > _PACK_DENSITY * len(num):
+        return None
+    radix = _radix(nw)
+    npos = _positions(num, pivots, nlo, radix)
+    dpos = _positions(den, pivots, dlo, radix)
+    qsize = sum((w - 1) * r for w, r in zip(qw, radix)) + 1
+    qlo = [x - y for x, y in zip(nlo, dlo)]
+    base = [x - y for x, y in zip(unpack_key(next(iter(num))), unpack_key(next(iter(den))))]
+    nnorms, dnorms = _norms(num.values()), _norms(den.values())
+    # num's and den's digits need only fit unsigned; q's are balanced, with
+    # a sign, and may need more
+    width = -(-max(nnorms[0], dnorms[0]).bit_length() // 8)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        packed_den = _pack(dpos, den.values(), max(dpos) + 1, width)
+        quot, rem = divmod(_pack(npos, num.values(), size, width), packed_den)
+        if rem:
+            raise NotDivisibleError("no exact quotient (nonzero packed remainder)")
+        digits = unpack_digits(quot, qsize, width)
+        if digits is not None:
+            positions, coeffs = digits
+            coords = [[i // r % w for i in positions] for r, w in zip(radix, nw)]
+            if all(max(c) < w for c, w in zip(coords, qw)):
+                keys = lift_pivots(base, basis, pivots,
+                                   [[low + x for x in c] for low, c in zip(qlo, coords)])
+                proof = max(_product_width(_norms(coeffs), dnorms), digit_bytes(nnorms[0]))
+                if keys is not None and (proof <= width or (
+                        _pack(positions, coeffs, qsize, proof)
+                        * _pack(dpos, den.values(), max(dpos) + 1, proof)
+                        == _pack(npos, num.values(), size, proof))):
+                    return dict(zip(keys, coeffs))
+        width *= 2
+    return None
 
 def format_poly(p: LaurentPoly) -> str:
     """Canonical text form: terms sorted by exponent vector descending."""

@@ -24,7 +24,8 @@ coordinates is injective, so a matching's exponent is determined by its
 pivot exponents and by one representative matching.  The pivot exponents
 are packed in a mixed radix whose digit widths are the ranges the perfect
 matchings span, and every coefficient is stored in ``B`` bits, where ``B``
-is the bit length of the matching count (``weighted_pm_sum``).  Results are
+is the bit length of the matching count plus a sign bit, in whole bytes
+(``weighted_pm_sum``).  Results are
 exact and independent of the sweep order; the computation is purely
 sequential and deterministic.
 """
@@ -33,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import N_VARS, UNIT_KEY, LaurentPoly, label_exponents, pack_exponents, unpack_key
+from .laurent import (UNIT_KEY, LaurentPoly, digit_bytes, echelon, label_exponents, lift_pivots,
+                      pack_exponents, unpack_digits, unpack_key)
 from .diamonds import RECURSION_FACTOR_LABELS, DiamondGraph, build_diamond, covering_monomial
 from .tiling import BlockScheme, vertex_coords
 
@@ -187,33 +189,7 @@ def _difference_lattice(sweep) -> tuple[list[list[int]], list[int]]:
                     raise ValueError("the matching lattice needs a bipartite graph")
                 else:
                     cycles.add(step - potential[v])
-    return _echelon(unpack_key(UNIT_KEY + c) for c in cycles)
-
-
-def _echelon(vectors) -> tuple[list[list[int]], list[int]]:
-    """Integer row reduction: an echelon basis of the lattice the vectors
-    span, each row's leading entry positive, and the leading columns."""
-    rows = [list(v) for v in vectors if any(v)]
-    basis, pivots = [], []
-    for col in range(N_VARS):
-        live = [r for r in rows if r[col]]
-        rows = [r for r in rows if not r[col]]
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            piv, others = live[0], live[1:]
-            live = [piv]
-            for r in others:
-                k = r[col] // piv[col]
-                r = [a - k * b for a, b in zip(r, piv)]
-                if r[col]:
-                    live.append(r)
-                elif any(r):
-                    rows.append(r)
-        if live:
-            piv = live[0] if live[0][col] > 0 else [-a for a in live[0]]
-            basis.append(piv)
-            pivots.append(col)
-    return basis, pivots
+    return echelon(unpack_key(UNIT_KEY + c) for c in cycles)
 
 
 def count_pm(graph: DiamondGraph, order: str = "yx") -> int:
@@ -226,9 +202,12 @@ def weighted_pm_sum(graph: DiamondGraph, order: str = "yx") -> LaurentPoly:
 
     The empty graph has the single empty matching of weight 1.  One integer
     pass over the sweep comes first.  It yields the count, whose bit length
-    ``B`` is the digit width: a state that can still be completed holds at
-    most ``count`` partial matchings, and only such states feed the final
-    one, so no digit that reaches the result ever carries into the next.
+    plus a sign bit, rounded up to whole bytes, is the digit width ``B``: a
+    state that can still be completed holds at most ``count`` partial
+    matchings, and only such states feed the final one, so no digit that
+    reaches the result ever carries into the next, and ``unpack_digits``
+    (shared with the packed Laurent arithmetic) reads every digit back as
+    its nonnegative coefficient.
     The pass also yields the lexicographically largest and smallest
     exponent of a perfect matching, which give the representative matching
     and the range of the first pivot exponent.  Each further pivot but the
@@ -237,10 +216,11 @@ def weighted_pm_sum(graph: DiamondGraph, order: str = "yx") -> LaurentPoly:
     ``x_p -> t**R_p`` for the pivot exponents, with mixed radices ``R``, so
     each state is one integer.
     Decoding reads the pivot exponents off each digit's position and lifts
-    them to all six exponents through the lattice basis.  Raises
-    ArithmeticError if the decoding is not exact: a lifted exponent is not
-    an integer, or the coefficients do not add up to the count, or the
-    largest or smallest decoded exponent is not the integer pass's.
+    them to all six exponents through the lattice basis (``lift_pivots``,
+    shared with the packed Laurent arithmetic).  Raises ArithmeticError if
+    the decoding is not exact: a pivot exponent is off the lattice, or the
+    coefficients do not add up to the count, or the largest or smallest
+    decoded exponent is not the integer pass's.
     """
     sweep = _sweep(graph, order)
     found = _frontier_sum(sweep, (1, 0, 0), _add_extremes)
@@ -262,34 +242,24 @@ def weighted_pm_sum(graph: DiamondGraph, order: str = "yx") -> LaurentPoly:
     radix = [1]
     for width in widths:
         radix.append(radix[-1] * width)
-    bits = count.bit_length()
+    width = digit_bytes(count)
+    bits = 8 * width
     shift = {w: bits * sum(e[p] * r for p, r in zip(pivots, radix)) for w, e in exps.items()}
     off, big = _frontier_sum(_reweigh(sweep, shift), (0, 1), _add_packed)
 
     # digit i of big, read from the least significant end, is the
     # coefficient of t**(off // bits + i)
-    text = format(big, "b")
-    text = text.zfill(-(-len(text) // bits) * bits)
-    exponent = off // bits + len(text) // bits
-    terms: dict[int, int] = {}
-    for i in range(0, len(text), bits):
-        exponent -= 1
-        c = int(text[i:i + bits], 2)
-        if not c:
-            continue
-        rest, a = exponent, list(top)
-        for j, (row, p) in enumerate(zip(basis, pivots)):
-            if j < len(widths):
-                q = lows[j] + (rest - lows[j]) % widths[j]
-                rest = (rest - q) // widths[j]
-            else:
-                q = rest
-            k, r = divmod(q - a[p], row[p])
-            if r:
-                raise ArithmeticError(f"pivot exponent {q} of x{p + 1} is off the lattice")
-            if k:
-                a = [x + k * y for x, y in zip(a, row)]
-        terms[pack_exponents(a)] = c
+    rest, coeffs = unpack_digits(big, -(-big.bit_length() // bits), width)
+    rest = [off // bits + i for i in rest]
+    qs = []
+    for low, width in zip(lows, widths):
+        q = [low + (r - low) % width for r in rest]
+        rest = [(r - x) // width for r, x in zip(rest, q)]
+        qs.append(q)
+    keys = lift_pivots(top, basis, pivots, qs + [rest])
+    if keys is None:
+        raise ArithmeticError("a decoded pivot exponent is off the lattice")
+    terms = dict(zip(keys, coeffs))
     total = sum(terms.values())
     if total != count or max(terms) != UNIT_KEY + top_key or min(terms) != UNIT_KEY + bottom_key:
         raise ArithmeticError(f"decoded terms disagree with the integer pass: coefficients "
@@ -344,17 +314,6 @@ def matching_weight(graph: DiamondGraph, matching: Matching) -> LaurentPoly:
     """Product of the edge weights of one matching."""
     labels = (l for ei in matching for l in graph.edges[ei][2:])
     return LaurentPoly.monomial(1, label_exponents(labels, -1))
-
-
-def matching_covers(graph: DiamondGraph, matching: Matching) -> bool:
-    seen = set()
-    for ei in matching:
-        u, v, _, _ = graph.edges[ei]
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return len(seen) == len(graph.vertices)
 
 
 def aggregate_enumeration(graph: DiamondGraph, limit: int = 1 << 20) -> LaurentPoly:

@@ -8,7 +8,7 @@ checklist.
 
 import time
 
-from dp3.calibration import calibrate, perturbation_failures
+from dp3.calibration import calibrate
 from dp3.diamonds import (
     boundary_vector,
     boundary_vector_closed,
@@ -35,6 +35,7 @@ from dp3.quiver import (
     mutate_seed,
     recurrence_y,
 )
+from support import perturbation_failures
 
 MAX_N = 8
 PM_COUNTS = {1: 2, 2: 4, 3: 16, 4: 64, 5: 512, 6: 4096, 7: 65536, 8: 1048576}

@@ -1,11 +1,13 @@
 """Laurent polynomial arithmetic: worked examples and ring properties."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dp3 import laurent
 from dp3.laurent import (
     ALL_ONES,
     SIGMA,
@@ -17,6 +19,7 @@ from dp3.laurent import (
     parse_poly,
     x,
 )
+from dp3.quiver import recurrence_y, run_periodic_sequence
 
 
 def P(text: str) -> LaurentPoly:
@@ -179,3 +182,210 @@ def test_canonical_form_no_zero_coefficients(a, b):
 @given(polys)
 def test_parse_format_round_trip(p):
     assert parse_poly(format_poly(p)) == p
+
+
+# -- exponent range -------------------------------------------------------------
+
+ONE = LaurentPoly.one()
+BIG_EXP = LaurentPoly.var(3, 3_000_000)
+DENSE = x(1) + x(2) + x(1) * x(2) + ONE
+SPARSE = x(1) + x(2) * x(3) ** 5 + x(4) ** -7 * x(6)
+
+
+class TestExponentRange:
+    def test_power_past_the_field_raises(self):
+        # the x2 field used to carry into x1, giving x1 x2^-4777216
+        with pytest.raises(OverflowError):
+            LaurentPoly.var(2, 4_000_000) ** 3
+
+    @pytest.mark.parametrize("p", [DENSE, SPARSE, ONE], ids=["packed", "schoolbook", "monomial"])
+    def test_product_past_the_field_raises(self, p):
+        with pytest.raises(OverflowError):
+            (p * BIG_EXP) * (p * BIG_EXP)
+
+    @pytest.mark.parametrize("p", [DENSE, SPARSE, ONE], ids=["packed", "elimination", "monomial"])
+    def test_quotient_past_the_field_raises(self, p):
+        with pytest.raises(OverflowError):
+            (p * BIG_EXP).exact_div(LaurentPoly.var(3, -2_000_000))
+        with pytest.raises(OverflowError):
+            (p * p * BIG_EXP).exact_div(p * LaurentPoly.var(3, -2_000_000))
+
+    def test_negative_power_past_the_field_raises(self):
+        with pytest.raises(OverflowError):
+            LaurentPoly.var(2, 3_000_000) ** -2
+
+    def test_largest_exponents_still_pack(self):
+        top = LaurentPoly.var(2, (1 << 22) - 1)
+        assert (top * LaurentPoly.var(2, -1)).exponents_of_monomial() == (0, (1 << 22) - 2, 0, 0, 0, 0)
+
+
+# -- packed arithmetic against the dict loops -----------------------------------------
+
+coefficients = st.integers(-(1 << 64), 1 << 64).filter(bool)
+def grids(coeffs):
+    return st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs,
+                           min_size=4, max_size=16)
+shifts = st.tuples(*[st.integers(-4, 4)] * 6)
+shears = st.tuples(*[st.integers(-3, 3)] * 4)
+
+
+@st.composite
+def lattice_polys(draw, count: int, coeffs=coefficients) -> list[LaurentPoly]:
+    """Polynomials in u, v times a monomial, u = x1 * (monomial in x3..x6)
+    and v = x1^f x2 * (monomial in x3..x6): dense supports on one lattice of
+    rank at most 2 with pivots x1, x2, whose basis rows are sheared like
+    those of y_N."""
+    u = (1, 0) + draw(shears)
+    v = (draw(st.integers(-1, 1)), 1) + draw(shears)
+    out = []
+    for _ in range(count):
+        m = draw(shifts)
+        out.append(LaurentPoly.from_exponent_terms(
+            {tuple(e + i * a + j * b for e, a, b in zip(m, u, v)): c
+             for (i, j), c in draw(grids(coeffs)).items()}))
+    return out
+
+
+def packed_mul(a: LaurentPoly, b: LaurentPoly):
+    return laurent._packed_mul(a._terms, b._terms, laurent._ranges(a._terms),
+                               laurent._ranges(b._terms))
+
+
+def packed_div(num: LaurentPoly, den: LaurentPoly):
+    return laurent._packed_div(num._terms, den._terms, laurent._ranges(num._terms),
+                               laurent._ranges(den._terms))
+
+
+def always_packed():
+    """Lift the density test, so that every product and quotient whose
+    lattice is usable is packed."""
+    return mock.patch.object(laurent, "_PACK_DENSITY", 1 << 30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_polys(2))
+def test_packed_product_matches_schoolbook(ab):
+    a, b = ab
+    with always_packed():
+        got = packed_mul(a, b)
+    assert got is not None
+    assert got == laurent._schoolbook_mul(a._terms, b._terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_polys(2))
+def test_packed_quotient_matches_elimination(ab):
+    a, b = ab
+    num = a * b
+    with always_packed():
+        assert packed_div(num, b) == a._terms
+    (nlo, nhi), (dlo, dhi) = laurent._ranges(num._terms), laurent._ranges(b._terms)
+    lo, hi = [s - t for s, t in zip(nlo, dlo)], [s - t for s, t in zip(nhi, dhi)]
+    assert laurent._eliminate(num._terms, b._terms, lo, hi) == a._terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_polys(2), st.integers(0, 1 << 10), coefficients)
+def test_packed_division_refuses_an_inexact_quotient(ab, index, c):
+    a, b = ab
+    # a * b with one coefficient changed is not a multiple of b: b has at
+    # least four terms, so it is not a unit
+    product = a * b
+    key = sorted(product._terms)[index % product.term_count()]
+    num = product + LaurentPoly(_raw={key: c})
+    with always_packed():
+        try:
+            got = packed_div(num, b)
+        except NotDivisibleError:
+            got = None
+    assert got is None
+    with pytest.raises(NotDivisibleError):
+        num.exact_div(b)
+
+
+@pytest.mark.parametrize("q, den, widths", [
+    # quotient coefficients up to 184756 against the numerator's 48450
+    ((ONE + x(1)) ** 20, ONE - x(1), [2, 4]),
+    # 162 needs a second byte, and its carry lands between the quotient's
+    # rows, at x1^3, outside its pivot box
+    (P("-9 x1^2 x2 + 162 x1^2 - 4 x1 x2 + 16 x1 + 2 x2"), P("x1 x2 - x1 + x2 + 1"), [1, 2]),
+], ids=["binomial", "row-padding"])
+def test_quotient_wider_than_numerator_doubles_the_width(monkeypatch, q, den, widths):
+    num = q * den
+    assert max(map(abs, num.coefficients())).bit_length() <= 8 * widths[0]
+    seen = []
+    unpack = laurent.unpack_digits
+
+    def recording(value, length, width):
+        seen.append(width)
+        return unpack(value, length, width)
+
+    monkeypatch.setattr(laurent, "unpack_digits", recording)
+    assert packed_div(num, den) == q._terms
+    assert seen == widths
+    assert num.exact_div(den) == q
+
+
+def test_divisor_wider_than_numerator():
+    # (1+x1)^11 has coefficients up to 462, its product with 1-x1 only 165,
+    # so the digits must be sized for the divisor too
+    den = (ONE + x(1)) ** 11
+    num = den * (ONE - x(1))
+    assert max(map(abs, den.coefficients())) > max(map(abs, num.coefficients()))
+    assert packed_div(num, den) == (ONE - x(1))._terms
+    assert num.exact_div(den) == ONE - x(1)
+
+
+def test_inexact_quotient_by_a_wider_divisor_is_not_divisible():
+    with pytest.raises(NotDivisibleError):
+        packed_div(P("x1 + 3"), P("x1 + 300"))
+    with pytest.raises(NotDivisibleError):
+        P("x1 + 3").exact_div(P("x1 + 300"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_polys(1, st.integers(-2, 2).filter(bool)), shifts, st.integers(6, 14))
+def test_packed_quotient_by_a_wider_divisor(b, m, k):
+    """Divisors b (1+x1)^k whose coefficients exceed those of the
+    numerator (1-x1) b (1+x1)^k times a monomial."""
+    (b,) = b
+    q = (ONE - x(1)) * LaurentPoly.monomial(1, m)
+    den = b * (ONE + x(1)) ** k
+    num = q * den
+    assert max(map(abs, den.coefficients())) > max(map(abs, num.coefficients()))
+    with always_packed():
+        assert packed_div(num, den) == q._terms
+    assert num.exact_div(den) == q
+
+
+def test_sparse_high_rank_product_is_not_packed():
+    a = sum((LaurentPoly.var(i, 10) for i in range(1, 7)), LaurentPoly.one())
+    assert packed_mul(a, a) is None
+    assert a * a == LaurentPoly(_raw=laurent._schoolbook_mul(a._terms, a._terms))
+
+
+def test_quiver_routes_match_dict_arithmetic(monkeypatch):
+    """The seed route and the recurrence, computed packed and again with
+    every product and quotient forced through the dict loops."""
+    packed = []
+    for name in ("_packed_mul", "_packed_div"):
+        def counting(*args, _f=getattr(laurent, name)):
+            out = _f(*args)
+            packed.append(out is not None)
+            return out
+        monkeypatch.setattr(laurent, name, counting)
+
+    def both_routes():
+        recurrence_y.cache_clear()
+        try:
+            return run_periodic_sequence(24).entries, [recurrence_y(n) for n in range(1, 13)]
+        finally:
+            recurrence_y.cache_clear()
+
+    fast = both_routes()
+    assert len(packed) > 50 and all(packed)
+    monkeypatch.setattr(laurent, "_PACK_DENSITY", 0)
+    del packed[:]
+    slow = both_routes()
+    assert not any(packed)
+    assert fast == slow

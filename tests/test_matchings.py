@@ -14,13 +14,13 @@ from dp3.matchings import (
     condensation_instance,
     count_pm,
     enumerate_pm,
-    matching_covers,
     matching_weight,
     matchings_route_y,
     verify_condensation,
     weighted_pm_sum,
 )
 from dp3.quiver import recurrence_y
+from support import matching_covers
 
 COUNTS = {1: 2, 2: 4, 3: 16, 4: 64, 5: 512, 6: 4096, 7: 65536, 8: 1048576}
 

@@ -10,7 +10,6 @@ from dp3.calibration import (
     calibrate,
     labeling_failures,
     load_calibration,
-    perturbation_failures,
     save_calibration,
     scheme_to_json,
 )
@@ -28,6 +27,7 @@ from dp3.tiling import (
     vertex_color,
     vertex_coords,
 )
+from support import perturbation_failures
 
 WINDOW = [Face(a, b, up, c)
           for a in range(-3, 3) for b in range(-2, 3)
