@@ -1,12 +1,16 @@
 """Exact perfect matching counts and weighted matching sums on diamonds.
 
-Both quantities come from one frontier dynamic program: vertices are swept in
-a fixed planar order and a state records, as a bitmask, which already-seen
-vertices still await a partner across the sweep line.  Diamond frontiers
-stay narrow, so the reachable state sets remain small even for graphs with
-millions of matchings.  A vertex is either matched to a pending earlier
-neighbor or deferred (if it still has unseen neighbors); states keeping a
-vertex pending beyond its last neighbor are pruned.
+Both quantities come from one frontier dynamic program: vertices are swept
+along a straight lattice direction and a state records, as a bitmask, which
+already-seen vertices still await a partner across the sweep line.  Of
+twelve candidate directions the sweep takes the one whose vertex order
+keeps the fewest vertices pending, scored as the sum over steps of
+2**(pending vertices) (``_sweep``).  Diamond frontiers stay narrow, so the
+reachable state sets remain small even for graphs with millions of
+matchings.  A vertex is either matched to a pending earlier neighbor or
+deferred (if it still has unseen neighbors); a state that would keep a
+vertex pending beyond its last neighbor is pruned before it is folded
+(``_frontier_sum``).
 
 The count attaches to every state the number of partial matchings.  The
 weighted sum attaches one big integer: the state's polynomial of weights
@@ -39,47 +43,100 @@ from .laurent import (UNIT_KEY, LaurentPoly, digit_bytes, echelon, label_exponen
 from .diamonds import RECURSION_FACTOR_LABELS, DiamondGraph, build_diamond, covering_monomial
 from .tiling import BlockScheme, vertex_coords
 
-SWEEP_ORDERS = ("yx", "xy")
+#: The candidate sweep directions: a vertex at ``(x, y) = vertex_coords(v)``
+#: is swept at ``a*x + b*y``, ties broken by ``(x, y, v)``.  They are the six
+#: lattice axes of ``tiling.vertex_coords`` and their reverses.
+DIRECTIONS = ((1, 0), (-1, 0), (2, 1), (-2, -1), (2, -1), (-2, 1),
+              (2, 3), (-2, -3), (2, -3), (-2, 3), (0, 1), (0, -1))
+
+#: Fixed reference orders: by row then column, and by column then row.
+SWEEP_ORDERS = {"yx": (0, 1), "xy": (1, 0)}
 
 
 class LimitExceededError(RuntimeError):
     """Enumeration would produce more matchings than the caller allowed."""
 
 
-def _sweep(graph: DiamondGraph, order: str):
+def _ordered(direction: tuple[int, int], points: list, pairs: list[tuple[int, int]]):
+    """The sweep along ``direction`` of a graph given as ``points``, its
+    ``(x, y, vertex)`` triples, and ``pairs``, the point indices of its
+    edges: the point indices in sweep order, each point's position, and per
+    position the position of its last neighbor (itself if it has none
+    later)."""
+    a, b = direction
+    ranked = [i for *_, i in sorted((a * x + b * y, x, y, v, i)
+                                    for i, (x, y, v) in enumerate(points))]
+    pos = [0] * len(ranked)
+    for p, i in enumerate(ranked):
+        pos[i] = p
+    last = list(range(len(ranked)))
+    for i, j in pairs:
+        i, j = pos[i], pos[j]
+        if i > j:
+            i, j = j, i
+        if j > last[i]:
+            last[i] = j
+    return ranked, pos, last
+
+
+def _sweep_cost(last: list[int]) -> int:
+    """Sum over steps of 2**(vertices still pending after the step): a bound
+    on the states a sweep with these last-neighbor positions can hold."""
+    opened = [0] * len(last)
+    for i, j in enumerate(last):
+        if j > i:
+            opened[i] += 1
+            opened[j] -= 1
+    cost = pending = 0
+    for delta in opened:
+        pending += delta
+        cost += 1 << pending
+    return cost
+
+
+def _sweep(graph: DiamondGraph, order: str | tuple[int, int] | None = None):
     """Vertex order plus, per vertex, its earlier neighbors (with weight key
     offsets), whether it has later neighbors, and the prune mask of vertices
-    whose last neighbor it is."""
-    if order not in SWEEP_ORDERS:
-        raise ValueError(f"unknown sweep order {order!r}")
-    if order == "yx":
-        key = lambda v: (vertex_coords(v)[1], vertex_coords(v)[0], v)
+    whose last neighbor it is.
+
+    ``order`` is a name in ``SWEEP_ORDERS``, a direction in ``DIRECTIONS``,
+    or None for the direction ``_sweep_cost`` scores lowest (the first of
+    ``DIRECTIONS`` on a tie).  A state holds only pending vertices, so the
+    cost bounds the states the sweep visits, and it needs only each
+    candidate's order and last-neighbor positions: choosing costs twelve
+    sorts, not twelve sweeps.  On the diamonds to N=12 the choice visits at
+    most 1.25 times the states of the best candidate.
+
+    The prune mask is exact: a vertex whose last neighbor is the current
+    one is matched now or never (see ``_frontier_sum``).
+    """
+    points = [(*vertex_coords(v), v) for v in graph.vertices]
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    pairs = [(index[u], index[v]) for u, v, _, _ in graph.edges]
+    if order is None:
+        ordered = min((_ordered(d, points, pairs) for d in DIRECTIONS),
+                      key=lambda o: _sweep_cost(o[2]))
+    elif order in SWEEP_ORDERS or order in DIRECTIONS:
+        ordered = _ordered(SWEEP_ORDERS.get(order, order), points, pairs)
     else:
-        key = lambda v: (vertex_coords(v)[0], vertex_coords(v)[1], v)
-    verts = sorted(graph.vertices, key=key)
-    index = {v: i for i, v in enumerate(verts)}
+        raise ValueError(f"unknown sweep order {order!r}")
+    ranked, pos, last = ordered
+    verts = [graph.vertices[i] for i in ranked]
     nv = len(verts)
     earlier: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    last_nbr = [-1] * nv
-    has_future = [False] * nv
-    for u, v, la, lb in graph.edges:
-        i, j = index[u], index[v]
+    for (i, j), (_, _, la, lb) in zip(pairs, graph.edges):
+        i, j = pos[i], pos[j]
         if i > j:
             i, j = j, i
         w = pack_exponents(label_exponents((la, lb), -1)) - UNIT_KEY
         earlier[j].append((i, w))
-        has_future[i] = True
-        last_nbr[i] = max(last_nbr[i], j)
-        last_nbr[j] = max(last_nbr[j], j)
     for lst in earlier:
         lst.sort()
+    has_future = [j > i for i, j in enumerate(last)]
     dead_at = [0] * nv
-    for i, last in enumerate(last_nbr):
-        if last >= 0:
-            dead_at[last] |= 1 << i
-        # isolated vertices can never be covered; their step kills all states
-        if last < 0:
-            dead_at[i] |= 1 << i
+    for i, j in enumerate(last):
+        # an isolated vertex can never be covered: its own step kills all states
+        dead_at[j] |= 1 << i
     return verts, earlier, has_future, dead_at
 
 
@@ -99,22 +156,35 @@ def _frontier_sum(sweep, unit, fold):
     deferred, adding no edge), into ``new[mask]``; it must never mutate
     ``value``.  Returns the value of the empty final frontier, or None when
     the graph has no perfect matching.
+
+    A state is pruned before it is folded, which is exact: a vertex whose
+    last neighbor is the current one must be matched to it now, and one
+    step matches at most one pending vertex.  So a state holding two such
+    vertices has no completion and is skipped, and one holding exactly one
+    folds only the edges to it.
     """
     verts, earlier, has_future, dead_at = sweep
     states = {0: unit}
     for s in range(len(verts)):
         bit = 1 << s
-        future, back = has_future[s], earlier[s]
+        future, back, dead = has_future[s], earlier[s], dead_at[s]
+        forced: dict[int, list[int]] = {}
+        for u, w in back:
+            if dead >> u & 1:
+                forced.setdefault(1 << u, []).append(w)
         new: dict = {}
         for mask, value in states.items():
+            doomed = mask & dead
+            if doomed:
+                # two or more doomed vertices find no entry
+                for w in forced.get(doomed, ()):
+                    fold(new, mask ^ doomed, value, w)
+                continue
             if future:
                 fold(new, mask | bit, value, 0)
             for u, w in back:
                 if mask >> u & 1:
                     fold(new, mask & ~(1 << u), value, w)
-        if dead_at[s]:
-            d = dead_at[s]
-            new = {m: v for m, v in new.items() if not (m & d)}
         states = new
     return states.get(0)
 
@@ -192,12 +262,14 @@ def _difference_lattice(sweep) -> tuple[list[list[int]], list[int]]:
     return echelon(unpack_key(UNIT_KEY + c) for c in cycles)
 
 
-def count_pm(graph: DiamondGraph, order: str = "yx") -> int:
-    """The number of perfect matchings, exactly."""
+def count_pm(graph: DiamondGraph, order: str | tuple[int, int] | None = None) -> int:
+    """The number of perfect matchings, exactly, swept in ``order`` (see
+    ``_sweep``)."""
     return _frontier_sum(_sweep(graph, order), 1, _add_count) or 0
 
 
-def weighted_pm_sum(graph: DiamondGraph, order: str = "yx") -> LaurentPoly:
+def weighted_pm_sum(graph: DiamondGraph,
+                    order: str | tuple[int, int] | None = None) -> LaurentPoly:
     """Sum over perfect matchings of the product of edge weights 1/(x_a x_b).
 
     The empty graph has the single empty matching of weight 1.  One integer

@@ -53,3 +53,32 @@ def perturbation_failures(up, down) -> list[str]:
     except ValueError as e:
         return [str(e)]
     return labeling_failures(lab)
+
+
+class _OverLimit(Exception):
+    pass
+
+
+def sweep_stats(sweep, limit: int | None = None) -> tuple[int, int] | None:
+    """State-steps and peak states of a frontier sweep: the number of states
+    in each frontier from the first to the last, summed and at its largest,
+    or None once the sum would pass ``limit``.  Runs the package's own
+    kernel with a fold whose value is the number of steps taken."""
+    from dp3.matchings import _frontier_sum
+
+    sizes = [1] + [0] * len(sweep[0])
+    total = [1]
+
+    def fold(new, mask, steps, w):
+        if mask not in new:
+            new[mask] = steps + 1
+            sizes[steps + 1] += 1
+            total[0] += 1
+            if limit is not None and total[0] > limit:
+                raise _OverLimit
+
+    try:
+        _frontier_sum(sweep, 0, fold)
+    except _OverLimit:
+        return None
+    return total[0], max(sizes)

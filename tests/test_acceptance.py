@@ -151,7 +151,8 @@ def test_criterion_7_oracle_equivalence(scheme):
             dp = weighted_pm_sum(g, "yx")
             assert dp == aggregate_enumeration(g), f"N={n} primed={primed}"
             assert dp == weighted_pm_sum(g, "xy")
-            assert count_pm(g, "yx") == count_pm(g, "xy")
+            assert dp == weighted_pm_sum(g)
+            assert count_pm(g, "yx") == count_pm(g, "xy") == count_pm(g)
             graphs += 1
     assert graphs == 8
     _report("criterion-7 oracle equivalence",

@@ -20,7 +20,7 @@ from dp3.matchings import (
     weighted_pm_sum,
 )
 from dp3.quiver import recurrence_y
-from support import matching_covers
+from support import matching_covers, sweep_stats
 
 COUNTS = {1: 2, 2: 4, 3: 16, 4: 64, 5: 512, 6: 4096, 7: 65536, 8: 1048576}
 
@@ -109,7 +109,7 @@ def relabelled(graph, rng):
 
 
 class TestPackedFold:
-    @pytest.mark.parametrize("order", ["yx", "xy"])
+    @pytest.mark.parametrize("order", ["yx", "xy", None])
     @pytest.mark.parametrize("primed", [False, True])
     @pytest.mark.parametrize("n", range(0, 11))
     def test_equals_dict_fold(self, scheme, n, primed, order):
@@ -167,6 +167,127 @@ class TestPackedFold:
         monkeypatch.setattr(matchings, "_add_packed", twice)
         with pytest.raises(ArithmeticError, match="disagree"):
             weighted_pm_sum(build_diamond(1, False, scheme))
+
+
+def post_filter_frontier_sum(sweep, unit, fold):
+    """The kernel the pruning one replaced: every transition is folded, and
+    the states keeping a vertex past its last neighbor are dropped after
+    the step."""
+    verts, earlier, has_future, dead_at = sweep
+    states = {0: unit}
+    for s in range(len(verts)):
+        bit = 1 << s
+        future, back = has_future[s], earlier[s]
+        new = {}
+        for mask, value in states.items():
+            if future:
+                fold(new, mask | bit, value, 0)
+            for u, w in back:
+                if mask >> u & 1:
+                    fold(new, mask & ~(1 << u), value, w)
+        if dead_at[s]:
+            d = dead_at[s]
+            new = {m: v for m, v in new.items() if not (m & d)}
+        states = new
+    return states.get(0)
+
+
+ALL_ORDERS = (*matchings.DIRECTIONS, "yx", "xy")
+
+
+def assert_kernels_agree(monkeypatch, graph, order=None):
+    """Every pass of ``count_pm`` and ``weighted_pm_sum`` (the count, the
+    extremes and the packed pass) returns the same value from the pruning
+    kernel as from the post-filter one."""
+    kernel, folds = matchings._frontier_sum, []
+
+    def both(sweep, unit, fold):
+        got = kernel(sweep, unit, fold)
+        assert got == post_filter_frontier_sum(sweep, unit, fold)
+        folds.append(fold)
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(matchings, "_frontier_sum", both)
+        count = count_pm(graph, order)
+        w = weighted_pm_sum(graph, order)
+    assert folds[0] is matchings._add_count
+    assert (matchings._add_packed in folds) == (count > 0)
+    return count, w
+
+
+class TestPruningKernel:
+    @pytest.mark.parametrize("order", ALL_ORDERS,
+                             ids=lambda o: o if isinstance(o, str) else "%d,%d" % o)
+    def test_equals_post_filter_on_diamonds(self, scheme, monkeypatch, order):
+        for n in range(0, 9):
+            for primed in (False, True):
+                count, _ = assert_kernels_agree(monkeypatch, build_diamond(n, primed, scheme),
+                                                order)
+                assert count == (COUNTS[n] if n else 1)
+
+    def test_equals_post_filter_on_random_graphs(self, scheme, monkeypatch):
+        # the graphs of TestPackedFold.test_general_lattice_ranks
+        empty = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            g = relabelled(build_diamond(rng.randint(1, 5), rng.random() < 0.5, scheme), rng)
+            count, _ = assert_kernels_agree(monkeypatch, g)
+            empty += not count
+        assert empty > 0
+
+    def test_isolated_vertex(self, scheme, monkeypatch):
+        g = build_diamond(3, False, scheme)
+        v = g.vertices[5]
+        g = dataclasses.replace(g, edges=tuple(e for e in g.edges if v not in e[:2]))
+        for order in (None, "yx", "xy"):
+            assert assert_kernels_agree(monkeypatch, g, order) == (0, LaurentPoly.zero())
+
+
+def sweep_cost(sweep):
+    """``_sweep_cost`` of a built sweep, reading each vertex's last-neighbor
+    position off the prune masks."""
+    last = [s for i in range(len(sweep[0])) for s, dead in enumerate(sweep[3]) if dead >> i & 1]
+    return matchings._sweep_cost(last)
+
+
+class TestSweepChoice:
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_cost_bounds_state_steps(self, scheme, n):
+        for primed in (False, True):
+            g = build_diamond(n, primed, scheme)
+            for d in matchings.DIRECTIONS:
+                sweep = matchings._sweep(g, d)
+                assert sweep_stats(sweep)[0] <= 1 + sweep_cost(sweep), (primed, d)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_default_is_cheapest_direction(self, scheme, n):
+        for primed in (False, True):
+            g = build_diamond(n, primed, scheme)
+            sweeps = [matchings._sweep(g, d) for d in matchings.DIRECTIONS]
+            assert matchings._sweep(g) == min(sweeps, key=sweep_cost)
+
+    @pytest.mark.parametrize("primed", [False, True])
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_chosen_direction_near_best(self, scheme, n, primed):
+        g = build_diamond(n, primed, scheme)
+        chosen, _ = sweep_stats(matchings._sweep(g))
+        assert chosen <= sweep_stats(matchings._sweep(g, "yx"))[0]
+        # a candidate is stopped once it costs more than the chosen one
+        measured = (sweep_stats(matchings._sweep(g, d), limit=chosen)
+                    for d in matchings.DIRECTIONS)
+        best = min(steps for steps, _ in filter(None, measured))
+        assert chosen <= 1.25 * best
+
+    def test_reference_orders_sort_by_rows_and_columns(self, scheme):
+        g = build_diamond(5, True, scheme)
+        xy = matchings.vertex_coords
+        assert matchings._sweep(g, "yx")[0] == sorted(g.vertices, key=lambda v: (xy(v)[::-1], v))
+        assert matchings._sweep(g, "xy")[0] == sorted(g.vertices, key=lambda v: (xy(v), v))
+
+    def test_unknown_direction_rejected(self, scheme):
+        with pytest.raises(ValueError):
+            count_pm(build_diamond(1, False, scheme), (3, 1))
 
 
 class TestEnumeration:
