@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import dp3
-from dp3 import calibration, cli
+from dp3 import calibration, cli, laurent
 from dp3.cli import main
 from dp3.diamonds import pm_count_closed
 from dp3.laurent import x
@@ -116,6 +116,32 @@ class TestSuiteReport:
         assert [c.seconds for c in rep.checks] == [0.5, 1.5, 0.25]
         assert [c.ok for c in rep.checks] == [True, False, True]
         assert sum(c.seconds for c in rep.checks) == 12.25 - 10.0
+
+    def test_equal_polynomials_are_formatted_once(self, monkeypatch):
+        formatted = []
+
+        def counting(p):
+            formatted.append(p)
+            return fmt(p)
+
+        fmt = laurent.format_poly
+        monkeypatch.setattr(laurent, "format_poly", counting)
+        rep = cli.SuiteReport("stub")
+        y, y2 = x(1) + x(2), x(2) + x(1)
+        rep.check("pass", y, y2)
+        assert formatted == [y]
+        assert rep.checks[0].lhs_digest == rep.checks[0].rhs_digest == cli._digest(y2)
+
+        formatted.clear()
+        rep.check("fail", y, y + x(3))
+        assert formatted[:2] == [y, y + x(3)]
+        assert rep.checks[1].diff["lhs_minus_rhs"] == "-x3"
+        assert rep.checks[1].lhs_digest != rep.checks[1].rhs_digest
+
+        # True == 1, but the two print differently, so both are digested
+        rep.check("bool", True, 1)
+        assert rep.checks[2].ok
+        assert rep.checks[2].lhs_digest != rep.checks[2].rhs_digest
 
     def test_suite_seconds_include_work_between_checks(self, monkeypatch, scheme):
         # each diamond build advances the stub clock by one second; the oracle

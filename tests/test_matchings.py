@@ -39,10 +39,14 @@ class TestCounts:
         assert count_pm(g) == 1
         assert weighted_pm_sum(g) == LaurentPoly.one()
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(0, 11))
     def test_sweep_orders_agree(self, scheme, n):
-        g = build_diamond(n, False, scheme)
-        assert count_pm(g, "yx") == count_pm(g, "xy")
+        # the default sweeps the reduced graph, the reference orders the graph as built
+        for primed in (False, True):
+            g = build_diamond(n, primed, scheme)
+            assert count_pm(g) == count_pm(g, "yx") == count_pm(g, "xy")
+            if n >= 2:
+                assert len(matchings._sweep(g)[0]) < len(g.vertices)
 
     def test_unknown_order_rejected(self, scheme):
         with pytest.raises(ValueError):
@@ -72,10 +76,12 @@ class TestWeightedSums:
         assert w.min_coefficient() > 0
         assert w.term_count() <= COUNTS[n]
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(0, 11))
     def test_sweep_orders_agree(self, scheme, n):
-        g = build_diamond(n, False, scheme)
-        assert weighted_pm_sum(g, "yx") == weighted_pm_sum(g, "xy")
+        # the default sweeps the reduced graph, the reference orders the graph as built
+        for primed in (False, True):
+            g = build_diamond(n, primed, scheme)
+            assert weighted_pm_sum(g) == weighted_pm_sum(g, "yx") == weighted_pm_sum(g, "xy")
 
 
 def _add_shifted(new, mask, poly, w):
@@ -126,6 +132,7 @@ class TestPackedFold:
             got = weighted_pm_sum(g)
             assert got == aggregate_enumeration(g), seed
             assert got == weighted_pm_sum(g, "xy"), seed
+            assert count_pm(g) == count_pm(g, "yx") == count_pm(g, "xy"), seed
             ranks.add(len(matchings._difference_lattice(matchings._sweep(g, "yx"))[0]))
             empty += not got
         assert ranks == {0, 1, 2, 3, 4, 5}
@@ -244,6 +251,80 @@ class TestPruningKernel:
             assert assert_kernels_agree(monkeypatch, g, order) == (0, LaurentPoly.zero())
 
 
+def made_graph(scheme, count, edges):
+    """A graph on the first ``count`` vertices of a diamond, with ``edges``
+    given as (vertex index, vertex index, label, label)."""
+    g = build_diamond(4, False, scheme)
+    vs = g.vertices[:count]
+    return dataclasses.replace(g, vertices=vs,
+                               edges=tuple((vs[i], vs[j], la, lb) for i, j, la, lb in edges))
+
+
+def assert_reduction_exact(g):
+    """Every direction and the default sweep the reduced graph; the
+    reference orders sweep it as built.  All agree with enumeration."""
+    w, count = aggregate_enumeration(g), len(enumerate_pm(g))
+    for order in (None, *ALL_ORDERS):
+        assert weighted_pm_sum(g, order) == w, order
+        assert count_pm(g, order) == count, order
+    return w
+
+
+class TestReduction:
+    def test_contraction_makes_parallel_edges(self, scheme):
+        # a 4-cycle: contracting any vertex leaves two vertices joined twice
+        g = made_graph(scheme, 4, [(0, 1, 1, 2), (1, 2, 3, 4), (2, 3, 5, 6), (3, 0, 1, 5)])
+        w = assert_reduction_exact(g)
+        assert w == parse_poly("x1^-1 x2^-1 x5^-1 x6^-1 + x1^-1 x3^-1 x4^-1 x5^-1")
+        for order in (None, *matchings.DIRECTIONS):
+            verts, earlier, _, _ = matchings._sweep(g, order)
+            assert len(verts) == 2 and len(earlier[1]) == 2
+
+    def test_degree_two_to_one_neighbor_is_kept(self, scheme):
+        # vertex 0 is joined twice to 1, which also meets 2 and 3; 4 and 5
+        # each join 2 and 3 and are contracted
+        g = made_graph(scheme, 6, [(0, 1, 1, 2), (0, 1, 3, 4), (1, 2, 5, 6), (1, 3, 1, 6),
+                                   (2, 4, 2, 3), (3, 4, 4, 5), (2, 5, 1, 3), (3, 5, 2, 6)])
+        w = assert_reduction_exact(g)
+        assert w.term_count() == 4
+        for order in (None, *matchings.DIRECTIONS):
+            verts = matchings._sweep(g, order)[0]
+            assert g.vertices[0] in verts and len(verts) == 4
+
+    @pytest.mark.parametrize("listed", [(0, 1, 2, 3, 4, 5), (0, 1, 3, 5, 4, 2)],
+                             ids=["path-order", "shuffled"])
+    def test_path_reduces_to_one_edge(self, scheme, listed):
+        # a path of six vertices contracts twice, whichever vertex goes first,
+        # to one edge that carries the weight of its only perfect matching
+        g = made_graph(scheme, 6, [(0, 1, 1, 2), (1, 2, 3, 4), (2, 3, 5, 6),
+                                   (3, 4, 1, 3), (4, 5, 2, 4)])
+        g = dataclasses.replace(g, vertices=tuple(g.vertices[i] for i in listed))
+        w = assert_reduction_exact(g)
+        assert w == parse_poly("x1^-1 x2^-2 x4^-1 x5^-1 x6^-1")
+        for order in (None, *matchings.DIRECTIONS):
+            verts, earlier, _, _ = matchings._sweep(g, order)
+            assert len(verts) == 2 and earlier[0] == []
+            ((_, key),) = earlier[1]
+            assert LaurentPoly({UNIT_KEY + key: 1}) == w
+
+    def test_odd_cycles_stay_odd(self, scheme):
+        # the triangle with a pendant edge of TestPackedFold.test_odd_cycle_rejected:
+        # each degree-2 vertex has adjacent neighbors, so nothing contracts
+        g = made_graph(scheme, 4, [(0, 1, 1, 2), (1, 2, 1, 3), (0, 2, 2, 3), (2, 3, 4, 5)])
+        for order in (None, *ALL_ORDERS):
+            assert len(matchings._sweep(g, order)[0]) == 4
+            assert count_pm(g, order) == 1
+        # a 5-cycle with a pendant edge contracts to the triangle with one
+        g = made_graph(scheme, 6, [(0, 1, 1, 2), (1, 2, 1, 3), (2, 3, 2, 3), (3, 4, 4, 5),
+                                   (4, 0, 1, 4), (0, 5, 2, 5)])
+        for order in (None, *ALL_ORDERS):
+            assert count_pm(g, order) == 1
+            with pytest.raises(ValueError, match="bipartite"):
+                weighted_pm_sum(g, order)
+        for order in (None, *matchings.DIRECTIONS):
+            assert len(matchings._sweep(g, order)[0]) == 4
+
+
 def sweep_cost(sweep):
     """``_sweep_cost`` of a built sweep, reading each vertex's last-neighbor
     position off the prune masks."""
@@ -272,7 +353,8 @@ class TestSweepChoice:
     def test_chosen_direction_near_best(self, scheme, n, primed):
         g = build_diamond(n, primed, scheme)
         chosen, _ = sweep_stats(matchings._sweep(g))
-        assert chosen <= sweep_stats(matchings._sweep(g, "yx"))[0]
+        # row order on the reduced graph; "yx" itself sweeps the graph as built
+        assert chosen <= sweep_stats(matchings._sweep(g, matchings.SWEEP_ORDERS["yx"]))[0]
         # a candidate is stopped once it costs more than the chosen one
         measured = (sweep_stats(matchings._sweep(g, d), limit=chosen)
                     for d in matchings.DIRECTIONS)
