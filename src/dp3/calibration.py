@@ -213,7 +213,10 @@ def _ints(value, length: int, field: str) -> tuple[int, ...]:
 def load_calibration(path: str | Path) -> BlockScheme:
     """Load and revalidate a stored calibration, refusing version or content
     mismatches (a stale or edited file must never silently miscalibrate).
-    A document of the wrong shape raises CalibrationError too."""
+    The labeling is rebuilt from ``labels`` and ``rho_center``, and the file
+    must then hold exactly what ``scheme_to_json`` writes for it: the same
+    keys, shapes and anchor, with the same JSON types.  A document of the
+    wrong shape raises CalibrationError too."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise CalibrationError("calibration file does not hold a JSON object")
@@ -222,23 +225,17 @@ def load_calibration(path: str | Path) -> BlockScheme:
         raise CalibrationError(
             f"calibration schema version {version!r} unsupported "
             f"(expected {CALIBRATION_SCHEMA_VERSION})")
-    labels, shapes = doc.get("labels"), doc.get("shapes")
-    if not (isinstance(labels, dict) and isinstance(shapes, dict)
-            and all(isinstance(e, list) for e in shapes.values())):
-        raise CalibrationError("calibration file lacks the labels or shapes object")
+    labels = doc.get("labels")
+    if not isinstance(labels, dict):
+        raise CalibrationError("calibration file lacks the labels object")
     lab = Labeling(
         up=_ints(labels.get("up"), 3, "labels.up"),
         down=_ints(labels.get("down"), 3, "labels.down"),
         rho_center=_ints(doc.get("rho_center"), 2, "rho_center"),
     )
     scheme = BlockScheme.from_labeling(lab)
-    stored = {
-        name: {(bool(up), c): da
-               for up, c, da in (_ints(e, 3, f"shapes.{name}") for e in entries)}
-        for name, entries in shapes.items()
-    }
-    if stored != scheme.shapes:
-        raise CalibrationError("stored block shapes disagree with the labeling")
+    if json.dumps(doc, indent=1, sort_keys=True) != scheme_to_json(scheme):
+        raise CalibrationError("calibration file disagrees with what its labeling gives")
     failures = labeling_failures(lab)
     if failures:
         raise CalibrationError(f"stored calibration fails validation: {failures}")

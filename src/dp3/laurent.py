@@ -135,9 +135,6 @@ class VarPermutation:
     def __repr__(self) -> str:
         return f"VarPermutation({self.image})"
 
-    def is_involution(self) -> bool:
-        return all(self.image[self.image[i - 1] - 1] == i for i in range(1, N_VARS + 1))
-
 
 #: The 180-degree symmetry (15)(24)(36) of the quiver and the lattice.
 SIGMA = VarPermutation((5, 4, 6, 2, 1, 3))
@@ -180,10 +177,6 @@ class LaurentPoly:
         return LaurentPoly(_raw={pack_exponents(exps): coeff})
 
     @staticmethod
-    def constant(c: int) -> "LaurentPoly":
-        return LaurentPoly(_raw={UNIT_KEY: c} if c else {})
-
-    @staticmethod
     def from_exponent_terms(terms: Mapping[Sequence[int], int]) -> "LaurentPoly":
         return LaurentPoly({pack_exponents(e): c for e, c in terms.items()})
 
@@ -199,12 +192,6 @@ class LaurentPoly:
 
     def coefficients(self) -> list[int]:
         return list(self._terms.values())
-
-    def exponents_of_monomial(self) -> tuple[int, ...]:
-        if len(self._terms) != 1:
-            raise ValueError("not a monomial")
-        (k,) = self._terms
-        return unpack_key(k)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -328,9 +328,6 @@ class BlockScheme:
         """The three faces of block T(i, j)."""
         return self.instance_faces(*self.block(i, j))
 
-    def block_type(self, i: int, j: int) -> str:
-        return self.block(i, j)[0]
-
     def distinguished_square(self, label: int, i: int, j: int) -> Face:
         """The unique face with the given label inside block T(i, j)."""
         faces = [f for f in self.block_faces(i, j) if self.labeling.label(f) == label]

@@ -288,10 +288,26 @@ def _text_labels(doc: dict) -> dict:
     return doc
 
 
+def _shape_flag_7(doc: dict) -> dict:
+    # an up-face entry, whose flag 1 a coercion to bool would not tell from 7
+    assert doc["shapes"]["254"][-1][0] == 1
+    doc["shapes"]["254"][-1][0] = 7
+    return doc
+
+
+def _duplicate_shape_entry(doc: dict) -> dict:
+    doc["shapes"]["254"].append(doc["shapes"]["254"][0])
+    return doc
+
+
 MALFORMED_CALIBRATIONS = {
     "no-labels": lambda doc: {"schema_version": 1},
     "not-an-object": lambda doc: [1, 2],
     "text-labels": _text_labels,
+    "anchor-moved": lambda doc: {**doc, "anchor": [5, 5]},
+    "shape-flag-7": _shape_flag_7,
+    "duplicate-shape-entry": _duplicate_shape_entry,
+    "unknown-key": lambda doc: {**doc, "comment": "edited by hand"},
 }
 
 CALIBRATION_COMMANDS = {

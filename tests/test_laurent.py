@@ -68,7 +68,7 @@ class TestExactDivision:
 
     def test_coefficient_not_divisible(self):
         with pytest.raises(NotDivisibleError):
-            x(1).exact_div(LaurentPoly.constant(2))
+            x(1).exact_div(LaurentPoly.monomial(2, (0,) * 6))
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
@@ -78,7 +78,7 @@ class TestExactDivision:
 class TestPermutation:
     def test_sigma_cycle_structure(self):
         assert [SIGMA(i) for i in range(1, 7)] == [5, 4, 6, 2, 1, 3]
-        assert SIGMA.is_involution()
+        assert all(SIGMA(SIGMA(i)) == i for i in range(1, 7))
 
     def test_sigma_on_variable(self):
         assert x(2).permute(SIGMA) == x(4)
@@ -112,7 +112,8 @@ class TestText:
 
     def test_parse_monomial(self):
         p = P("x2^-1 x3 x5")
-        assert p.exponents_of_monomial() == (0, -1, 1, 0, 1, 0)
+        assert p.term_count() == 1
+        assert next(p.terms())[0] == (0, -1, 1, 0, 1, 0)
 
     def test_negative_and_coefficients(self):
         assert format_poly(P("-2 x1 + x2 - 5")) == "-2 x1 + x2 - 5"
@@ -216,7 +217,9 @@ class TestExponentRange:
 
     def test_largest_exponents_still_pack(self):
         top = LaurentPoly.var(2, (1 << 22) - 1)
-        assert (top * LaurentPoly.var(2, -1)).exponents_of_monomial() == (0, (1 << 22) - 2, 0, 0, 0, 0)
+        p = top * LaurentPoly.var(2, -1)
+        assert p.term_count() == 1
+        assert next(p.terms())[0] == (0, (1 << 22) - 2, 0, 0, 0, 0)
 
 
 # -- packed arithmetic against the dict loops -----------------------------------------

@@ -199,7 +199,7 @@ def post_filter_frontier_sum(sweep, unit, fold):
     return states.get(0)
 
 
-ALL_ORDERS = (*matchings.DIRECTIONS, "yx", "xy")
+ALL_ORDERS = (None, "yx", "xy")
 
 
 def assert_kernels_agree(monkeypatch, graph, order=None):
@@ -224,8 +224,7 @@ def assert_kernels_agree(monkeypatch, graph, order=None):
 
 
 class TestPruningKernel:
-    @pytest.mark.parametrize("order", ALL_ORDERS,
-                             ids=lambda o: o if isinstance(o, str) else "%d,%d" % o)
+    @pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o or "default")
     def test_equals_post_filter_on_diamonds(self, scheme, monkeypatch, order):
         for n in range(0, 9):
             for primed in (False, True):
@@ -261,10 +260,10 @@ def made_graph(scheme, count, edges):
 
 
 def assert_reduction_exact(g):
-    """Every direction and the default sweep the reduced graph; the
-    reference orders sweep it as built.  All agree with enumeration."""
+    """The default sweeps the reduced graph, the reference orders sweep it
+    as built.  All agree with enumeration."""
     w, count = aggregate_enumeration(g), len(enumerate_pm(g))
-    for order in (None, *ALL_ORDERS):
+    for order in ALL_ORDERS:
         assert weighted_pm_sum(g, order) == w, order
         assert count_pm(g, order) == count, order
     return w
@@ -276,9 +275,8 @@ class TestReduction:
         g = made_graph(scheme, 4, [(0, 1, 1, 2), (1, 2, 3, 4), (2, 3, 5, 6), (3, 0, 1, 5)])
         w = assert_reduction_exact(g)
         assert w == parse_poly("x1^-1 x2^-1 x5^-1 x6^-1 + x1^-1 x3^-1 x4^-1 x5^-1")
-        for order in (None, *matchings.DIRECTIONS):
-            verts, earlier, _, _ = matchings._sweep(g, order)
-            assert len(verts) == 2 and len(earlier[1]) == 2
+        verts, earlier, _, _ = matchings._sweep(g)
+        assert len(verts) == 2 and len(earlier[1]) == 2
 
     def test_degree_two_to_one_neighbor_is_kept(self, scheme):
         # vertex 0 is joined twice to 1, which also meets 2 and 3; 4 and 5
@@ -287,9 +285,8 @@ class TestReduction:
                                    (2, 4, 2, 3), (3, 4, 4, 5), (2, 5, 1, 3), (3, 5, 2, 6)])
         w = assert_reduction_exact(g)
         assert w.term_count() == 4
-        for order in (None, *matchings.DIRECTIONS):
-            verts = matchings._sweep(g, order)[0]
-            assert g.vertices[0] in verts and len(verts) == 4
+        verts = matchings._sweep(g)[0]
+        assert g.vertices[0] in verts and len(verts) == 4
 
     @pytest.mark.parametrize("listed", [(0, 1, 2, 3, 4, 5), (0, 1, 3, 5, 4, 2)],
                              ids=["path-order", "shuffled"])
@@ -301,63 +298,44 @@ class TestReduction:
         g = dataclasses.replace(g, vertices=tuple(g.vertices[i] for i in listed))
         w = assert_reduction_exact(g)
         assert w == parse_poly("x1^-1 x2^-2 x4^-1 x5^-1 x6^-1")
-        for order in (None, *matchings.DIRECTIONS):
-            verts, earlier, _, _ = matchings._sweep(g, order)
-            assert len(verts) == 2 and earlier[0] == []
-            ((_, key),) = earlier[1]
-            assert LaurentPoly({UNIT_KEY + key: 1}) == w
+        verts, earlier, _, _ = matchings._sweep(g)
+        assert len(verts) == 2 and earlier[0] == []
+        ((_, key),) = earlier[1]
+        assert LaurentPoly({UNIT_KEY + key: 1}) == w
 
     def test_odd_cycles_stay_odd(self, scheme):
         # the triangle with a pendant edge of TestPackedFold.test_odd_cycle_rejected:
         # each degree-2 vertex has adjacent neighbors, so nothing contracts
         g = made_graph(scheme, 4, [(0, 1, 1, 2), (1, 2, 1, 3), (0, 2, 2, 3), (2, 3, 4, 5)])
-        for order in (None, *ALL_ORDERS):
+        for order in ALL_ORDERS:
             assert len(matchings._sweep(g, order)[0]) == 4
             assert count_pm(g, order) == 1
         # a 5-cycle with a pendant edge contracts to the triangle with one
         g = made_graph(scheme, 6, [(0, 1, 1, 2), (1, 2, 1, 3), (2, 3, 2, 3), (3, 4, 4, 5),
                                    (4, 0, 1, 4), (0, 5, 2, 5)])
-        for order in (None, *ALL_ORDERS):
+        for order in ALL_ORDERS:
             assert count_pm(g, order) == 1
             with pytest.raises(ValueError, match="bipartite"):
                 weighted_pm_sum(g, order)
-        for order in (None, *matchings.DIRECTIONS):
-            assert len(matchings._sweep(g, order)[0]) == 4
+        assert len(matchings._sweep(g)[0]) == 4
 
 
-def sweep_cost(sweep):
-    """``_sweep_cost`` of a built sweep, reading each vertex's last-neighbor
-    position off the prune masks."""
-    last = [s for i in range(len(sweep[0])) for s, dead in enumerate(sweep[3]) if dead >> i & 1]
-    return matchings._sweep_cost(last)
+#: The six lattice axes of ``tiling.vertex_coords`` and their reverses.
+AXES = ((1, 0), (-1, 0), (2, 1), (-2, -1), (2, -1), (-2, 1),
+        (2, 3), (-2, -3), (2, -3), (-2, 3), (0, 1), (0, -1))
 
 
 class TestSweepChoice:
-    @pytest.mark.parametrize("n", range(0, 9))
-    def test_cost_bounds_state_steps(self, scheme, n):
-        for primed in (False, True):
-            g = build_diamond(n, primed, scheme)
-            for d in matchings.DIRECTIONS:
-                sweep = matchings._sweep(g, d)
-                assert sweep_stats(sweep)[0] <= 1 + sweep_cost(sweep), (primed, d)
-
-    @pytest.mark.parametrize("n", range(0, 9))
-    def test_default_is_cheapest_direction(self, scheme, n):
-        for primed in (False, True):
-            g = build_diamond(n, primed, scheme)
-            sweeps = [matchings._sweep(g, d) for d in matchings.DIRECTIONS]
-            assert matchings._sweep(g) == min(sweeps, key=sweep_cost)
-
     @pytest.mark.parametrize("primed", [False, True])
     @pytest.mark.parametrize("n", range(6, 13))
-    def test_chosen_direction_near_best(self, scheme, n, primed):
+    def test_chosen_direction_near_best(self, scheme, monkeypatch, n, primed):
         g = build_diamond(n, primed, scheme)
         chosen, _ = sweep_stats(matchings._sweep(g))
-        # row order on the reduced graph; "yx" itself sweeps the graph as built
-        assert chosen <= sweep_stats(matchings._sweep(g, matchings.SWEEP_ORDERS["yx"]))[0]
-        # a candidate is stopped once it costs more than the chosen one
-        measured = (sweep_stats(matchings._sweep(g, d), limit=chosen)
-                    for d in matchings.DIRECTIONS)
+        measured = []
+        for axis in AXES:
+            monkeypatch.setattr(matchings, "SWEEP", axis)
+            # an axis is stopped once it costs more than the chosen one
+            measured.append(sweep_stats(matchings._sweep(g), limit=chosen))
         best = min(steps for steps, _ in filter(None, measured))
         assert chosen <= 1.25 * best
 
@@ -368,8 +346,10 @@ class TestSweepChoice:
         assert matchings._sweep(g, "xy")[0] == sorted(g.vertices, key=lambda v: (xy(v), v))
 
     def test_unknown_direction_rejected(self, scheme):
-        with pytest.raises(ValueError):
-            count_pm(build_diamond(1, False, scheme), (3, 1))
+        g = build_diamond(1, False, scheme)
+        for order in ((2, 3), [2, 3]):
+            with pytest.raises(ValueError):
+                count_pm(g, order)
 
 
 class TestEnumeration:

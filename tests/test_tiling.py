@@ -168,7 +168,7 @@ class TestBlocks:
     def test_type_parity_rule(self, scheme):
         for i in range(-9, 5):
             for j in range(-4, 5):
-                assert scheme.block_type(i, j) == expected_block_type(i, j)
+                assert scheme.block(i, j)[0] == expected_block_type(i, j)
 
     def test_blocks_partition_faces(self, scheme):
         seen = {}
@@ -204,7 +204,7 @@ class TestBlocks:
         from dp3.diamonds import diamond_blocks
 
         for n in range(1, 7):
-            types = [scheme.block_type(i, j) for i, j in diamond_blocks(n)]
+            types = [scheme.block(i, j)[0] for i, j in diamond_blocks(n)]
             want = {
                 "254": n * (n + 1) // 2,
                 "316": n * (n - 1) // 2,
