@@ -21,19 +21,23 @@ each other, and the Laurent ring is a domain).  ``echelon`` gives a basis
 of ``L`` whose pivot exponents determine a point of a coset.  Each operand
 becomes one integer: a coefficient is one digit, of a fixed number of bytes
 and balanced around zero, at the mixed-radix position of its pivot
-exponents in the result's pivot box.  One multiplication or ``divmod`` of
-Python integers then does the work; the digits are read back with one
+exponents in the result's pivot box.  One multiplication or exact division
+of Python integers then does the work; the digits are read back with one
 ``to_bytes`` pass (``unpack_digits``) and lifted to packed keys through
 the basis (``lift_pivots``), both shared with the weighted matching sum.
 
 A product is exact by construction: the box's widths are the sums of the
 operands', so positions never wrap, and the digit width holds the largest
-possible coefficient.  A quotient is exact only by proof.  A nonzero
-remainder proves that no exact quotient exists, because an exact one makes
-the packed equation hold at every width.  Otherwise the decoded quotient is
-returned only after ``q * den == num`` is shown on packed integers at a
-width that holds every coefficient of both sides; a failed decode or proof
-doubles the width a few times and then leaves the call to leading-term
+possible coefficient.  A quotient is exact only by proof.  The integer
+quotient is found 2-adically (``_exact_quotient``): from the low end, with
+a Newton-iterated inverse of the divisor's odd part, in Karatsuba products
+rather than CPython's quadratic long division, and it is accepted only once
+``q * den == num`` holds on the integers.  When none exists, that proves no
+exact Laurent quotient exists, because an exact one makes the packed
+equation hold at every width.  Otherwise the decoded quotient is returned
+only after ``q * den == num`` is shown on packed integers at a width that
+holds every coefficient of both sides; a failed decode or proof doubles
+the width a few times and then leaves the call to leading-term
 elimination.
 
 Packing pays only when the pivot box is dense: sparse supports of high
@@ -42,7 +46,16 @@ when its box holds at most _PACK_DENSITY digits per pair of operand terms
 (per numerator term); otherwise the dict schoolbook loop (the
 elimination) runs.  A monomial operand shifts the other's keys in one pass.
 
-All values are immutable after construction; every operation returns a new
+Each value carries its degree box (per-variable lowest and highest
+exponents) and a lattice it lies in one coset of, filled on first use like
+its hash, or at once by the operation that made it when that operation
+knows them: a product's box is the sum of its factors' and its lattice the
+sum of theirs, an exact quotient's box is the difference of the operands',
+and a permuted value gets the permuted box and basis.  So each ``y_N`` has
+its box and lattice computed at most once, however often it is an operand.
+
+All values are immutable after construction (the cached box and lattice
+are idempotent fills, like the hash); every operation returns a new
 polynomial, so values can be shared freely between threads.
 """
 
@@ -73,6 +86,9 @@ _PACK_DENSITY = 8
 # A packed division that cannot decode or prove its quotient doubles the
 # digit width at most this many times before handing over to elimination.
 _MAX_DOUBLINGS = 3
+
+# A support lattice not computed yet (None is a lattice that cannot be trusted).
+_UNKNOWN = object()
 
 
 class NotDivisibleError(ArithmeticError):
@@ -143,15 +159,20 @@ SIGMA = VarPermutation((5, 4, 6, 2, 1, 3))
 class LaurentPoly:
     """An exact Laurent polynomial in x1..x6 with integer coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_box", "_lattice")
 
-    def __init__(self, terms: Mapping[int, int] | None = None, *, _raw: dict | None = None):
-        # _raw is trusted to contain no zero coefficients (internal fast path).
+    def __init__(self, terms: Mapping[int, int] | None = None, *, _raw: dict | None = None,
+                 _box=None, _lattice=_UNKNOWN):
+        # _raw is trusted to contain no zero coefficients, _box to be its
+        # degree box and _lattice a lattice it lies in one coset of
+        # (internal fast path).
         if _raw is not None:
             self._terms = _raw
         else:
             self._terms = {k: c for k, c in (terms or {}).items() if c != 0}
         self._hash = None
+        self._box = _box
+        self._lattice = _lattice
 
     # -- constructors -------------------------------------------------------
 
@@ -208,6 +229,22 @@ class LaurentPoly:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
+    def _degree_box(self) -> tuple[list[int], list[int]]:
+        """Per-variable lowest and highest exponents of a nonzero value,
+        computed on first use unless the operation that made it knew them."""
+        if self._box is None:
+            self._box = _ranges(self._terms)
+        return self._box
+
+    def _support_basis(self) -> tuple[list[list[int]], list[int]] | None:
+        """An echelon basis and pivots of a lattice the nonzero value lies in
+        one coset of, or None when it cannot be trusted: ``_support_lattice``
+        on first use, unless the operation that made it knew one (a
+        product's is the sum of its factors', which spans the same space)."""
+        if self._lattice is _UNKNOWN:
+            self._lattice = _support_lattice(self._terms, self._degree_box())
+        return self._lattice
+
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -243,20 +280,24 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a or not b:
+        if not self._terms or not other._terms:
             return _ZERO
-        if len(a) < len(b):
-            a, b = b, a
-        abox, bbox = _ranges(a), _ranges(b)
-        _check_range([x + y for x, y in zip(abox[0], bbox[0])],
-                     [x + y for x, y in zip(abox[1], bbox[1])])
+        f, g = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
+        a, b = f._terms, g._terms
+        (alo, ahi), (blo, bhi) = f._degree_box(), g._degree_box()
+        # the degree box of a product is the sum of its factors' (a domain)
+        box = [x + y for x, y in zip(alo, blo)], [x + y for x, y in zip(ahi, bhi)]
+        _check_range(*box)
         if len(b) == 1:
             ((kb, cb),) = b.items()
             off = kb - UNIT_KEY
-            return LaurentPoly(_raw={k + off: c * cb for k, c in a.items()})
-        out = _packed_mul(a, b, abox, bbox)
-        return LaurentPoly(_raw=_schoolbook_mul(a, b) if out is None else out)
+            return LaurentPoly(_raw={k + off: c * cb for k, c in a.items()}, _box=box,
+                               _lattice=f._support_basis())
+        # the product lies in one coset of the sum of its factors' lattices
+        lattice = _pair_lattice(f, g)
+        out = None if lattice is None else _packed_mul(f, g, lattice)
+        return LaurentPoly(_raw=_schoolbook_mul(a, b) if out is None else out, _box=box,
+                           _lattice=lattice)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -267,34 +308,37 @@ class LaurentPoly:
                 raise NotDivisibleError("negative powers need a unit coefficient")
             exps = [n * e for e in unpack_key(k)]
             return LaurentPoly(_raw={pack_exponents(exps): c ** (n & 1) if c < 0 else 1})
-        result = _ONE
+        # start from the first factor, not from 1 times it, so that p ** 1
+        # is p itself, with the box and lattice it has computed
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return _ONE if result is None else result
 
     def exact_div(self, den: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / den, raising NotDivisibleError if none exists.
 
         Exact quotients have, in every variable, max and min degree equal to
         the difference of the operands' max/min degrees; an empty such box
-        proves inexactness.  A monomial divisor shifts every term; a
-        numerator dense in its pivot box goes through ``_packed_div``,
-        anything else (or a packed division that cannot settle the
-        quotient) through ``_eliminate``.
+        proves inexactness, and the quotient keeps the box.  A monomial
+        divisor shifts every term; a numerator dense in its pivot box goes
+        through ``_packed_div``, whose integer quotient is taken 2-adically
+        and proven by ``q * den == num``; anything else (or a packed
+        division that cannot settle the quotient) through ``_eliminate``.
         """
         if not den:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return _ZERO
         num, d = self._terms, den._terms
-        nbox, dbox = _ranges(num), _ranges(d)
-        lo = [x - y for x, y in zip(nbox[0], dbox[0])]
-        hi = [x - y for x, y in zip(nbox[1], dbox[1])]
+        (nlo, nhi), (dlo, dhi) = self._degree_box(), den._degree_box()
+        lo = [x - y for x, y in zip(nlo, dlo)]
+        hi = [x - y for x, y in zip(nhi, dhi)]
         if any(l > h for l, h in zip(lo, hi)):
             raise NotDivisibleError("no exact quotient (empty degree box)")
         _check_range(lo, hi)
@@ -307,21 +351,28 @@ class LaurentPoly:
                 if r:
                     raise NotDivisibleError("coefficient not divisible")
                 out[k - off] = q
-            return LaurentPoly(_raw=out)
-        out = _packed_div(num, d, nbox, dbox)
-        return LaurentPoly(_raw=_eliminate(num, d, lo, hi) if out is None else out)
+            return LaurentPoly(_raw=out, _box=(lo, hi))
+        lattice = _pair_lattice(self, den)
+        out = None if lattice is None else _packed_div(self, den, lattice)
+        return LaurentPoly(_raw=_eliminate(num, d, lo, hi) if out is None else out,
+                           _box=(lo, hi))
 
     def permute(self, perm: VarPermutation) -> "LaurentPoly":
-        """Apply x_i -> x_perm(i) to every monomial."""
-        img = perm.image
-        out = {}
-        for k, c in self._terms.items():
-            e = unpack_key(k)
-            new = [0] * N_VARS
-            for i in range(N_VARS):
-                new[img[i] - 1] = e[i]
-            out[pack_exponents(new)] = c
-        return LaurentPoly(_raw=out)
+        """Apply x_i -> x_perm(i) to every monomial.  The biased exponent
+        fields move as they are, since all share one bias; a known degree
+        box and support lattice move with them."""
+        keys = list(self._terms)
+        out = [0] * len(keys)
+        for s, j in zip(_SHIFTS, perm.image):
+            t = _SHIFTS[j - 1]
+            out = [a | (k >> s & _MASK) << t for a, k in zip(out, keys)]
+        box, lattice = self._box, self._lattice
+        if box is not None:
+            box = tuple(_permuted(v, perm) for v in box)
+        if lattice is not None and lattice is not _UNKNOWN:
+            lattice = echelon(_permuted(row, perm) for row in lattice[0])
+        return LaurentPoly(_raw=dict(zip(out, self._terms.values())), _box=box,
+                           _lattice=lattice)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact evaluation at a point with all coordinates nonzero."""
@@ -506,44 +557,60 @@ def lift_pivots(base: Sequence[int], basis, pivots, qs: list[list[int]]) -> list
     return _combine(UNIT_KEY + _offset(base), basis, coords, len(qs[0]))
 
 
-def _support_lattice(polys, boxes) -> tuple[list[list[int]], list[int]] | None:
+def _support_lattice(terms: dict[int, int], box) -> tuple[list[list[int]], list[int]] | None:
     """An echelon basis and pivots of the lattice ``L`` spanned by the
-    exponent differences within each polynomial, so that each one lies in a
-    single coset of ``L``; None when the packed membership test below
-    cannot be trusted for them.
+    exponent differences of a nonzero polynomial, so that it lies in a
+    single coset of ``L``; None when the packed membership test below cannot
+    be trusted for it.
 
-    A term is in the coset of the polynomial's first term when its key
-    equals the key rebuilt from its pivot exponents through the basis.
-    The first term that fails adds its difference to the generators.  Both
-    sides of the comparison are exact integers; they are equal only for
-    equal exponent vectors as long as the rebuilt vector stays packable,
-    which the coordinate bounds from the pivot ranges ``boxes`` check.
+    A term is in the coset of the first term when its key equals the key
+    rebuilt from its pivot exponents through the basis.  The first term that
+    fails adds its difference to the generators.  Both sides of the
+    comparison are exact integers; they are equal only for equal exponent
+    vectors as long as the rebuilt vector stays packable, which the
+    coordinate bounds from the degree box ``box`` check.
     """
+    lo, hi = box
     basis: list[list[int]] = []
     pivots: list[int] = []
-    for terms, (lo, hi) in zip(polys, boxes):
-        keys = list(terms)
-        key0 = keys[0]
-        t = 1
-        while t < len(keys):
-            if not _rebuild_packable(basis, pivots, lo, hi):
-                return None
-            rest = keys[t:]
-            deltas = []
-            for p in pivots:
-                s = _SHIFTS[p]
-                low = key0 >> s & _MASK
-                deltas.append([(k >> s & _MASK) - low for k in rest])
-            rebuilt = _combine(key0, basis, _coordinates(basis, pivots, deltas, False),
-                               len(rest))
-            bad = next((i for i, (k, r) in enumerate(zip(rest, rebuilt)) if k != r), None)
-            if bad is None:
-                break
-            t += bad
-            basis, pivots = echelon(
-                basis + [[a - b for a, b in zip(unpack_key(keys[t]), unpack_key(key0))]])
-            t += 1
+    keys = list(terms)
+    key0 = keys[0]
+    t = 1
+    while t < len(keys):
+        if not _rebuild_packable(basis, pivots, lo, hi):
+            return None
+        rest = keys[t:]
+        deltas = []
+        for p in pivots:
+            s = _SHIFTS[p]
+            low = key0 >> s & _MASK
+            deltas.append([(k >> s & _MASK) - low for k in rest])
+        rebuilt = _combine(key0, basis, _coordinates(basis, pivots, deltas, False), len(rest))
+        bad = next((i for i, (k, r) in enumerate(zip(rest, rebuilt)) if k != r), None)
+        if bad is None:
+            break
+        t += bad
+        basis, pivots = echelon(
+            basis + [[a - b for a, b in zip(unpack_key(keys[t]), unpack_key(key0))]])
+        t += 1
     return basis, pivots
+
+
+def _pair_lattice(a: LaurentPoly, b: LaurentPoly) -> tuple[list[list[int]], list[int]] | None:
+    """An echelon basis and pivots of the sum of the operands' support
+    lattices, or None when either cannot be trusted."""
+    la, lb = a._support_basis(), b._support_basis()
+    if la is None or lb is None:
+        return None
+    return echelon(la[0] + lb[0])
+
+
+def _permuted(v: Sequence[int], perm: VarPermutation) -> list[int]:
+    """A per-variable vector with entry i moved to perm(i)."""
+    out = [0] * N_VARS
+    for e, j in zip(v, perm.image):
+        out[j - 1] = e
+    return out
 
 
 def _rebuild_packable(basis, pivots, lo, hi) -> bool:
@@ -585,34 +652,21 @@ def _pack(positions: Sequence[int], coeffs: Iterable[int], length: int, width: i
 
 
 def unpack_digits(value: int, length: int, width: int) -> tuple[list[int], list[int]] | None:
-    """The nonzero digits of ``value`` in base 256**width, balanced: |value|'s
-    digits are taken in [-256**width / 2, 256**width / 2) from the least
-    significant end, carrying one into the next digit when a digit is
-    lowered.  Returns position and coefficient lists, or None when it needs
-    more than ``length`` digits.  One linear conversion to bytes, then one
-    slice per digit.  The decoder of both the packed Laurent arithmetic and
-    the weighted matching sum."""
-    sign = -1 if value < 0 else 1
-    value = abs(value)
-    if value.bit_length() > 8 * width * length:
+    """The nonzero digits of ``value`` in base 256**width, balanced: each in
+    [-256**width / 2, 256**width / 2).  Returns position and coefficient
+    lists, or None when it needs more than ``length`` digits.  Adding the
+    constant with byte 0x80 at the top of every digit turns each balanced
+    digit into an unsigned one, so one linear conversion to bytes and one
+    slice per digit read them all.  The decoder of both the packed Laurent
+    arithmetic and the weighted matching sum."""
+    value += int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+    if value < 0 or value.bit_length() > 8 * width * length:
         return None
     data = value.to_bytes(width * length, "little")
-    full = 1 << 8 * width
-    half, zero = full >> 1, bytes(width)
-    positions, coeffs = [], []
-    carry = 0
-    for i in range(length):
-        chunk = data[i * width:(i + 1) * width]
-        if chunk == zero and not carry:
-            continue
-        d = int.from_bytes(chunk, "little") + carry
-        carry = d >= half
-        if carry:
-            d -= full
-        if d:
-            positions.append(i)
-            coeffs.append(sign * d)
-    return None if carry else (positions, coeffs)
+    from_bytes, half = int.from_bytes, 1 << 8 * width - 1
+    digits = [from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    positions = [i for i, d in enumerate(digits) if d != half]
+    return positions, [digits[i] - half for i in positions]
 
 
 def _radix(widths: Sequence[int]) -> list[int]:
@@ -644,20 +698,19 @@ def _product_width(a: tuple[int, int], b: tuple[int, int]) -> int:
     return digit_bytes(min(a[0] * b[1], a[1] * b[0]))
 
 
-def _packed_mul(a: dict[int, int], b: dict[int, int], abox, bbox) -> dict[int, int] | None:
+def _packed_mul(a: LaurentPoly, b: LaurentPoly, lattice) -> dict[int, int] | None:
     """The product by one big-integer multiplication, or None when the
-    operands' pivot box is too sparse (or too wide to trust) for packing.
+    operands' pivot box is too sparse for packing.  ``lattice`` is their
+    ``_pair_lattice``.
 
     Both operands are packed with the mixed radix of the product's pivot
     box, whose widths are the sums of theirs, so positions add without
     wrapping; the digit width holds every product coefficient, so the
     balanced digits of the integer product are its coefficients."""
-    lattice = _support_lattice((a, b), (abox, bbox))
-    if lattice is None:
-        return None
     basis, pivots = lattice
-    alo, aw = _pivot_box(abox, pivots)
-    blo, bw = _pivot_box(bbox, pivots)
+    alo, aw = _pivot_box(a._degree_box(), pivots)
+    blo, bw = _pivot_box(b._degree_box(), pivots)
+    a, b = a._terms, b._terms
     widths = [x + y - 1 for x, y in zip(aw, bw)]
     size = prod(widths)
     if size > _PACK_DENSITY * len(a) * len(b):
@@ -678,28 +731,78 @@ def _packed_mul(a: dict[int, int], b: dict[int, int], abox, bbox) -> dict[int, i
     return dict(zip(keys, coeffs))
 
 
-def _packed_div(num: dict[int, int], den: dict[int, int], nbox, dbox) -> dict[int, int] | None:
-    """The exact quotient by one big-integer division, or None when packing
-    does not apply or cannot settle it.  Raises NotDivisibleError on an
-    empty quotient pivot box or a nonzero remainder.
+def _odd_inverse(d: int, bits: int) -> int:
+    """The inverse of an odd ``d`` modulo 2**bits, by Newton's iteration:
+    if d * inv == 1 + 2**m * e (mod 2**p), m >= p / 2, then d * (inv -
+    2**m * inv * e) == 1 (mod 2**p), so each step doubles the correct bits."""
+    precisions = [bits]
+    while precisions[-1] > 3:
+        precisions.append(precisions[-1] + 1 >> 1)
+    inv = d & 7  # d * d == 1 (mod 8)
+    for p in reversed(precisions[:-1]):
+        m = p + 1 >> 1
+        e = (d & (1 << p) - 1) * inv >> m & (1 << p - m) - 1
+        inv = inv - ((inv * e & (1 << p - m) - 1) << m) & (1 << p) - 1
+    return inv
+
+
+def _exact_quotient(num: int, den: int) -> int | None:
+    """num // den when den (nonzero) divides num, else None.
+
+    Exact division from the low end (Jebelean, J. Symbolic Comput. 15,
+    1993).  Once the trailing zero bits are stripped, |den| is odd, and an
+    exact quotient is |num| times the inverse of |den| modulo 2**k, k the
+    most bits the quotient can have.  It is taken in blocks of a third of
+    den's bits, each one product with the inverse modulo the block size,
+    while r = |num| - q * |den| is kept exactly; q is returned only when r
+    ends at 0, which is q * den == num on the integers.  A few Karatsuba
+    products replace CPython's quadratic long division."""
+    if not num:
+        return 0
+    shift = (den & -den).bit_length() - 1
+    r, d = abs(num), abs(den) >> shift
+    if r & (1 << shift) - 1:
+        return None
+    r >>= shift
+    k = r.bit_length() - d.bit_length() + 1
+    if k < 1:
+        return None
+    step = min(k, -(-d.bit_length() // 3))
+    inv = _odd_inverse(d, step)
+    q = 0
+    for i in range(0, k, step):
+        mask = (1 << min(step, k - i)) - 1
+        block = (r >> i & mask) * inv & mask
+        r -= block * d << i
+        q |= block << i
+    if r:
+        return None
+    return -q if (num < 0) != (den < 0) else q
+
+
+def _packed_div(num: LaurentPoly, den: LaurentPoly, lattice) -> dict[int, int] | None:
+    """The exact quotient by one exact division of big integers, or None
+    when packing does not apply or cannot settle it; ``lattice`` is the
+    operands' ``_pair_lattice``.  Raises NotDivisibleError on an empty
+    quotient pivot box or when the packed divisor does not divide the packed
+    numerator.
 
     Everything is packed with the mixed radix of the numerator's pivot box.
     An exact quotient ``q`` lies in the coset of num's base minus den's, in
     the box of pivot ranges num's minus den's, so ``pack(num) = pack(q) *
-    pack(den)`` at every digit width: a nonzero remainder proves there is
-    none.  With remainder 0 the integer quotient is decoded and lifted; the
-    result is returned only once ``q * den == num`` is proven by comparing
-    packed integers at a digit width that holds every coefficient of both
-    sides, with q's pivot exponents inside the box (then packing is
-    injective and a ring homomorphism).  When the width of the division
-    already holds them, its own exact equation is that comparison.  A failed
-    decode or proof doubles the width, up to _MAX_DOUBLINGS times."""
-    lattice = _support_lattice((num, den), (nbox, dbox))
-    if lattice is None:
-        return None
+    pack(den)`` at every digit width: an integer quotient that does not
+    exist proves there is none.  Otherwise the integer quotient is decoded
+    and lifted; the result is returned only once ``q * den == num`` is
+    proven by comparing packed integers at a digit width that holds every
+    coefficient of both sides, with q's pivot exponents inside the box
+    (then packing is injective and a ring homomorphism).  When the width of
+    the division already holds them, its own exact equation is that
+    comparison.  A failed decode or proof doubles the width, up to
+    _MAX_DOUBLINGS times."""
     basis, pivots = lattice
-    nlo, nw = _pivot_box(nbox, pivots)
-    dlo, dw = _pivot_box(dbox, pivots)
+    nlo, nw = _pivot_box(num._degree_box(), pivots)
+    dlo, dw = _pivot_box(den._degree_box(), pivots)
+    num, den = num._terms, den._terms
     qw = [x - y + 1 for x, y in zip(nw, dw)]
     if min(qw) < 1:
         raise NotDivisibleError("no exact quotient (empty pivot box)")
@@ -717,10 +820,10 @@ def _packed_div(num: dict[int, int], den: dict[int, int], nbox, dbox) -> dict[in
     # a sign, and may need more
     width = -(-max(nnorms[0], dnorms[0]).bit_length() // 8)
     for _ in range(_MAX_DOUBLINGS + 1):
-        packed_den = _pack(dpos, den.values(), max(dpos) + 1, width)
-        quot, rem = divmod(_pack(npos, num.values(), size, width), packed_den)
-        if rem:
-            raise NotDivisibleError("no exact quotient (nonzero packed remainder)")
+        quot = _exact_quotient(_pack(npos, num.values(), size, width),
+                               _pack(dpos, den.values(), max(dpos) + 1, width))
+        if quot is None:
+            raise NotDivisibleError("no exact quotient (packed divisor does not divide)")
         digits = unpack_digits(quot, qsize, width)
         if digits is not None:
             positions, coeffs = digits
@@ -736,6 +839,7 @@ def _packed_div(num: dict[int, int], den: dict[int, int], nbox, dbox) -> dict[in
                     return dict(zip(keys, coeffs))
         width *= 2
     return None
+
 
 def format_poly(p: LaurentPoly) -> str:
     """Canonical text form: terms sorted by exponent vector descending."""

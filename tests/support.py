@@ -82,3 +82,33 @@ def sweep_stats(sweep, limit: int | None = None) -> tuple[int, int] | None:
     except _OverLimit:
         return None
     return total[0], max(sizes)
+
+
+def unpack_digits_by_loop(value: int, length: int, width: int):
+    """The balanced-digit decoder that ``laurent.unpack_digits`` replaced,
+    kept as its reference: |value|'s digits in [-256**width / 2,
+    256**width / 2) from the least significant end, one digit at a time,
+    carrying one into the next digit when a digit is lowered; None when it
+    needs more than ``length`` digits.  Agrees with ``unpack_digits`` on
+    every value whose digits all have magnitude below 256**width / 2."""
+    sign = -1 if value < 0 else 1
+    value = abs(value)
+    if value.bit_length() > 8 * width * length:
+        return None
+    data = value.to_bytes(width * length, "little")
+    full = 1 << 8 * width
+    half, zero = full >> 1, bytes(width)
+    positions, coeffs = [], []
+    carry = 0
+    for i in range(length):
+        chunk = data[i * width:(i + 1) * width]
+        if chunk == zero and not carry:
+            continue
+        d = int.from_bytes(chunk, "little") + carry
+        carry = d >= half
+        if carry:
+            d -= full
+        if d:
+            positions.append(i)
+            coeffs.append(sign * d)
+    return None if carry else (positions, coeffs)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dp3 import laurent
@@ -17,9 +17,11 @@ from dp3.laurent import (
     VarPermutation,
     format_poly,
     parse_poly,
+    unpack_key,
     x,
 )
 from dp3.quiver import recurrence_y, run_periodic_sequence
+from support import unpack_digits_by_loop
 
 
 def P(text: str) -> LaurentPoly:
@@ -250,13 +252,11 @@ def lattice_polys(draw, count: int, coeffs=coefficients) -> list[LaurentPoly]:
 
 
 def packed_mul(a: LaurentPoly, b: LaurentPoly):
-    return laurent._packed_mul(a._terms, b._terms, laurent._ranges(a._terms),
-                               laurent._ranges(b._terms))
+    return laurent._packed_mul(a, b, laurent._pair_lattice(a, b))
 
 
 def packed_div(num: LaurentPoly, den: LaurentPoly):
-    return laurent._packed_div(num._terms, den._terms, laurent._ranges(num._terms),
-                               laurent._ranges(den._terms))
+    return laurent._packed_div(num, den, laurent._pair_lattice(num, den))
 
 
 def always_packed():
@@ -392,3 +392,91 @@ def test_quiver_routes_match_dict_arithmetic(monkeypatch):
     slow = both_routes()
     assert not any(packed)
     assert fast == slow
+
+
+def assert_cached_support_holds(p: LaurentPoly):
+    """The degree box a nonzero value carries is _ranges of its terms, and
+    every term lifts through the lattice basis it carries."""
+    assert tuple(p._degree_box()) == laurent._ranges(p._terms)
+    basis, pivots = p._support_basis()
+    keys = list(p._terms)
+    if len(keys) == 1:
+        assert basis == []
+        return
+    exps = [unpack_key(k) for k in keys]
+    assert laurent.lift_pivots(exps[0], basis, pivots,
+                               [[e[c] for e in exps] for c in pivots]) == keys
+
+
+def test_cached_boxes_and_lattices_hold_on_the_quiver_values(monkeypatch):
+    """Every value made while computing recurrence_y(1..14) and
+    run_periodic_sequence(28), products, sums, quotients and permuted values
+    included."""
+    made, given_at_birth = [], []
+    init = LaurentPoly.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+        given_at_birth.append((self._box is not None, self._lattice is not laurent._UNKNOWN))
+
+    monkeypatch.setattr(LaurentPoly, "__init__", recording)
+    recurrence_y.cache_clear()
+    try:
+        run_periodic_sequence(28)
+        for n in range(1, 15):
+            recurrence_y(n)
+    finally:
+        recurrence_y.cache_clear()
+    monkeypatch.undo()
+    # the operations that made them gave most of them a box and a lattice
+    boxes, lattices = zip(*given_at_birth)
+    assert sum(boxes) > 0.6 * len(made) and sum(lattices) > 0.4 * len(made)
+    for p in filter(None, made):
+        assert_cached_support_holds(p)
+
+
+@given(nonzero_polys, polys.filter(bool), st.permutations(range(1, 7)))
+def test_permute_moves_the_cached_box_and_lattice(a, b, image):
+    perm = VarPermutation(image)
+    p = a * b  # a product carries its box and lattice
+    q = p.permute(perm)
+    assert q._box is not None and q._lattice is not laurent._UNKNOWN
+    assert_cached_support_holds(q)
+    assert q == LaurentPoly(_raw=dict(p._terms)).permute(perm)
+
+
+# -- integer kernels ------------------------------------------------------------------
+
+divisors = st.builds(lambda d, z: d << z, st.integers(-(1 << 200), 1 << 200).filter(bool),
+                     st.integers(0, 9))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(1 << 400), 1 << 400)), divisors,
+       st.integers(-(1 << 12), 1 << 12))
+@example(0, 12, 0)
+@example(1, -(5 << 70), 1)
+@example(-1, 6, 3)
+def test_exact_quotient_matches_divmod(q, d, r):
+    """divmod's quotient when the remainder is 0, else None: both signs,
+    even divisors, a zero numerator, 0- and 1-bit quotients (q in 0, +-1),
+    and numerators r shorter than the divisor."""
+    for num in (q * d, q * d + r, r):
+        quot, rem = divmod(num, d)
+        assert laurent._exact_quotient(num, d) == (None if rem else quot)
+
+
+@given(st.integers(1, 5).flatmap(lambda w: st.tuples(st.just(w), st.lists(
+    st.integers(-(1 << 8 * w - 1) + 1, (1 << 8 * w - 1) - 1), max_size=30))))
+def test_unpack_digits_matches_the_digit_loop(wd):
+    """Random balanced digit strings, |d| < 256**w / 2, read back at every
+    length up to two past the last digit: None below the last nonzero one."""
+    w, digits = wd
+    value = sum(d << 8 * w * i for i, d in enumerate(digits))
+    nonzero = [i for i, d in enumerate(digits) if d]
+    for length in range(len(digits) + 3):
+        got = laurent.unpack_digits(value, length, w)
+        assert got == unpack_digits_by_loop(value, length, w)
+        fits = not nonzero or nonzero[-1] < length
+        assert got == ((nonzero, [digits[i] for i in nonzero]) if fits else None)

@@ -1,12 +1,16 @@
-"""The package's public surface: every exported name exists, and the
-README's Library example runs as documented."""
+"""The package's public surface: every exported name exists, the README's
+Library example runs as documented, and the package imports nothing outside
+the standard library."""
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 import dp3
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_all_names_resolve():
@@ -20,3 +24,22 @@ def test_readme_library_snippet():
     snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     assert "assert w * covering_monomial(4) == y4" in snippet
     exec(compile(snippet, str(README), "exec"), {})
+
+
+def test_only_standard_library_imports():
+    """dp3 has no runtime dependencies: every module in src/dp3 imports only
+    the standard library and dp3 itself, wherever the import statement is."""
+    sources = sorted((ROOT / "src" / "dp3").glob("*.py"))
+    assert len(sources) > 5
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, n) for n in names
+                        if n.split(".")[0] not in sys.stdlib_module_names | {"dp3"}]
+    assert outside == []

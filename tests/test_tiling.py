@@ -166,9 +166,13 @@ class TestBlocks:
         assert got == want
 
     def test_type_parity_rule(self, scheme):
+        # the faces of T(i, j) carry the labels of [254] / [316] in rows
+        # j <= 0 and of [214] / [356] above, by the parity of i + j
         for i in range(-9, 5):
             for j in range(-4, 5):
-                assert scheme.block(i, j)[0] == expected_block_type(i, j)
+                even, odd = ((2, 4, 5), (1, 3, 6)) if j <= 0 else ((1, 2, 4), (3, 5, 6))
+                labels = tuple(sorted(scheme.labeling.label(f) for f in scheme.block_faces(i, j)))
+                assert labels == (even if (i + j) % 2 == 0 else odd), (i, j)
 
     def test_blocks_partition_faces(self, scheme):
         seen = {}
