@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -142,6 +143,11 @@ def suite_theorem(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
 
 def suite_recursions(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("recursions")
+
+    @cache  # for this call only: the checks below use most monomials several times
+    def m(n: int, primed: bool = False) -> LaurentPoly:
+        return covering_monomial(n, primed, scheme)
+
     for n in range(2, max_half_order // 2 + 1):
         rep.check(f"recursions/weights/kind1/n={n}",
                   *verify_condensation(condensation_instance(n, 1, scheme)))
@@ -156,15 +162,10 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
                   face_vector_closed(n))
         rep.check(f"recursions/boundary/N={n}", boundary_vector(n, False, scheme),
                   boundary_vector_closed(n))
-        rep.check(f"recursions/cover/N={n}", covering_monomial(n, False, scheme),
-                  covering_monomial_closed(n))
-    rep.check("recursions/cover/N=1", covering_monomial(1, False, scheme),
+        rep.check(f"recursions/cover/N={n}", m(n), covering_monomial_closed(n))
+    rep.check("recursions/cover/N=1", m(1),
               LaurentPoly.monomial(1, label_exponents((1, 2, 3, 5, 6))))
-    rep.check("recursions/cover/N=0", covering_monomial(0, False, scheme),
-              LaurentPoly.var(3))
-
-    def m(n: int, primed: bool = False) -> LaurentPoly:
-        return covering_monomial(n, primed, scheme)
+    rep.check("recursions/cover/N=0", m(0), LaurentPoly.var(3))
 
     unprimed_factor, primed_factor = (LaurentPoly.monomial(1, label_exponents(labels))
                                       for labels in RECURSION_FACTOR_LABELS)

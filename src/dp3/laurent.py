@@ -95,14 +95,6 @@ class NotDivisibleError(ArithmeticError):
     """Raised when an exact Laurent quotient does not exist."""
 
 
-class ParseError(ValueError):
-    """Raised on malformed polynomial text; carries the offending position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
 def pack_exponents(exps: Sequence[int]) -> int:
     if len(exps) != N_VARS:
         raise ValueError(f"expected {N_VARS} exponents, got {len(exps)}")
@@ -862,100 +854,6 @@ def format_poly(p: LaurentPoly) -> str:
         else:
             parts.append(f"- {term}" if coeff < 0 else f"+ {term}")
     return " ".join(parts)
-
-
-def parse_poly(text: str) -> LaurentPoly:
-    """Parse the canonical grammar: poly := ['-'] term (('+'|'-') term)*.
-
-    A term is an optional integer followed by whitespace-separated factors
-    x<idx> or x<idx>^<int>.  Raises ParseError with the character position
-    of the first offending token.
-    """
-    terms: dict[int, int] = {}
-    pos = 0
-    n = len(text)
-
-    def skip_ws(i: int) -> int:
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def read_int(i: int) -> tuple[int, int]:
-        start = i
-        if i < n and text[i] in "+-":
-            i += 1
-        if i >= n or not text[i].isdigit():
-            raise ParseError("expected integer", start)
-        while i < n and text[i].isdigit():
-            i += 1
-        return int(text[start:i]), i
-
-    pos = skip_ws(pos)
-    if pos == n:
-        raise ParseError("empty input", 0)
-    sign = 1
-    if text[pos] == "-":
-        sign = -1
-        pos = skip_ws(pos + 1)
-    first = True
-    while True:
-        if not first:
-            pos = skip_ws(pos)
-            if pos == n:
-                break
-            if text[pos] == "+":
-                sign = 1
-            elif text[pos] == "-":
-                sign = -1
-            else:
-                raise ParseError("expected '+' or '-' between terms", pos)
-            pos = skip_ws(pos + 1)
-        first = False
-
-        coeff = sign
-        exps = [0] * N_VARS
-        saw_factor = False
-        pos = skip_ws(pos)
-        if pos < n and (text[pos].isdigit()):
-            v, pos = read_int(pos)
-            coeff = sign * v
-            saw_factor = True
-        while True:
-            pos = skip_ws(pos)
-            if pos >= n or text[pos] != "x":
-                break
-            xpos = pos
-            pos += 1
-            if pos >= n or not text[pos].isdigit():
-                raise ParseError("expected variable index after 'x'", xpos)
-            idx = 0
-            while pos < n and text[pos].isdigit():
-                idx = idx * 10 + int(text[pos])
-                pos += 1
-            if not 1 <= idx <= N_VARS:
-                raise ParseError(f"variable index {idx} out of range", xpos)
-            e = 1
-            if pos < n and text[pos] == "^":
-                e, pos = read_int(pos + 1)
-            exps[idx - 1] += e
-            saw_factor = True
-        if not saw_factor:
-            raise ParseError("expected a term", pos if pos < n else n - 1)
-        k = pack_exponents(exps)
-        s = terms.get(k, 0) + coeff
-        if s:
-            terms[k] = s
-        else:
-            terms.pop(k, None)
-        pos = skip_ws(pos)
-        if pos == n:
-            break
-    return LaurentPoly(_raw=terms)
-
-
-def x(i: int) -> LaurentPoly:
-    """Shorthand for the generator x_i."""
-    return LaurentPoly.var(i)
 
 
 ALL_ONES = (1,) * N_VARS

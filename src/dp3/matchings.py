@@ -45,10 +45,13 @@ purely sequential and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .laurent import (UNIT_KEY, LaurentPoly, digit_bytes, echelon, label_exponents, lift_pivots,
                       pack_exponents, unpack_digits, unpack_key)
-from .diamonds import RECURSION_FACTOR_LABELS, DiamondGraph, build_diamond, covering_monomial
+from .diamonds import (RECURSION_FACTOR_LABELS, DiamondGraph, _default_scheme, build_diamond,
+                       covering_monomial)
 from .tiling import BlockScheme, vertex_coords
 
 #: The sweep direction: a vertex at ``(x, y) = vertex_coords(v)`` is swept
@@ -426,20 +429,42 @@ def aggregate_enumeration(graph: DiamondGraph, limit: int = 1 << 20) -> LaurentP
 
 
 # ---------------------------------------------------------------------------
-# Condensation identities
+# Diamond sums and condensation identities
+
+
+@lru_cache(maxsize=None)
+def _diamond_sum(n: int, primed: bool, scheme: BlockScheme) -> LaurentPoly:
+    return weighted_pm_sum(build_diamond(n, primed, scheme))
+
+
+def diamond_sum(n: int, primed: bool = False, scheme: BlockScheme | None = None) -> LaurentPoly:
+    """w(D_{n/2}) (or w(D'_{n/2})), summed once per process and scheme.
+
+    The theorem and the condensation identities relate the same diamond
+    sums, so both take them from this memo.  The kernels it calls are not
+    cached: the oracle suite and calibration recompute through them."""
+    return _diamond_sum(n, primed, scheme or _default_scheme())
+
+
+class Diamond(NamedTuple):
+    """A diamond named by its half-order N and priming."""
+
+    half_order: int
+    primed: bool = False
 
 
 @dataclass(frozen=True)
 class CondensationInstance:
-    """One bilinear matching-weight identity: the graphs and monomial factors
-    of w(big) w(center) = w(p1a) w(p1b) mono1 + w(p2a) w(p2b) mono2."""
+    """One bilinear matching-weight identity: the diamonds and monomial
+    factors of w(big) w(center) = w(p1a) w(p1b) mono1 + w(p2a) w(p2b) mono2."""
 
     n: int
     kind: int
-    big: DiamondGraph
-    center: DiamondGraph
-    pair1: tuple[DiamondGraph, DiamondGraph, LaurentPoly]
-    pair2: tuple[DiamondGraph, DiamondGraph, LaurentPoly]
+    scheme: BlockScheme | None
+    big: Diamond
+    center: Diamond
+    pair1: tuple[Diamond, Diamond, LaurentPoly]
+    pair2: tuple[Diamond, Diamond, LaurentPoly]
 
 
 def condensation_instance(n: int, kind: int, scheme: BlockScheme | None = None) -> CondensationInstance:
@@ -449,13 +474,11 @@ def condensation_instance(n: int, kind: int, scheme: BlockScheme | None = None) 
     if kind == 1:
         if n < 2:
             raise ValueError("kind-1 condensation requires n >= 2")
-        big, center = build_diamond(2 * n, False, scheme), build_diamond(2 * n - 3, False, scheme)
-        a, b = 2 * n - 1, 2 * n - 2
+        big, center, a, b = 2 * n, 2 * n - 3, 2 * n - 1, 2 * n - 2
     elif kind == 2:
         if n < 1:
             raise ValueError("kind-2 condensation requires n >= 1")
-        big, center = build_diamond(2 * n + 1, False, scheme), build_diamond(2 * n - 2, False, scheme)
-        a, b = 2 * n, 2 * n - 1
+        big, center, a, b = 2 * n + 1, 2 * n - 2, 2 * n, 2 * n - 1
     else:
         raise ValueError("kind must be 1 or 2")
     mono1, mono2 = (LaurentPoly.monomial(1, label_exponents(labels, -1))
@@ -463,20 +486,24 @@ def condensation_instance(n: int, kind: int, scheme: BlockScheme | None = None) 
     return CondensationInstance(
         n=n,
         kind=kind,
-        big=big,
-        center=center,
-        pair1=(build_diamond(a, False, scheme), build_diamond(b, False, scheme), mono1),
-        pair2=(build_diamond(a, True, scheme), build_diamond(b, True, scheme), mono2),
+        scheme=scheme,
+        big=Diamond(big),
+        center=Diamond(center),
+        pair1=(Diamond(a), Diamond(b), mono1),
+        pair2=(Diamond(a, True), Diamond(b, True), mono2),
     )
 
 
 def verify_condensation(inst: CondensationInstance) -> tuple[LaurentPoly, LaurentPoly]:
-    """Both sides of the identity, with all six weighted sums computed
-    independently; the identity holds when they are equal."""
-    lhs = weighted_pm_sum(inst.big) * weighted_pm_sum(inst.center)
+    """Both sides of the identity, with the six weighted sums taken from
+    ``diamond_sum``; the identity holds when they are equal."""
+    def w(d: Diamond) -> LaurentPoly:
+        return diamond_sum(d.half_order, d.primed, inst.scheme)
+
+    lhs = w(inst.big) * w(inst.center)
     rhs = LaurentPoly.zero()
-    for ga, gb, mono in (inst.pair1, inst.pair2):
-        rhs = rhs + weighted_pm_sum(ga) * weighted_pm_sum(gb) * mono
+    for da, db, mono in (inst.pair1, inst.pair2):
+        rhs = rhs + w(da) * w(db) * mono
     return lhs, rhs
 
 
@@ -485,5 +512,4 @@ def matchings_route_y(n: int, primed: bool = False,
     """y_N (or y'_N) through the matching model: w(D_{N/2}) m(D_{N/2})."""
     if n < 1:
         raise ValueError("matching route defined for N >= 1")
-    graph = build_diamond(n, primed, scheme)
-    return weighted_pm_sum(graph) * covering_monomial(n, primed, scheme)
+    return diamond_sum(n, primed, scheme) * covering_monomial(n, primed, scheme)

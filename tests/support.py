@@ -1,10 +1,108 @@
-"""Helpers used only by the tests: small graph and labeling predicates that
-the package itself never needs."""
+"""Helpers used only by the tests: a polynomial parser, and small graph and
+labeling predicates that the package itself never needs."""
 
 from dp3.calibration import labeling_failures
 from dp3.diamonds import DiamondGraph
-from dp3.laurent import SIGMA
+from dp3.laurent import N_VARS, SIGMA, LaurentPoly
 from dp3.tiling import Labeling
+
+
+class ParseError(ValueError):
+    """Raised on malformed polynomial text; carries the offending position."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+def parse_poly(text: str) -> LaurentPoly:
+    """Parse the canonical grammar: poly := ['-'] term (('+'|'-') term)*.
+
+    A term is an optional integer followed by whitespace-separated factors
+    x<idx> or x<idx>^<int>.  Raises ParseError with the character position
+    of the first offending token.
+    """
+    terms: dict[tuple[int, ...], int] = {}
+    pos = 0
+    n = len(text)
+
+    def skip_ws(i: int) -> int:
+        while i < n and text[i].isspace():
+            i += 1
+        return i
+
+    def read_int(i: int) -> tuple[int, int]:
+        start = i
+        if i < n and text[i] in "+-":
+            i += 1
+        if i >= n or not text[i].isdigit():
+            raise ParseError("expected integer", start)
+        while i < n and text[i].isdigit():
+            i += 1
+        return int(text[start:i]), i
+
+    pos = skip_ws(pos)
+    if pos == n:
+        raise ParseError("empty input", 0)
+    sign = 1
+    if text[pos] == "-":
+        sign = -1
+        pos = skip_ws(pos + 1)
+    first = True
+    while True:
+        if not first:
+            pos = skip_ws(pos)
+            if pos == n:
+                break
+            if text[pos] == "+":
+                sign = 1
+            elif text[pos] == "-":
+                sign = -1
+            else:
+                raise ParseError("expected '+' or '-' between terms", pos)
+            pos = skip_ws(pos + 1)
+        first = False
+
+        coeff = sign
+        exps = [0] * N_VARS
+        saw_factor = False
+        pos = skip_ws(pos)
+        if pos < n and (text[pos].isdigit()):
+            v, pos = read_int(pos)
+            coeff = sign * v
+            saw_factor = True
+        while True:
+            pos = skip_ws(pos)
+            if pos >= n or text[pos] != "x":
+                break
+            xpos = pos
+            pos += 1
+            if pos >= n or not text[pos].isdigit():
+                raise ParseError("expected variable index after 'x'", xpos)
+            idx = 0
+            while pos < n and text[pos].isdigit():
+                idx = idx * 10 + int(text[pos])
+                pos += 1
+            if not 1 <= idx <= N_VARS:
+                raise ParseError(f"variable index {idx} out of range", xpos)
+            e = 1
+            if pos < n and text[pos] == "^":
+                e, pos = read_int(pos + 1)
+            exps[idx - 1] += e
+            saw_factor = True
+        if not saw_factor:
+            raise ParseError("expected a term", pos if pos < n else n - 1)
+        k = tuple(exps)
+        terms[k] = terms.get(k, 0) + coeff
+        pos = skip_ws(pos)
+        if pos == n:
+            break
+    return LaurentPoly.from_exponent_terms(terms)
+
+
+def x(i: int) -> LaurentPoly:
+    """Shorthand for the generator x_i."""
+    return LaurentPoly.var(i)
 
 
 def sigma_vector(v) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from dp3.diamonds import (
     face_vector,
     face_vector_closed,
 )
-from dp3.laurent import ALL_ONES, SIGMA, LaurentPoly, parse_poly
+from dp3.laurent import ALL_ONES, SIGMA, LaurentPoly
 from dp3.matchings import (
     aggregate_enumeration,
     condensation_instance,
@@ -35,7 +35,7 @@ from dp3.quiver import (
     mutate_seed,
     recurrence_y,
 )
-from support import perturbation_failures
+from support import parse_poly, perturbation_failures
 
 MAX_N = 8
 PM_COUNTS = {1: 2, 2: 4, 3: 16, 4: 64, 5: 512, 6: 4096, 7: 65536, 8: 1048576}

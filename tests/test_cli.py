@@ -10,10 +10,10 @@ from types import SimpleNamespace
 import pytest
 
 import dp3
-from dp3 import calibration, cli, laurent
+from dp3 import calibration, cli, laurent, matchings
 from dp3.cli import main
 from dp3.diamonds import pm_count_closed
-from dp3.laurent import x
+from support import x
 
 
 def run(capsys, *argv):
@@ -103,6 +103,46 @@ class TestVerify:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "suite counts: pass (4 checks)" in proc.stdout
+
+
+class TestSharedSums:
+    """The theorem and recursions suites take every w(D) from one memo."""
+
+    def test_each_diamond_summed_once(self, capsys, monkeypatch):
+        # the oracle suite calls the kernel through its own binding in cli,
+        # which is not counted here: its sums are recomputed on purpose
+        summed, built = [], []
+        kernel, build = matchings.weighted_pm_sum, matchings.build_diamond
+
+        def counting_kernel(graph, *args):
+            summed.append((graph.half_order, graph.primed))
+            return kernel(graph, *args)
+
+        def counting_build(n, primed, scheme):
+            built.append((n, primed))
+            return build(n, primed, scheme)
+
+        monkeypatch.setattr(matchings, "weighted_pm_sum", counting_kernel)
+        monkeypatch.setattr(matchings, "build_diamond", counting_build)
+        matchings._diamond_sum.cache_clear()
+        code, _, _ = run(capsys, "verify", "--suite", "all", "--max-half-order", "6")
+        assert code == 0
+        # theorem: N = 1..6, both primings; recursions adds D_0 and D_{7/2}
+        want = {(n, p) for n in range(1, 7) for p in (False, True)} | {(0, False), (7, False)}
+        assert sorted(summed) == sorted(built) == sorted(want)
+
+    def test_recursions_alone_match_all_suites(self, capsys):
+        def recursions(suite):
+            matchings._diamond_sum.cache_clear()
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--max-half-order", "6",
+                               "--format", "json")
+            assert code == 0
+            doc, = [d for d in json.loads(out) if d["suite"] == "recursions"]
+            return [(c["id"], c["status"], c["lhs"], c["rhs"]) for c in doc["checks"]]
+
+        alone = recursions("recursions")
+        assert len(alone) == 64
+        assert alone == recursions("all")
 
 
 class TestSuiteReport:

@@ -13,15 +13,12 @@ from dp3.laurent import (
     SIGMA,
     LaurentPoly,
     NotDivisibleError,
-    ParseError,
     VarPermutation,
     format_poly,
-    parse_poly,
     unpack_key,
-    x,
 )
 from dp3.quiver import recurrence_y, run_periodic_sequence
-from support import unpack_digits_by_loop
+from support import ParseError, parse_poly, unpack_digits_by_loop, x
 
 
 def P(text: str) -> LaurentPoly:

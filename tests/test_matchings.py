@@ -6,13 +6,15 @@ import random
 import pytest
 
 from dp3 import matchings
+from dp3.calibration import default_scheme
 from dp3.diamonds import build_diamond, covering_monomial
-from dp3.laurent import ALL_ONES, SIGMA, UNIT_KEY, LaurentPoly, parse_poly
+from dp3.laurent import ALL_ONES, SIGMA, UNIT_KEY, LaurentPoly
 from dp3.matchings import (
     LimitExceededError,
     aggregate_enumeration,
     condensation_instance,
     count_pm,
+    diamond_sum,
     enumerate_pm,
     matching_weight,
     matchings_route_y,
@@ -20,7 +22,7 @@ from dp3.matchings import (
     weighted_pm_sum,
 )
 from dp3.quiver import recurrence_y
-from support import matching_covers, sweep_stats
+from support import matching_covers, parse_poly, sweep_stats
 
 COUNTS = {1: 2, 2: 4, 3: 16, 4: 64, 5: 512, 6: 4096, 7: 65536, 8: 1048576}
 
@@ -383,7 +385,7 @@ class TestCondensation:
     def test_kind2_n1_center_is_empty(self, scheme):
         inst = condensation_instance(1, 2, scheme)
         assert inst.center.half_order == 0
-        assert weighted_pm_sum(inst.center) == LaurentPoly.one()
+        assert diamond_sum(*inst.center, inst.scheme) == LaurentPoly.one()
 
     def test_kind1_n2_center_is_half_diamond(self, scheme):
         inst = condensation_instance(2, 1, scheme)
@@ -418,6 +420,50 @@ class TestCondensation:
             condensation_instance(0, 2, scheme)
         with pytest.raises(ValueError):
             condensation_instance(2, 3, scheme)
+
+
+def built_roster(n, kind, scheme):
+    """The graphs a condensation instance was made of before it named its
+    diamonds: big, center, then each pair, as (half-order, primed) and
+    weighted sum."""
+    if kind == 1:
+        big, center, a, b = 2 * n, 2 * n - 3, 2 * n - 1, 2 * n - 2
+    else:
+        big, center, a, b = 2 * n + 1, 2 * n - 2, 2 * n, 2 * n - 1
+    graphs = [build_diamond(big, False, scheme), build_diamond(center, False, scheme),
+              build_diamond(a, False, scheme), build_diamond(b, False, scheme),
+              build_diamond(a, True, scheme), build_diamond(b, True, scheme)]
+    return [((g.half_order, g.primed), weighted_pm_sum(g)) for g in graphs]
+
+
+class TestDiamondSum:
+    """The memo of w(D) against the kernel it caches."""
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_equals_kernel_on_built_diamond(self, scheme, primed):
+        matchings._diamond_sum.cache_clear()
+        for n in range(11):
+            assert diamond_sum(n, primed, scheme) == weighted_pm_sum(
+                build_diamond(n, primed, scheme)), n
+
+    def test_each_sum_is_kept(self, scheme):
+        assert diamond_sum(5, True, scheme) is diamond_sum(5, True, scheme)
+        # no scheme means the default one, looked up under the same key
+        assert diamond_sum(5, True) is diamond_sum(5, True, default_scheme())
+
+    @pytest.mark.parametrize("kind, n", [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3)])
+    def test_condensation_roster_matches_built_graphs(self, scheme, kind, n):
+        inst = condensation_instance(n, kind, scheme)
+        named = [inst.big, inst.center, *inst.pair1[:2], *inst.pair2[:2]]
+        assert [(tuple(d), diamond_sum(*d, inst.scheme)) for d in named] == built_roster(
+            n, kind, scheme)
+
+    def test_kernels_are_not_cached(self):
+        # tests patch the kernels' internals and the oracle suite recomputes
+        # through them, so only diamond_sum may keep results
+        for fn in (weighted_pm_sum, count_pm, build_diamond):
+            assert not hasattr(fn, "cache_info"), fn.__name__
+        assert hasattr(matchings._diamond_sum, "cache_info")
 
 
 class TestMatchingRoute:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dp3.laurent import ALL_ONES, SIGMA, LaurentPoly, parse_poly, x
+from dp3.laurent import ALL_ONES, SIGMA, LaurentPoly
 from dp3.quiver import (
     MUTATION_CYCLE,
     initial_b_matrix,
@@ -12,6 +12,7 @@ from dp3.quiver import (
     recurrence_y,
     run_periodic_sequence,
 )
+from support import parse_poly, x
 
 B0 = initial_b_matrix()
 
