@@ -17,7 +17,7 @@ from functools import cache
 from itertools import islice
 from pathlib import Path
 
-from .laurent import ALL_ONES, SIGMA, LaurentPoly, label_exponents
+from .laurent import SIGMA, LaurentPoly, label_exponents
 from .quiver import (
     MUTATION_CYCLE,
     initial_b_matrix,
@@ -127,7 +127,7 @@ def suite_counts(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     for n in range(1, max_half_order + 1):
         got = count_pm(build_diamond(n, False, scheme))
         rep.check(f"counts/pm/N={n}", got, pm_count_closed(n))
-        spec = recurrence_y(n)[0].evaluate(ALL_ONES)
+        spec = recurrence_y(n)[0].evaluate()
         rep.check(f"counts/specialize/N={n}", spec, pm_count_closed(n))
     return rep
 
@@ -317,12 +317,12 @@ def cmd_compute(args) -> int:
         print(json.dumps({
             "target": name, "n": n, "via": args.via, "poly": str(poly),
             "term_count": poly.term_count(),
-            "eval_at_ones": int(poly.evaluate(ALL_ONES)),
+            "eval_at_ones": poly.evaluate(),
         }, indent=1))
     else:
         print(str(poly))
         print(f"# {name} via {args.via}: {poly.term_count()} terms, "
-              f"value {poly.evaluate(ALL_ONES)} at x_i = 1")
+              f"value {poly.evaluate()} at x_i = 1")
     return 0
 
 

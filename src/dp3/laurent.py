@@ -47,12 +47,17 @@ when its box holds at most _PACK_DENSITY digits per pair of operand terms
 elimination) runs.  A monomial operand shifts the other's keys in one pass.
 
 Each value carries its degree box (per-variable lowest and highest
-exponents) and a lattice it lies in one coset of, filled on first use like
-its hash, or at once by the operation that made it when that operation
-knows them: a product's box is the sum of its factors' and its lattice the
-sum of theirs, an exact quotient's box is the difference of the operands',
-and a permuted value gets the permuted box and basis.  So each ``y_N`` has
-its box and lattice computed at most once, however often it is an operand.
+exponents) and a lattice it lies in one coset of, under one rule: the
+operation that made the value gives them, else they are found from its
+terms on first use, like the hash (the lattice as ``echelon`` of its
+exponent differences).  A product's box and lattice are the sums of its
+factors'; an exact quotient's box is the difference of the operands' and
+its lattice their sum.  A sum's lattice is the sum of the summands' plus
+the difference of their first exponent vectors, since cancellation only
+removes terms.  A monomial factor or divisor, a negation and a permutation
+keep the lattice (permuted), and a weighted matching sum gets the one its
+decoding lifted every term through.  So each ``y_N`` has its box and
+lattice computed at most once, however often it is an operand.
 
 All values are immutable after construction (the cached box and lattice
 are idempotent fills, like the hash); every operation returns a new
@@ -61,7 +66,6 @@ polynomial, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -86,10 +90,6 @@ _PACK_DENSITY = 8
 # A packed division that cannot decode or prove its quotient doubles the
 # digit width at most this many times before handing over to elimination.
 _MAX_DOUBLINGS = 3
-
-# A support lattice not computed yet (None is a lattice that cannot be trusted).
-_UNKNOWN = object()
-
 
 class NotDivisibleError(ArithmeticError):
     """Raised when an exact Laurent quotient does not exist."""
@@ -154,10 +154,10 @@ class LaurentPoly:
     __slots__ = ("_terms", "_hash", "_box", "_lattice")
 
     def __init__(self, terms: Mapping[int, int] | None = None, *, _raw: dict | None = None,
-                 _box=None, _lattice=_UNKNOWN):
+                 _box=None, _lattice=None):
         # _raw is trusted to contain no zero coefficients, _box to be its
-        # degree box and _lattice a lattice it lies in one coset of
-        # (internal fast path).
+        # degree box and _lattice an echelon basis and pivots of a lattice
+        # it lies in one coset of (internal fast path).
         if _raw is not None:
             self._terms = _raw
         else:
@@ -228,13 +228,14 @@ class LaurentPoly:
             self._box = _ranges(self._terms)
         return self._box
 
-    def _support_basis(self) -> tuple[list[list[int]], list[int]] | None:
+    def _support_basis(self) -> tuple[list[list[int]], list[int]]:
         """An echelon basis and pivots of a lattice the nonzero value lies in
-        one coset of, or None when it cannot be trusted: ``_support_lattice``
-        on first use, unless the operation that made it knew one (a
-        product's is the sum of its factors', which spans the same space)."""
-        if self._lattice is _UNKNOWN:
-            self._lattice = _support_lattice(self._terms, self._degree_box())
+        one coset of: the one the operation that made it gave it, else, on
+        first use, ``echelon`` of its exponent differences."""
+        if self._lattice is None:
+            keys = iter(self._terms)
+            key0 = next(keys)
+            self._lattice = echelon(unpack_key(UNIT_KEY + k - key0) for k in keys)
         return self._lattice
 
     # -- ring operations ----------------------------------------------------
@@ -242,7 +243,15 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if not other:
+            return self
+        if not self:
+            return other
         a, b = self._terms, other._terms
+        # every term of the sum lies in a0 + (La + Lb + Z(b0 - a0)), and
+        # cancellation only removes terms
+        lattice = echelon(self._support_basis()[0] + other._support_basis()[0]
+                          + [unpack_key(UNIT_KEY + next(iter(b)) - next(iter(a)))])
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
@@ -252,22 +261,16 @@ class LaurentPoly:
                 out[k] = s
             else:
                 del out[k]
-        return LaurentPoly(_raw=out)
+        return LaurentPoly(_raw=out, _lattice=lattice)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(_raw={k: -c for k, c in self._terms.items()})
+        return LaurentPoly(_raw={k: -c for k, c in self._terms.items()}, _box=self._box,
+                           _lattice=self._lattice)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) - c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return LaurentPoly(_raw=out)
+        return self + -other
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -287,7 +290,7 @@ class LaurentPoly:
                                _lattice=f._support_basis())
         # the product lies in one coset of the sum of its factors' lattices
         lattice = _pair_lattice(f, g)
-        out = None if lattice is None else _packed_mul(f, g, lattice)
+        out = _packed_mul(f, g, lattice)
         return LaurentPoly(_raw=_schoolbook_mul(a, b) if out is None else out, _box=box,
                            _lattice=lattice)
 
@@ -343,11 +346,12 @@ class LaurentPoly:
                 if r:
                     raise NotDivisibleError("coefficient not divisible")
                 out[k - off] = q
-            return LaurentPoly(_raw=out, _box=(lo, hi))
+            return LaurentPoly(_raw=out, _box=(lo, hi), _lattice=self._support_basis())
+        # an exact quotient lies in one coset of the operands' lattice sum
         lattice = _pair_lattice(self, den)
-        out = None if lattice is None else _packed_div(self, den, lattice)
+        out = _packed_div(self, den, lattice)
         return LaurentPoly(_raw=_eliminate(num, d, lo, hi) if out is None else out,
-                           _box=(lo, hi))
+                           _box=(lo, hi), _lattice=lattice)
 
     def permute(self, perm: VarPermutation) -> "LaurentPoly":
         """Apply x_i -> x_perm(i) to every monomial.  The biased exponent
@@ -361,28 +365,14 @@ class LaurentPoly:
         box, lattice = self._box, self._lattice
         if box is not None:
             box = tuple(_permuted(v, perm) for v in box)
-        if lattice is not None and lattice is not _UNKNOWN:
+        if lattice is not None:
             lattice = echelon(_permuted(row, perm) for row in lattice[0])
         return LaurentPoly(_raw=dict(zip(out, self._terms.values())), _box=box,
                            _lattice=lattice)
 
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact evaluation at a point with all coordinates nonzero."""
-        if len(point) != N_VARS:
-            raise ValueError(f"expected {N_VARS} coordinates")
-        pt = [Fraction(p) for p in point]
-        if any(p == 0 for p in pt):
-            raise ZeroDivisionError("evaluation point must avoid zero coordinates")
-        if all(p == 1 for p in pt):
-            return Fraction(sum(self._terms.values()))
-        total = Fraction(0)
-        for k, c in self._terms.items():
-            v = Fraction(c)
-            for p, e in zip(pt, unpack_key(k)):
-                if e:
-                    v *= p ** e
-            total += v
-        return total
+    def evaluate(self) -> int:
+        """The value at x_1 = ... = x_6 = 1: the sum of the coefficients."""
+        return sum(self._terms.values())
 
     def min_coefficient(self) -> int:
         if not self._terms:
@@ -505,13 +495,19 @@ def _offset(exps: Sequence[int]) -> int:
     return sum(e << s for e, s in zip(exps, _SHIFTS))
 
 
-def _coordinates(basis, pivots, deltas, exact: bool) -> list[list[int]] | None:
-    """Columns of lattice coordinates: for each i, the coefficients c with
-    sum_j c[j] * basis[j] having pivot entries deltas[.][i].  With ``exact``,
-    None when some point is off the lattice; without, the coordinates are
-    floored and only a later comparison tells."""
+def lift_pivots(base: Sequence[int], basis, pivots, qs: list[list[int]]) -> list[int] | None:
+    """Packed keys of the points of the coset ``base + L``, ``L`` spanned
+    by the echelon ``basis``, whose pivot exponents are the columns ``qs``
+    (``qs[j][i]`` the exponent of x at ``pivots[j]`` of the i-th point), or
+    None when some column entry is off the coset.  The pivot exponents of a
+    point determine it, because each basis row is zero left of its pivot,
+    so a result the lift succeeds on lies in that one coset: the packed
+    arithmetic and the weighted matching sum give it ``L``.  The keys are
+    exact whenever the points' exponents are packable."""
+    # coords[j][i]: the coefficient of basis[j] in point i minus base
     coords: list[list[int]] = []
-    for row, p, x in zip(basis, pivots, deltas):
+    for row, p, col in zip(basis, pivots, qs):
+        x = [q - base[p] for q in col]
         for prev, c in zip(basis, coords):
             m = prev[p]
             if m:
@@ -519,82 +515,21 @@ def _coordinates(basis, pivots, deltas, exact: bool) -> list[list[int]] | None:
         d = row[p]
         if d != 1:
             c = [a // d for a in x]
-            if exact and any(a != d * b for a, b in zip(x, c)):
+            if any(a != d * b for a, b in zip(x, c)):
                 return None
             x = c
         coords.append(x)
-    return coords
-
-
-def _combine(key0: int, basis, coords: list[list[int]], n: int) -> list[int]:
-    """The keys key0 + sum_j coords[j][i] * offset(basis[j]), i < n."""
-    keys = [key0] * n
+    keys = [UNIT_KEY + _offset(base)] * len(qs[0])
     for row, c in zip(basis, coords):
         k = _offset(row)
         keys = [a + b * k for a, b in zip(keys, c)]
     return keys
 
 
-def lift_pivots(base: Sequence[int], basis, pivots, qs: list[list[int]]) -> list[int] | None:
-    """Packed keys of the points of the coset ``base + L``, ``L`` spanned
-    by the echelon ``basis``, whose pivot exponents are the columns ``qs``
-    (``qs[j][i]`` the exponent of x at ``pivots[j]`` of the i-th point), or
-    None when some column entry is off the coset.  The pivot exponents of a
-    point determine it, because each basis row is zero left of its pivot.
-    The keys are exact whenever the points' exponents are packable."""
-    coords = _coordinates(basis, pivots,
-                          [[q - base[p] for q in col] for col, p in zip(qs, pivots)], True)
-    if coords is None:
-        return None
-    return _combine(UNIT_KEY + _offset(base), basis, coords, len(qs[0]))
-
-
-def _support_lattice(terms: dict[int, int], box) -> tuple[list[list[int]], list[int]] | None:
-    """An echelon basis and pivots of the lattice ``L`` spanned by the
-    exponent differences of a nonzero polynomial, so that it lies in a
-    single coset of ``L``; None when the packed membership test below cannot
-    be trusted for it.
-
-    A term is in the coset of the first term when its key equals the key
-    rebuilt from its pivot exponents through the basis.  The first term that
-    fails adds its difference to the generators.  Both sides of the
-    comparison are exact integers; they are equal only for equal exponent
-    vectors as long as the rebuilt vector stays packable, which the
-    coordinate bounds from the degree box ``box`` check.
-    """
-    lo, hi = box
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    keys = list(terms)
-    key0 = keys[0]
-    t = 1
-    while t < len(keys):
-        if not _rebuild_packable(basis, pivots, lo, hi):
-            return None
-        rest = keys[t:]
-        deltas = []
-        for p in pivots:
-            s = _SHIFTS[p]
-            low = key0 >> s & _MASK
-            deltas.append([(k >> s & _MASK) - low for k in rest])
-        rebuilt = _combine(key0, basis, _coordinates(basis, pivots, deltas, False), len(rest))
-        bad = next((i for i, (k, r) in enumerate(zip(rest, rebuilt)) if k != r), None)
-        if bad is None:
-            break
-        t += bad
-        basis, pivots = echelon(
-            basis + [[a - b for a, b in zip(unpack_key(keys[t]), unpack_key(key0))]])
-        t += 1
-    return basis, pivots
-
-
-def _pair_lattice(a: LaurentPoly, b: LaurentPoly) -> tuple[list[list[int]], list[int]] | None:
+def _pair_lattice(a: LaurentPoly, b: LaurentPoly) -> tuple[list[list[int]], list[int]]:
     """An echelon basis and pivots of the sum of the operands' support
-    lattices, or None when either cannot be trusted."""
-    la, lb = a._support_basis(), b._support_basis()
-    if la is None or lb is None:
-        return None
-    return echelon(la[0] + lb[0])
+    lattices."""
+    return echelon(a._support_basis()[0] + b._support_basis()[0])
 
 
 def _permuted(v: Sequence[int], perm: VarPermutation) -> list[int]:
@@ -603,17 +538,6 @@ def _permuted(v: Sequence[int], perm: VarPermutation) -> list[int]:
     for e, j in zip(v, perm.image):
         out[j - 1] = e
     return out
-
-
-def _rebuild_packable(basis, pivots, lo, hi) -> bool:
-    """Whether every vector rebuilt from pivot differences within [lo, hi]
-    has entries below _EXP_LIMIT in magnitude (floored coordinates)."""
-    bounds: list[int] = []
-    for row, p in zip(basis, pivots):
-        x = hi[p] - lo[p] + sum(c * abs(prev[p]) for prev, c in zip(basis, bounds))
-        bounds.append(x // row[p] + 1)
-    return all(sum(c * abs(row[i]) for row, c in zip(basis, bounds)) < _EXP_LIMIT
-               for i in range(N_VARS))
 
 
 def _positions(terms: dict[int, int], pivots, lows, radix) -> list[int]:
@@ -854,6 +778,3 @@ def format_poly(p: LaurentPoly) -> str:
         else:
             parts.append(f"- {term}" if coeff < 0 else f"+ {term}")
     return " ".join(parts)
-
-
-ALL_ONES = (1,) * N_VARS

@@ -321,10 +321,11 @@ def weighted_pm_sum(graph: DiamondGraph, order: str | None = None) -> LaurentPol
     each state is one integer.
     Decoding reads the pivot exponents off each digit's position and lifts
     them to all six exponents through the lattice basis (``lift_pivots``,
-    shared with the packed Laurent arithmetic).  Raises ArithmeticError if
-    the decoding is not exact: a pivot exponent is off the lattice, or the
-    coefficients do not add up to the count, or the largest or smallest
-    decoded exponent is not the integer pass's.
+    shared with the packed Laurent arithmetic), and the result carries that
+    lattice, which every term has just been lifted through.  Raises
+    ArithmeticError if the decoding is not exact: a pivot exponent is off
+    the lattice, or the coefficients do not add up to the count, or the
+    largest or smallest decoded exponent is not the integer pass's.
     """
     sweep = _sweep(graph, order)
     found = _frontier_sum(sweep, (1, 0, 0), _add_extremes)
@@ -368,7 +369,7 @@ def weighted_pm_sum(graph: DiamondGraph, order: str | None = None) -> LaurentPol
     if total != count or max(terms) != UNIT_KEY + top_key or min(terms) != UNIT_KEY + bottom_key:
         raise ArithmeticError(f"decoded terms disagree with the integer pass: coefficients "
                               f"add up to {total} for {count} perfect matchings")
-    return LaurentPoly(_raw=terms)
+    return LaurentPoly(_raw=terms, _lattice=(basis, pivots))
 
 
 Matching = tuple[tuple[int, ...], ...]  # sorted edge indices into graph.edges

@@ -18,7 +18,7 @@ from dp3.diamonds import (
     face_vector,
     face_vector_closed,
 )
-from dp3.laurent import ALL_ONES, SIGMA, LaurentPoly
+from dp3.laurent import SIGMA, LaurentPoly
 from dp3.matchings import (
     aggregate_enumeration,
     condensation_instance,
@@ -76,7 +76,7 @@ def test_criterion_2_main_theorem(scheme):
 
 def test_criterion_3_specialization(scheme):
     for n in range(1, MAX_N + 1):
-        assert recurrence_y(n)[0].evaluate(ALL_ONES) == PM_COUNTS[n]
+        assert recurrence_y(n)[0].evaluate() == PM_COUNTS[n]
     _report("criterion-3 specialization", f"y_N(1,...,1) = |PM(D_N/2)| for N <= {MAX_N}")
 
 

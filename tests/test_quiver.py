@@ -2,7 +2,7 @@
 
 import pytest
 
-from dp3.laurent import ALL_ONES, SIGMA, LaurentPoly
+from dp3.laurent import SIGMA, LaurentPoly
 from dp3.quiver import (
     MUTATION_CYCLE,
     initial_b_matrix,
@@ -109,7 +109,7 @@ class TestRecurrence:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_counts_and_positivity(self, n):
         y, yp = recurrence_y(n)
-        assert y.evaluate(ALL_ONES) == count_closed(n)
+        assert y.evaluate() == count_closed(n)
         assert y.min_coefficient() > 0
         assert yp == y.permute(SIGMA)
 
@@ -132,7 +132,7 @@ class TestPeriodicSequence:
 
     def test_twelve_steps_y6(self):
         seq = run_periodic_sequence(12)
-        assert seq.y(6).evaluate(ALL_ONES) == 4096
+        assert seq.y(6).evaluate() == 4096
         assert seq.entries == tuple(v for n in range(1, 7) for v in recurrence_y(n))
 
     def test_zero_steps_rejected(self):
