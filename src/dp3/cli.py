@@ -45,6 +45,7 @@ from .matchings import (
     aggregate_enumeration,
     condensation_instance,
     count_pm,
+    diamond_sums,
     matchings_route_y,
     verify_condensation,
     weighted_pm_sum,
@@ -134,6 +135,8 @@ def suite_counts(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
 
 def suite_theorem(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("theorem")
+    diamond_sums([(n, primed) for n in range(1, max_half_order + 1) for primed in (False, True)],
+                 scheme)
     for n in range(1, max_half_order + 1):
         y, yp = recurrence_y(n)
         rep.check(f"theorem/y/N={n}", matchings_route_y(n, False, scheme), y)
@@ -148,12 +151,12 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     def m(n: int, primed: bool = False) -> LaurentPoly:
         return covering_monomial(n, primed, scheme)
 
-    for n in range(2, max_half_order // 2 + 1):
-        rep.check(f"recursions/weights/kind1/n={n}",
-                  *verify_condensation(condensation_instance(n, 1, scheme)))
-    for n in range(1, (max_half_order + 1) // 2 + 1):
-        rep.check(f"recursions/weights/kind2/n={n}",
-                  *verify_condensation(condensation_instance(n, 2, scheme)))
+    instances = [condensation_instance(n, 1, scheme) for n in range(2, max_half_order // 2 + 1)]
+    instances += [condensation_instance(n, 2, scheme)
+                  for n in range(1, (max_half_order + 1) // 2 + 1)]
+    diamond_sums({d for inst in instances for d in inst.diamonds}, scheme)
+    for inst in instances:
+        rep.check(f"recursions/weights/kind{inst.kind}/n={inst.n}", *verify_condensation(inst))
 
     # the closed-form checks are monomial arithmetic; always cover n <= 5
     top = max(5, (max_half_order + 1) // 2)

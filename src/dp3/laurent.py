@@ -519,7 +519,8 @@ def lift_pivots(base: Sequence[int], basis, pivots, qs: list[list[int]]) -> list
                 return None
             x = c
         coords.append(x)
-    keys = [UNIT_KEY + _offset(base)] * len(qs[0])
+    # a rank-0 lattice has no columns: its coset is the one point base
+    keys = [UNIT_KEY + _offset(base)] * (len(qs[0]) if qs else 1)
     for row, c in zip(basis, coords):
         k = _offset(row)
         keys = [a + b * k for a, b in zip(keys, c)]
@@ -592,9 +593,16 @@ def _radix(widths: Sequence[int]) -> list[int]:
     return radix
 
 
-def _pivot_box(box, pivots) -> tuple[list[int], list[int]]:
-    lo, hi = box
-    return [lo[p] for p in pivots], [hi[p] - lo[p] + 1 for p in pivots]
+def _pivot_box(value: LaurentPoly, pivots) -> tuple[list[int], list[int]]:
+    """The lowest pivot exponents and the pivot ranges of a nonzero value.
+    Raises ArithmeticError when the value has more terms than its pivot box
+    has points: the pivot exponents of a point of one coset of the lattice
+    determine it, so the lattice cannot hold the value."""
+    lo, hi = value._degree_box()
+    lows, widths = [lo[p] for p in pivots], [hi[p] - lo[p] + 1 for p in pivots]
+    if len(value._terms) > prod(widths):
+        raise ArithmeticError("a packed operand does not lie in one coset of the lattice")
+    return lows, widths
 
 
 def _norms(coeffs: Iterable[int]) -> tuple[int, int]:
@@ -622,10 +630,12 @@ def _packed_mul(a: LaurentPoly, b: LaurentPoly, lattice) -> dict[int, int] | Non
     Both operands are packed with the mixed radix of the product's pivot
     box, whose widths are the sums of theirs, so positions add without
     wrapping; the digit width holds every product coefficient, so the
-    balanced digits of the integer product are its coefficients."""
+    balanced digits of the integer product are its coefficients.  Raises
+    ArithmeticError when ``lattice`` cannot hold an operand or the product
+    (it is not their ``_pair_lattice``)."""
     basis, pivots = lattice
-    alo, aw = _pivot_box(a._degree_box(), pivots)
-    blo, bw = _pivot_box(b._degree_box(), pivots)
+    alo, aw = _pivot_box(a, pivots)
+    blo, bw = _pivot_box(b, pivots)
     a, b = a._terms, b._terms
     widths = [x + y - 1 for x, y in zip(aw, bw)]
     size = prod(widths)
@@ -716,8 +726,8 @@ def _packed_div(num: LaurentPoly, den: LaurentPoly, lattice) -> dict[int, int] |
     comparison.  A failed decode or proof doubles the width, up to
     _MAX_DOUBLINGS times."""
     basis, pivots = lattice
-    nlo, nw = _pivot_box(num._degree_box(), pivots)
-    dlo, dw = _pivot_box(den._degree_box(), pivots)
+    nlo, nw = _pivot_box(num, pivots)
+    dlo, dw = _pivot_box(den, pivots)
     num, den = num._terms, den._terms
     qw = [x - y + 1 for x, y in zip(nw, dw)]
     if min(qw) < 1:

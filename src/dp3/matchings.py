@@ -38,15 +38,20 @@ matchings span, and every coefficient is stored in ``B`` bits, where ``B``
 is the bit length of the matching count plus a sign bit, in whole bytes
 (``weighted_pm_sum``).  The reduction keeps a bipartite graph bipartite,
 so all of this holds on the reduced graph unchanged.  Results are exact and
-independent of the sweep order and of the reduction; the computation is
-purely sequential and deterministic.
+independent of the sweep order and of the reduction.
+
+Each sum is computed sequentially and deterministically.  The theorem and
+the condensation identities share their diamond sums through one memo
+(``diamond_sum``), and a suite fills it ahead with ``diamond_sums``, which
+deals the independent sums to forked workers, one per usable CPU.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, NoReturn
 
 from .laurent import (UNIT_KEY, LaurentPoly, digit_bytes, echelon, label_exponents, lift_pivots,
                       pack_exponents, unpack_digits, unpack_key)
@@ -64,6 +69,15 @@ SWEEP = (2, 3)
 
 #: Fixed reference orders: by row then column, and by column then row.
 SWEEP_ORDERS = {"yx": (0, 1), "xy": (1, 0)}
+
+#: Bytes the packed pass of ``weighted_pm_sum`` may give one step of the
+#: last pivot exponent: that pivot's mixed radix times the digit width.  A
+#: state's integer spans this times the last pivot's range, and a sweep
+#: holds hundreds to thousands of states.  Diamonds, whose lattices have
+#: rank 2, need 14 bytes at N=5, 490 at N=16 and 1 036 at N=20.  The N=8
+#: diamond with edge labels drawn at random has a rank-5 lattice and needs
+#: 3e5 to 5e5, so its states would take gigabytes.
+PACKED_BYTES_BUDGET = 1 << 16
 
 
 class LimitExceededError(RuntimeError):
@@ -316,7 +330,9 @@ def weighted_pm_sum(graph: DiamondGraph, order: str | None = None) -> LaurentPol
     exponent of a perfect matching, which give the representative matching
     and the range of the first pivot exponent.  Each further pivot but the
     last, whose range the mixed radix does not need, takes one more such
-    pass.  The packed pass then substitutes ``t = 2**B`` and
+    pass.  Before the packed pass, the last pivot's radix times the digit
+    width must stay within ``PACKED_BYTES_BUDGET``, else ValueError is
+    raised.  The packed pass then substitutes ``t = 2**B`` and
     ``x_p -> t**R_p`` for the pivot exponents, with mixed radices ``R``, so
     each state is one integer.
     Decoding reads the pivot exponents off each digit's position and lifts
@@ -348,6 +364,10 @@ def weighted_pm_sum(graph: DiamondGraph, order: str | None = None) -> LaurentPol
     for width in widths:
         radix.append(radix[-1] * width)
     width = digit_bytes(count)
+    if radix[-1] * width > PACKED_BYTES_BUDGET:
+        raise ValueError(f"the packed matching sum of a rank-{len(pivots)} lattice needs "
+                         f"{radix[-1] * width} bytes per step of its last pivot exponent, "
+                         f"over the budget of {PACKED_BYTES_BUDGET}")
     bits = 8 * width
     shift = {w: bits * sum(e[p] * r for p, r in zip(pivots, radix)) for w, e in exps.items()}
     off, big = _frontier_sum(_reweigh(sweep, shift), (0, 1), _add_packed)
@@ -415,26 +435,40 @@ def enumerate_pm(graph: DiamondGraph, limit: int = 1 << 20) -> list[Matching]:
     return out
 
 
+def _matching_key(graph: DiamondGraph, matching: Matching) -> int:
+    """The packed exponent key of a matching's weight."""
+    return pack_exponents(label_exponents((l for ei in matching for l in graph.edges[ei][2:]), -1))
+
+
 def matching_weight(graph: DiamondGraph, matching: Matching) -> LaurentPoly:
     """Product of the edge weights of one matching."""
-    labels = (l for ei in matching for l in graph.edges[ei][2:])
-    return LaurentPoly.monomial(1, label_exponents(labels, -1))
+    return LaurentPoly(_raw={_matching_key(graph, matching): 1})
 
 
 def aggregate_enumeration(graph: DiamondGraph, limit: int = 1 << 20) -> LaurentPoly:
-    """Brute-force oracle: sum of matching weights over all matchings."""
-    total = LaurentPoly.zero()
+    """Brute-force oracle: sum of matching weights over all matchings,
+    collected by exponent key and made one polynomial at the end."""
+    terms: dict[int, int] = {}
     for m in enumerate_pm(graph, limit):
-        total = total + matching_weight(graph, m)
-    return total
+        key = _matching_key(graph, m)
+        terms[key] = terms.get(key, 0) + 1
+    return LaurentPoly(_raw=terms)
 
 
 # ---------------------------------------------------------------------------
 # Diamond sums and condensation identities
 
 
-@lru_cache(maxsize=None)
-def _diamond_sum(n: int, primed: bool, scheme: BlockScheme) -> LaurentPoly:
+# w(D) by (half-order, primed, scheme): the one memo of diamond sums
+_SUMS: dict[tuple[int, bool, BlockScheme], LaurentPoly] = {}
+
+
+def clear_diamond_sums() -> None:
+    """Forget every memoized diamond sum."""
+    _SUMS.clear()
+
+
+def _summed(n: int, primed: bool, scheme: BlockScheme) -> LaurentPoly:
     return weighted_pm_sum(build_diamond(n, primed, scheme))
 
 
@@ -442,9 +476,110 @@ def diamond_sum(n: int, primed: bool = False, scheme: BlockScheme | None = None)
     """w(D_{n/2}) (or w(D'_{n/2})), summed once per process and scheme.
 
     The theorem and the condensation identities relate the same diamond
-    sums, so both take them from this memo.  The kernels it calls are not
-    cached: the oracle suite and calibration recompute through them."""
-    return _diamond_sum(n, primed, scheme or _default_scheme())
+    sums, so both take them from this memo, which ``diamond_sums`` can fill
+    ahead.  The kernels it calls are not cached: the oracle suite and
+    calibration recompute through them."""
+    key = (n, primed, scheme or _default_scheme())
+    value = _SUMS.get(key)
+    if value is None:
+        value = _SUMS[key] = _summed(*key)
+    return value
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def diamond_sums(keys: Iterable[tuple[int, bool]], scheme: BlockScheme | None = None) -> None:
+    """Sum the diamonds ``(n, primed)`` of ``keys`` that the memo lacks,
+    dealt over the CPUs the process may use, and memoize them.
+
+    Each sum is independent of the others, so the missing keys are sorted
+    largest ``n`` first and dealt round-robin into one share per worker,
+    one worker per usable CPU and at most one per key.  The calling process
+    sums share 0; every other share is summed in a child made by
+    ``os.fork``, which pickles its results (or the exception it raised)
+    into a pipe and leaves by ``os._exit``, so no inherited buffer is
+    flushed twice.  A child's exception is raised again here with its own
+    type (one that does not survive pickling as ChildProcessError naming
+    it); a child that exits without a result raises ChildProcessError.
+    Every child is waited for, and killed first when this call fails.
+    With fewer than two workers, or no ``os.fork``, nothing is done ahead:
+    ``diamond_sum`` sums each diamond in-process on first use.
+    """
+    scheme = scheme or _default_scheme()
+    missing = sorted({k for k in keys if (*k, scheme) not in _SUMS}, reverse=True)
+    workers = min(_usable_cpus(), len(missing)) if hasattr(os, "fork") else 1
+    if workers < 2:
+        return
+    # imported here, where workers need it: a run that forks none, such as
+    # the quiver and counts suites, keeps the 0.25 MB of RSS it costs
+    import pickle
+
+    shares = [missing[i::workers] for i in range(workers)]
+    children: dict[int, tuple] = {}  # pid -> (pipe from the child, its share)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child: never returns
+                _child(read, write, share, scheme)
+            os.close(write)
+            children[pid] = (os.fdopen(read, "rb"), share)
+        for n, primed in shares[0]:
+            diamond_sum(n, primed, scheme)
+        for pid, (pipe, share) in list(children.items()):
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if not data:
+                raise ChildProcessError(
+                    f"a diamond-sum worker exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} without a result")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            for key, value in zip(share, result):
+                _SUMS[(*key, scheme)] = value
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _child(read: int, write: int, share: list, scheme: BlockScheme) -> NoReturn:
+    """A forked worker of ``diamond_sums``: sum ``share``, send the pickled
+    results or exception down the pipe, and exit without cleanup."""
+    try:
+        import pickle  # loaded by diamond_sums before the fork
+
+        os.close(read)
+        try:
+            data = pickle.dumps((True, [_summed(n, primed, scheme) for n, primed in share]))
+        except BaseException as e:
+            try:
+                data = pickle.dumps((False, e))
+                pickle.loads(data)
+            except Exception:  # an exception that does not survive pickling
+                data = pickle.dumps((False, ChildProcessError(f"{type(e).__name__}: {e}")))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
 
 
 class Diamond(NamedTuple):
@@ -466,6 +601,11 @@ class CondensationInstance:
     center: Diamond
     pair1: tuple[Diamond, Diamond, LaurentPoly]
     pair2: tuple[Diamond, Diamond, LaurentPoly]
+
+    @property
+    def diamonds(self) -> tuple[Diamond, ...]:
+        """The six diamonds of the identity: big, center, then each pair."""
+        return (self.big, self.center, *self.pair1[:2], *self.pair2[:2])
 
 
 def condensation_instance(n: int, kind: int, scheme: BlockScheme | None = None) -> CondensationInstance:

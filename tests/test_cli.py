@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -108,9 +110,10 @@ class TestVerify:
 class TestSharedSums:
     """The theorem and recursions suites take every w(D) from one memo."""
 
-    def test_each_diamond_summed_once(self, capsys, monkeypatch):
+    def test_each_diamond_summed_once(self, capsys, monkeypatch, scheme):
         # the oracle suite calls the kernel through its own binding in cli,
-        # which is not counted here: its sums are recomputed on purpose
+        # which is not counted here: its sums are recomputed on purpose; the
+        # scheme fixture calibrates first, whose N=1 checks are not counted
         summed, built = [], []
         kernel, build = matchings.weighted_pm_sum, matchings.build_diamond
 
@@ -122,9 +125,11 @@ class TestSharedSums:
             built.append((n, primed))
             return build(n, primed, scheme)
 
+        # in-process, so that every kernel call is counted here
+        monkeypatch.setattr(matchings, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(matchings, "weighted_pm_sum", counting_kernel)
         monkeypatch.setattr(matchings, "build_diamond", counting_build)
-        matchings._diamond_sum.cache_clear()
+        matchings.clear_diamond_sums()
         code, _, _ = run(capsys, "verify", "--suite", "all", "--max-half-order", "6")
         assert code == 0
         # theorem: N = 1..6, both primings; recursions adds D_0 and D_{7/2}
@@ -133,7 +138,7 @@ class TestSharedSums:
 
     def test_recursions_alone_match_all_suites(self, capsys):
         def recursions(suite):
-            matchings._diamond_sum.cache_clear()
+            matchings.clear_diamond_sums()
             code, out, _ = run(capsys, "verify", "--suite", suite, "--max-half-order", "6",
                                "--format", "json")
             assert code == 0
@@ -143,6 +148,124 @@ class TestSharedSums:
         alone = recursions("recursions")
         assert len(alone) == 64
         assert alone == recursions("all")
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """The theorem and recursions suites deal their diamond sums to forked
+    workers, one per usable CPU; ``_usable_cpus`` pins how many."""
+
+    def verify(self, capsys, monkeypatch, cpus, *argv):
+        monkeypatch.setattr(matchings, "_usable_cpus", lambda: cpus)
+        matchings.clear_diamond_sums()
+        try:
+            return run(capsys, "verify", *argv)
+        finally:
+            matchings.clear_diamond_sums()
+
+    def test_forked_report_equals_in_process(self, capsys, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        reports = []
+        for cpus in (3, 1):
+            code, out, _ = self.verify(capsys, monkeypatch, cpus, "--suite", "all",
+                                       "--max-half-order", "8", "--format", "json")
+            assert code == 0
+            reports.append(re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', out))
+        # theorem: 16 sums in 3 shares; recursions: D_0 and D_{9/2} in 2
+        assert len(forks) == 3
+        assert reports[0] == reports[1]
+        no_child_left()
+
+    def worker_fails(self, capsys, monkeypatch, cpus, fail):
+        """Exit code and stderr of a theorem run whose kernel calls ``fail``
+        on D'_{5/2}, which the third of three shares holds; and whether the
+        calling process made that call."""
+        kernel, calls = matchings.weighted_pm_sum, []
+
+        def failing_kernel(graph, *args):
+            calls.append((graph.half_order, graph.primed))
+            if calls[-1] == (5, True):
+                fail()
+            return kernel(graph, *args)
+
+        monkeypatch.setattr(matchings, "weighted_pm_sum", failing_kernel)
+        code, _, err = self.verify(capsys, monkeypatch, cpus, "--suite", "theorem",
+                                   "--max-half-order", "6")
+        no_child_left()
+        return code, err, (5, True) in calls
+
+    def test_worker_exception_is_raised_again(self, capsys, monkeypatch):
+        def fail():
+            raise ValueError("no sum for D'_{5/2}")
+
+        forked = self.worker_fails(capsys, monkeypatch, 3, fail)
+        in_process = self.worker_fails(capsys, monkeypatch, 1, fail)
+        assert forked == (2, "error: no sum for D'_{5/2}\n", False)
+        assert in_process == (2, "error: no sum for D'_{5/2}\n", True)
+
+    def test_worker_exception_that_cannot_be_pickled(self, capsys, monkeypatch):
+        class Local(ValueError):  # pickle finds no class by this name
+            pass
+
+        def fail():
+            raise Local("cannot travel")
+
+        forked = self.worker_fails(capsys, monkeypatch, 3, fail)
+        assert forked == (2, "error: Local: cannot travel\n", False)
+
+    def test_worker_that_dies_is_an_error(self, capsys, monkeypatch):
+        code, err, in_parent = self.worker_fails(capsys, monkeypatch, 3, lambda: os._exit(9))
+        assert (code, in_parent) == (2, False)
+        assert err.startswith("error: ") and "status 9" in err
+
+    def test_parent_failure_kills_the_workers(self, capsys, monkeypatch):
+        # the children would sleep longer than the test may take; the
+        # parent's own share fails at once, and every child is killed and
+        # reaped
+        parent, kernel = os.getpid(), matchings.weighted_pm_sum
+
+        def kernel_by_process(graph, *args):
+            if os.getpid() != parent:
+                time.sleep(30)
+            raise ValueError("parent share failed")
+
+        monkeypatch.setattr(matchings, "weighted_pm_sum", kernel_by_process)
+        start = time.monotonic()
+        code, _, err = self.verify(capsys, monkeypatch, 3, "--suite", "theorem",
+                                   "--max-half-order", "4")
+        assert (code, err) == (2, "error: parent share failed\n")
+        assert time.monotonic() - start < 20
+        no_child_left()
+
+    @pytest.mark.parametrize("launch", [
+        ["-m", "dp3"],
+        # three workers even on a one-CPU machine
+        ["-c", "import sys; from dp3 import cli, matchings; "
+               "matchings._usable_cpus = lambda: 3; sys.exit(cli.main(sys.argv[1:]))"],
+    ], ids=["python-m", "three-workers"])
+    def test_dev_mode_with_warnings_as_errors(self, launch):
+        # an unclosed pipe warns (ResourceWarning), and so does a fork from a
+        # threaded process on Python 3.12+
+        src = str(Path(dp3.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", *launch, "verify",
+                               "--suite", "theorem", "--max-half-order", "6"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "suite theorem: pass (12 checks)" in proc.stdout
 
 
 class TestSuiteReport:

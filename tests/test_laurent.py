@@ -353,6 +353,19 @@ def test_sparse_high_rank_product_is_not_packed():
     assert a * a == LaurentPoly(_raw=laurent._schoolbook_mul(a._terms, a._terms))
 
 
+def test_rank_zero_lattice_cannot_hold_a_packed_operand():
+    # a rank-0 lattice holds one point per coset, so no two-term operand
+    with pytest.raises(ArithmeticError):
+        laurent._packed_mul(x(1) + x(2), x(3) + x(4), ([], []))
+    with pytest.raises(ArithmeticError):
+        laurent._packed_div(x(1) * x(3) + x(2) * x(4), x(3) + x(4), ([], []))
+
+
+def test_rank_zero_lift_is_the_base_point():
+    base = (1, 0, -2, 0, 0, 3)
+    assert laurent.lift_pivots(base, [], [], []) == [laurent.pack_exponents(base)]
+
+
 def test_quiver_routes_match_dict_arithmetic(monkeypatch):
     """The seed route and the recurrence, computed packed and again with
     every product and quotient forced through the dict loops."""
@@ -477,8 +490,10 @@ def test_no_value_finds_its_lattice_from_its_terms(capsys, monkeypatch):
         return support_basis(self)
 
     monkeypatch.setattr(LaurentPoly, "_support_basis", recording)
+    # in-process, so that the diamond sums are made where they are recorded
+    monkeypatch.setattr(matchings, "_usable_cpus", lambda: 1)
     recurrence_y.cache_clear()
-    matchings._diamond_sum.cache_clear()
+    matchings.clear_diamond_sums()
     try:
         run_periodic_sequence(28)
         for n in range(1, 15):
@@ -486,7 +501,7 @@ def test_no_value_finds_its_lattice_from_its_terms(capsys, monkeypatch):
         assert main(["verify", "--suite", "all", "--max-half-order", "8"]) == 0
     finally:
         recurrence_y.cache_clear()
-        matchings._diamond_sum.cache_clear()
+        matchings.clear_diamond_sums()
     assert "FAIL" not in capsys.readouterr().out
     assert found == []
 

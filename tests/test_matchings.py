@@ -354,6 +354,28 @@ class TestSweepChoice:
                 count_pm(g, order)
 
 
+class TestPackedBudget:
+    """The packed pass of weighted_pm_sum is refused past its byte budget."""
+
+    def test_random_labels_at_n8_are_refused(self, scheme):
+        # a rank-5 lattice: hundreds of kilobytes per last-pivot step
+        rng = random.Random(8)
+        g = build_diamond(8, False, scheme)
+        g = dataclasses.replace(g, edges=tuple((u, v, rng.randint(1, 6), rng.randint(1, 6))
+                                                for u, v, _, _ in g.edges))
+        with pytest.raises(ValueError, match="budget"):
+            weighted_pm_sum(g)
+
+    def test_budget_is_inclusive(self, scheme, monkeypatch):
+        # D_6 needs 18 bytes per step: a radix of 9 times 2-byte digits
+        g = build_diamond(6, False, scheme)
+        monkeypatch.setattr(matchings, "PACKED_BYTES_BUDGET", 18)
+        assert weighted_pm_sum(g) == dict_fold_sum(g, None)
+        monkeypatch.setattr(matchings, "PACKED_BYTES_BUDGET", 17)
+        with pytest.raises(ValueError, match="rank-2 lattice needs 18 bytes"):
+            weighted_pm_sum(g)
+
+
 class TestEnumeration:
     def test_anchor_block_has_four_matchings(self, scheme):
         g = build_diamond(2, False, scheme)
@@ -370,6 +392,16 @@ class TestEnumeration:
         for primed in (False, True):
             g = build_diamond(n, primed, scheme)
             assert aggregate_enumeration(g) == weighted_pm_sum(g)
+
+    def test_aggregation_equals_sum_of_matching_weights(self, scheme):
+        # the slow path it replaced: one polynomial addition per matching
+        for seed in range(20):
+            rng = random.Random(seed)
+            g = relabelled(build_diamond(rng.randint(1, 4), rng.random() < 0.5, scheme), rng)
+            total = LaurentPoly.zero()
+            for m in enumerate_pm(g):
+                total = total + matching_weight(g, m)
+            assert aggregate_enumeration(g) == total, seed
 
     def test_limit_guard(self, scheme):
         with pytest.raises(LimitExceededError):
@@ -441,7 +473,7 @@ class TestDiamondSum:
 
     @pytest.mark.parametrize("primed", [False, True])
     def test_equals_kernel_on_built_diamond(self, scheme, primed):
-        matchings._diamond_sum.cache_clear()
+        matchings.clear_diamond_sums()
         for n in range(11):
             assert diamond_sum(n, primed, scheme) == weighted_pm_sum(
                 build_diamond(n, primed, scheme)), n
@@ -454,16 +486,16 @@ class TestDiamondSum:
     @pytest.mark.parametrize("kind, n", [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3)])
     def test_condensation_roster_matches_built_graphs(self, scheme, kind, n):
         inst = condensation_instance(n, kind, scheme)
-        named = [inst.big, inst.center, *inst.pair1[:2], *inst.pair2[:2]]
+        named = inst.diamonds
         assert [(tuple(d), diamond_sum(*d, inst.scheme)) for d in named] == built_roster(
             n, kind, scheme)
 
     def test_kernels_are_not_cached(self):
         # tests patch the kernels' internals and the oracle suite recomputes
-        # through them, so only diamond_sum may keep results
-        for fn in (weighted_pm_sum, count_pm, build_diamond):
+        # through them, so only diamond_sum may keep results, in one memo
+        for fn in (weighted_pm_sum, count_pm, build_diamond, diamond_sum):
             assert not hasattr(fn, "cache_info"), fn.__name__
-        assert hasattr(matchings._diamond_sum, "cache_info")
+        assert matchings._SUMS[(2, False, default_scheme())] is diamond_sum(2)
 
 
 class TestMatchingRoute:
