@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -42,10 +44,10 @@ from .diamonds import (
     pm_count_closed,
 )
 from .matchings import (
+    _SUMS,
     aggregate_enumeration,
     condensation_instance,
     count_pm,
-    diamond_sums,
     matchings_route_y,
     verify_condensation,
     weighted_pm_sum,
@@ -123,20 +125,149 @@ class SuiteReport:
         }
 
 
-def suite_counts(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _run_jobs(jobs: list, work, meanwhile=lambda: None) -> list:
+    """``[work(job) for job in jobs]``, pulled in order by a forked worker per
+    usable CPU but one, and by this process after ``meanwhile()``, from a
+    pipe holding the next job's index, which a process reads and writes back
+    plus one before running that job.  A worker pickles its results, or its
+    exception, down a pipe of its own and leaves by ``os._exit``.  That
+    exception is raised here with its own type (ChildProcessError naming it
+    if it cannot be pickled), as is ChildProcessError for a worker that dies
+    without a result, after every worker is killed.  One CPU forks none."""
+    workers = min(_usable_cpus() - 1, len(jobs)) if hasattr(os, "fork") else 0
+    if workers > 0:
+        import pickle  # only here: a run that forks none saves its 0.25 MB of RSS
+    queue = os.pipe()
+    os.write(queue[1], bytes(8))
+    results = {}
+    children: dict[int, object] = {}  # pid -> the pipe from that worker
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the worker: never returns
+                _worker(queue, read, write, jobs, work)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        meanwhile()
+        results.update((i, work(jobs[i])) for i in _pulled(queue, len(jobs)))
+        for pid, pipe in list(children.items()):
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if not data:
+                raise ChildProcessError(f"a worker exited with status "
+                                        f"{os.waitstatus_to_exitcode(status)} without a result")
+            ok, done = pickle.loads(data)
+            if not ok:
+                raise done
+            results.update(done)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.waitpid(pid, 0)
+        os.close(queue[0])
+        os.close(queue[1])
+    return [results[i] for i in range(len(jobs))]
+
+
+def _pulled(queue: tuple[int, int], end: int):
+    """The job indices this process takes from ``queue`` until it is empty."""
+    while (i := int.from_bytes(os.read(queue[0], 8), "little")) < end:
+        os.write(queue[1], (i + 1).to_bytes(8, "little"))
+        yield i
+    os.write(queue[1], end.to_bytes(8, "little"))
+
+
+def _worker(queue, read: int, write: int, jobs: list, work):
+    """A forked worker of ``_run_jobs``: run the jobs it pulls, send the
+    pickled ``(index, result)`` pairs or exception down ``write``, and exit
+    without cleanup, so that no inherited buffer is flushed twice."""
+    try:
+        import pickle  # loaded by _run_jobs before the fork
+
+        os.close(read)
+        try:
+            data = pickle.dumps((True, [(i, work(jobs[i])) for i in _pulled(queue, len(jobs))]))
+        except BaseException as e:
+            try:
+                data = pickle.dumps((False, e))
+                pickle.loads(data)
+            except Exception:  # an exception that does not survive pickling
+                data = pickle.dumps((False, ChildProcessError(f"{type(e).__name__}: {e}")))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _condensation_instances(max_half_order: int, scheme: BlockScheme) -> list:
+    return ([condensation_instance(n, 1, scheme) for n in range(2, max_half_order // 2 + 1)]
+            + [condensation_instance(n, 2, scheme)
+               for n in range(1, (max_half_order + 1) // 2 + 1)])
+
+
+def _work_ahead(names, max_half_order: int, scheme: BlockScheme) -> dict:
+    """Work out the seed route, counts and diamond sums that the suites
+    ``names`` check, on every usable CPU, while this process computes
+    y_1..y_N by the recurrence.  The sums go to the memo of ``diamond_sum``;
+    the counts, keyed ``("count", n)``, and the seed route are returned."""
+    sums = set()
+    if "theorem" in names:
+        sums |= {(n, p) for n in range(1, max_half_order + 1) for p in (False, True)}
+    if "recursions" in names:
+        sums |= {d for inst in _condensation_instances(max_half_order, scheme)
+                 for d in inst.diamonds}
+    sums = {d for d in sums if (*d, scheme) not in _SUMS}
+    counts = {(n, False) for n in range(1, max_half_order + 1)} if "counts" in names else set()
+    jobs = ["seed"] if "quiver" in names else []
+    jobs += sorted(sums | counts, reverse=True)
+
+    def run(job):  # one build of a diamond serves both of its kernels
+        if job == "seed":
+            return run_periodic_sequence(2 * max_half_order).entries
+        graph = build_diamond(*job, scheme)
+        return (weighted_pm_sum(graph) if job in sums else None,
+                count_pm(graph) if job in counts else None)
+
+    # y_N for the suites that check it against another route
+    top = max_half_order if {"theorem", "counts", "quiver"}.intersection(names) else 0
+    values = dict(zip(jobs, _run_jobs(jobs, run, lambda: [recurrence_y(n)
+                                                          for n in range(1, top + 1)])))
+    _SUMS.update({(*d, scheme): values[d][0] for d in sums})
+    return {"seed": values.get("seed"), **{("count", n): values[n, p][1] for n, p in counts}}
+
+
+def suite_counts(max_half_order: int, scheme: BlockScheme, ahead: dict | None = None) -> SuiteReport:
     rep = SuiteReport("counts")
     for n in range(1, max_half_order + 1):
-        got = count_pm(build_diamond(n, False, scheme))
+        got = (ahead or {}).get(("count", n)) or count_pm(build_diamond(n, False, scheme))
         rep.check(f"counts/pm/N={n}", got, pm_count_closed(n))
         spec = recurrence_y(n)[0].evaluate()
         rep.check(f"counts/specialize/N={n}", spec, pm_count_closed(n))
     return rep
 
 
-def suite_theorem(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
+def suite_theorem(max_half_order: int, scheme: BlockScheme, ahead: dict | None = None) -> SuiteReport:
     rep = SuiteReport("theorem")
-    diamond_sums([(n, primed) for n in range(1, max_half_order + 1) for primed in (False, True)],
-                 scheme)
     for n in range(1, max_half_order + 1):
         y, yp = recurrence_y(n)
         rep.check(f"theorem/y/N={n}", matchings_route_y(n, False, scheme), y)
@@ -144,18 +275,14 @@ def suite_theorem(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     return rep
 
 
-def suite_recursions(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
+def suite_recursions(max_half_order: int, scheme: BlockScheme, ahead: dict | None = None) -> SuiteReport:
     rep = SuiteReport("recursions")
 
     @cache  # for this call only: the checks below use most monomials several times
     def m(n: int, primed: bool = False) -> LaurentPoly:
         return covering_monomial(n, primed, scheme)
 
-    instances = [condensation_instance(n, 1, scheme) for n in range(2, max_half_order // 2 + 1)]
-    instances += [condensation_instance(n, 2, scheme)
-                  for n in range(1, (max_half_order + 1) // 2 + 1)]
-    diamond_sums({d for inst in instances for d in inst.diamonds}, scheme)
-    for inst in instances:
+    for inst in _condensation_instances(max_half_order, scheme):
         rep.check(f"recursions/weights/kind{inst.kind}/n={inst.n}", *verify_condensation(inst))
 
     # the closed-form checks are monomial arithmetic; always cover n <= 5
@@ -195,7 +322,7 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     return rep
 
 
-def suite_quiver(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
+def suite_quiver(max_half_order: int, scheme: BlockScheme, ahead: dict | None = None) -> SuiteReport:
     rep = SuiteReport("quiver")
     b0 = initial_b_matrix()
 
@@ -226,9 +353,9 @@ def suite_quiver(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     neg = tuple(tuple(-v for v in row) for row in dual)
     rep.check("quiver/tiling-duality", dual == b0 or neg == b0, True)
 
-    seq = run_periodic_sequence(2 * max_half_order)
+    seeded = (ahead or {}).get("seed") or run_periodic_sequence(2 * max_half_order).entries
     want = tuple(v for n in range(1, max_half_order + 1) for v in recurrence_y(n))
-    rep.check(f"quiver/seed-vs-recurrence/N<={max_half_order}", seq.entries == want, True)
+    rep.check(f"quiver/seed-vs-recurrence/N<={max_half_order}", seeded == want, True)
 
     for n in range(1, max_half_order + 1):
         y, yp = recurrence_y(n)
@@ -237,7 +364,7 @@ def suite_quiver(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     return rep
 
 
-def suite_oracle(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
+def suite_oracle(max_half_order: int, scheme: BlockScheme, ahead: dict | None = None) -> SuiteReport:
     rep = SuiteReport("oracle")
     for n in range(1, min(4, max_half_order) + 1):
         for primed in (False, True):
@@ -283,7 +410,12 @@ def cmd_verify(args) -> int:
         raise ValueError("max_half_order must be >= 1")
     scheme, _ = _get_scheme(args.calibration)
     names = SUITES if args.suite == "all" else (args.suite,)
-    reports = [_SUITE_FUNCS[name](args.max_half_order, scheme) for name in names]
+    start = time.monotonic()
+    ahead = _work_ahead(names, args.max_half_order, scheme)
+    ahead_s = time.monotonic() - start
+    reports = [_SUITE_FUNCS[name](args.max_half_order, scheme, ahead) for name in names]
+    # charged to the first check, so that the checks' seconds add up to the run
+    reports[0].checks[0].seconds += ahead_s
     if args.format == "json":
         print(json.dumps([r.to_doc() for r in reports], indent=1))
     else:

@@ -42,16 +42,14 @@ independent of the sweep order and of the reduction.
 
 Each sum is computed sequentially and deterministically.  The theorem and
 the condensation identities share their diamond sums through one memo
-(``diamond_sum``), and a suite fills it ahead with ``diamond_sums``, which
-deals the independent sums to forked workers, one per usable CPU.
+(``diamond_sum``); ``dp3 verify`` fills it ahead from the job queue that
+its forked workers pull (``cli``).
 """
 
 from __future__ import annotations
 
-import os
-import signal
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, NoReturn
+from typing import NamedTuple
 
 from .laurent import (UNIT_KEY, LaurentPoly, digit_bytes, echelon, label_exponents, lift_pivots,
                       pack_exponents, unpack_digits, unpack_key)
@@ -468,118 +466,18 @@ def clear_diamond_sums() -> None:
     _SUMS.clear()
 
 
-def _summed(n: int, primed: bool, scheme: BlockScheme) -> LaurentPoly:
-    return weighted_pm_sum(build_diamond(n, primed, scheme))
-
-
 def diamond_sum(n: int, primed: bool = False, scheme: BlockScheme | None = None) -> LaurentPoly:
     """w(D_{n/2}) (or w(D'_{n/2})), summed once per process and scheme.
 
     The theorem and the condensation identities relate the same diamond
-    sums, so both take them from this memo, which ``diamond_sums`` can fill
+    sums, so both take them from this memo, which ``dp3 verify`` fills
     ahead.  The kernels it calls are not cached: the oracle suite and
     calibration recompute through them."""
     key = (n, primed, scheme or _default_scheme())
     value = _SUMS.get(key)
     if value is None:
-        value = _SUMS[key] = _summed(*key)
+        value = _SUMS[key] = weighted_pm_sum(build_diamond(*key))
     return value
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-def diamond_sums(keys: Iterable[tuple[int, bool]], scheme: BlockScheme | None = None) -> None:
-    """Sum the diamonds ``(n, primed)`` of ``keys`` that the memo lacks,
-    dealt over the CPUs the process may use, and memoize them.
-
-    Each sum is independent of the others, so the missing keys are sorted
-    largest ``n`` first and dealt round-robin into one share per worker,
-    one worker per usable CPU and at most one per key.  The calling process
-    sums share 0; every other share is summed in a child made by
-    ``os.fork``, which pickles its results (or the exception it raised)
-    into a pipe and leaves by ``os._exit``, so no inherited buffer is
-    flushed twice.  A child's exception is raised again here with its own
-    type (one that does not survive pickling as ChildProcessError naming
-    it); a child that exits without a result raises ChildProcessError.
-    Every child is waited for, and killed first when this call fails.
-    With fewer than two workers, or no ``os.fork``, nothing is done ahead:
-    ``diamond_sum`` sums each diamond in-process on first use.
-    """
-    scheme = scheme or _default_scheme()
-    missing = sorted({k for k in keys if (*k, scheme) not in _SUMS}, reverse=True)
-    workers = min(_usable_cpus(), len(missing)) if hasattr(os, "fork") else 1
-    if workers < 2:
-        return
-    # imported here, where workers need it: a run that forks none, such as
-    # the quiver and counts suites, keeps the 0.25 MB of RSS it costs
-    import pickle
-
-    shares = [missing[i::workers] for i in range(workers)]
-    children: dict[int, tuple] = {}  # pid -> (pipe from the child, its share)
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:  # the child: never returns
-                _child(read, write, share, scheme)
-            os.close(write)
-            children[pid] = (os.fdopen(read, "rb"), share)
-        for n, primed in shares[0]:
-            diamond_sum(n, primed, scheme)
-        for pid, (pipe, share) in list(children.items()):
-            data = pipe.read()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if not data:
-                raise ChildProcessError(
-                    f"a diamond-sum worker exited with status "
-                    f"{os.waitstatus_to_exitcode(status)} without a result")
-            ok, result = pickle.loads(data)
-            if not ok:
-                raise result
-            for key, value in zip(share, result):
-                _SUMS[(*key, scheme)] = value
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, (pipe, _) in children.items():
-            pipe.close()
-            os.waitpid(pid, 0)
-
-
-def _child(read: int, write: int, share: list, scheme: BlockScheme) -> NoReturn:
-    """A forked worker of ``diamond_sums``: sum ``share``, send the pickled
-    results or exception down the pipe, and exit without cleanup."""
-    try:
-        import pickle  # loaded by diamond_sums before the fork
-
-        os.close(read)
-        try:
-            data = pickle.dumps((True, [_summed(n, primed, scheme) for n, primed in share]))
-        except BaseException as e:
-            try:
-                data = pickle.dumps((False, e))
-                pickle.loads(data)
-            except Exception:  # an exception that does not survive pickling
-                data = pickle.dumps((False, ChildProcessError(f"{type(e).__name__}: {e}")))
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(data)
-    finally:
-        os._exit(0)
 
 
 class Diamond(NamedTuple):

@@ -3,9 +3,11 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -108,33 +110,42 @@ class TestVerify:
 
 
 class TestSharedSums:
-    """The theorem and recursions suites take every w(D) from one memo."""
+    """The theorem and recursions suites take every w(D) from one memo, and
+    the counts suite counts on the graphs built for it."""
 
     def test_each_diamond_summed_once(self, capsys, monkeypatch, scheme):
-        # the oracle suite calls the kernel through its own binding in cli,
-        # which is not counted here: its sums are recomputed on purpose; the
-        # scheme fixture calibrates first, whose N=1 checks are not counted
-        summed, built = [], []
-        kernel, build = matchings.weighted_pm_sum, matchings.build_diamond
+        # the oracle suite recomputes on purpose: its 8 diamonds are built
+        # again and swept in both orders; the scheme fixture calibrates
+        # first, whose N=1 checks are not counted
+        built, summed, counted = Counter(), Counter(), Counter()
 
-        def counting_kernel(graph, *args):
-            summed.append((graph.half_order, graph.primed))
-            return kernel(graph, *args)
+        def counting(fn, calls, key):
+            def wrapper(*args):
+                calls[key(*args)] += 1
+                return fn(*args)
+            return wrapper
 
-        def counting_build(n, primed, scheme):
-            built.append((n, primed))
-            return build(n, primed, scheme)
-
-        # in-process, so that every kernel call is counted here
-        monkeypatch.setattr(matchings, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(matchings, "weighted_pm_sum", counting_kernel)
-        monkeypatch.setattr(matchings, "build_diamond", counting_build)
+        for module in (cli, matchings):
+            monkeypatch.setattr(module, "build_diamond",
+                                counting(module.build_diamond, built, lambda n, p, s: (n, p)))
+            monkeypatch.setattr(module, "weighted_pm_sum", counting(
+                module.weighted_pm_sum, summed, lambda g, *o: (g.half_order, g.primed, *o)))
+        monkeypatch.setattr(cli, "count_pm", counting(
+            cli.count_pm, counted, lambda g, *o: (g.half_order, g.primed, *o)))
+        # in-process, so that every call is counted here
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         matchings.clear_diamond_sums()
         code, _, _ = run(capsys, "verify", "--suite", "all", "--max-half-order", "6")
         assert code == 0
-        # theorem: N = 1..6, both primings; recursions adds D_0 and D_{7/2}
-        want = {(n, p) for n in range(1, 7) for p in (False, True)} | {(0, False), (7, False)}
-        assert sorted(summed) == sorted(built) == sorted(want)
+        # theorem: N = 1..6, both primings; recursions adds D_0 and D_{7/2};
+        # counts: the unprimed N = 1..6, on the theorem's graphs
+        want = Counter({(n, p): 1 for n in range(1, 7) for p in (False, True)})
+        want.update([(0, False), (7, False)])
+        oracle = Counter({(n, p): 1 for n in range(1, 5) for p in (False, True)})
+        assert built == want + oracle
+        assert summed == want + oracle + Counter({(*k, "xy"): 1 for k in oracle})
+        assert counted == (Counter({(n, False): 1 for n in range(1, 7)}) + oracle
+                           + Counter({(*k, "xy"): 1 for k in oracle}))
 
     def test_recursions_alone_match_all_suites(self, capsys):
         def recursions(suite):
@@ -156,105 +167,185 @@ def no_child_left():
 
 
 class TestWorkers:
-    """The theorem and recursions suites deal their diamond sums to forked
-    workers, one per usable CPU; ``_usable_cpus`` pins how many."""
+    """``dp3 verify`` runs the suites' independent jobs from one queue that
+    forked workers, one per usable CPU but one, and the calling process
+    pull; ``_usable_cpus`` pins how many.  Which process runs a job is not
+    fixed, so these tests check exit codes and messages only."""
+
+    @pytest.fixture(autouse=True)
+    def calibrated(self, scheme):
+        """Calibrate first: calibration calls the kernels these tests patch,
+        and run alone a test would otherwise fail there."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers forked while the test runs."""
+        pids, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
 
     def verify(self, capsys, monkeypatch, cpus, *argv):
-        monkeypatch.setattr(matchings, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         matchings.clear_diamond_sums()
         try:
             return run(capsys, "verify", *argv)
         finally:
             matchings.clear_diamond_sums()
 
-    def test_forked_report_equals_in_process(self, capsys, monkeypatch):
-        forks = []
-        fork = os.fork
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        reports = []
-        for cpus in (3, 1):
-            code, out, _ = self.verify(capsys, monkeypatch, cpus, "--suite", "all",
-                                       "--max-half-order", "8", "--format", "json")
-            assert code == 0
-            reports.append(re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', out))
-        # theorem: 16 sums in 3 shares; recursions: D_0 and D_{9/2} in 2
-        assert len(forks) == 3
-        assert reports[0] == reports[1]
+    def test_forked_report_equals_in_process(self, capsys, monkeypatch, forks):
+        for suite in cli.SUITES + ("all",):
+            reports = []
+            for cpus in (3, 1):
+                code, out, _ = self.verify(capsys, monkeypatch, cpus, "--suite", suite,
+                                           "--max-half-order", "8", "--format", "json")
+                assert code == 0
+                reports.append(re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', out))
+            assert reports[0] == reports[1], suite
+        # two workers for each suite with more than one job; one for the
+        # quiver suite's seed route; none for the oracle suite, which has no job
+        assert len(forks) == 2 * 4 + 1
         no_child_left()
 
-    def worker_fails(self, capsys, monkeypatch, cpus, fail):
-        """Exit code and stderr of a theorem run whose kernel calls ``fail``
-        on D'_{5/2}, which the third of three shares holds; and whether the
-        calling process made that call."""
-        kernel, calls = matchings.weighted_pm_sum, []
+    def worker_fails(self, capsys, monkeypatch, suite, where, fail):
+        """Exit code and stderr of a ``suite`` run with three usable CPUs in
+        which the function ``where`` of ``cli`` calls ``fail`` inside a
+        worker.  The calling process first sleeps a second, so the workers
+        take every job; should it take one all the same, it runs it."""
+        parent, real, recurrence, slept = os.getpid(), getattr(cli, where), cli.recurrence_y, []
 
-        def failing_kernel(graph, *args):
-            calls.append((graph.half_order, graph.primed))
-            if calls[-1] == (5, True):
-                fail()
-            return kernel(graph, *args)
+        def failing(*args):
+            if os.getpid() != parent:
+                fail(*args)
+            return real(*args)
 
-        monkeypatch.setattr(matchings, "weighted_pm_sum", failing_kernel)
-        code, _, err = self.verify(capsys, monkeypatch, cpus, "--suite", "theorem",
+        def slow_recurrence(n):
+            if not slept:
+                slept.append(n)
+                time.sleep(1)
+            return recurrence(n)
+
+        monkeypatch.setattr(cli, where, failing)
+        monkeypatch.setattr(cli, "recurrence_y", slow_recurrence)
+        code, _, err = self.verify(capsys, monkeypatch, 3, "--suite", suite,
                                    "--max-half-order", "6")
         no_child_left()
-        return code, err, (5, True) in calls
+        return code, err
 
     def test_worker_exception_is_raised_again(self, capsys, monkeypatch):
-        def fail():
-            raise ValueError("no sum for D'_{5/2}")
+        # whichever process sums D'_{5/2}, a worker or the calling one, fails
+        kernel = matchings.weighted_pm_sum
 
-        forked = self.worker_fails(capsys, monkeypatch, 3, fail)
-        in_process = self.worker_fails(capsys, monkeypatch, 1, fail)
-        assert forked == (2, "error: no sum for D'_{5/2}\n", False)
-        assert in_process == (2, "error: no sum for D'_{5/2}\n", True)
+        def failing_kernel(graph, *args):
+            if (graph.half_order, graph.primed) == (5, True):
+                raise ValueError("no sum for D'_{5/2}")
+            return kernel(graph, *args)
+
+        for module in (cli, matchings):
+            monkeypatch.setattr(module, "weighted_pm_sum", failing_kernel)
+        for cpus in (3, 1):
+            code, _, err = self.verify(capsys, monkeypatch, cpus, "--suite", "theorem",
+                                       "--max-half-order", "6")
+            assert (code, err) == (2, "error: no sum for D'_{5/2}\n")
+            no_child_left()
 
     def test_worker_exception_that_cannot_be_pickled(self, capsys, monkeypatch):
         class Local(ValueError):  # pickle finds no class by this name
             pass
 
-        def fail():
-            raise Local("cannot travel")
+        def fail(graph, *args):
+            if (graph.half_order, graph.primed) == (5, True):
+                raise Local("cannot travel")
 
-        forked = self.worker_fails(capsys, monkeypatch, 3, fail)
-        assert forked == (2, "error: Local: cannot travel\n", False)
+        got = self.worker_fails(capsys, monkeypatch, "theorem", "weighted_pm_sum", fail)
+        assert got == (2, "error: Local: cannot travel\n")
 
     def test_worker_that_dies_is_an_error(self, capsys, monkeypatch):
-        code, err, in_parent = self.worker_fails(capsys, monkeypatch, 3, lambda: os._exit(9))
-        assert (code, in_parent) == (2, False)
+        def die(graph, *args):
+            if (graph.half_order, graph.primed) == (5, True):
+                os._exit(9)
+
+        code, err = self.worker_fails(capsys, monkeypatch, "theorem", "weighted_pm_sum", die)
+        assert code == 2
         assert err.startswith("error: ") and "status 9" in err
 
+    def test_seed_route_fails_in_a_worker(self, capsys, monkeypatch):
+        def fail(steps):
+            raise ValueError(f"no seed route of {steps} steps")
+
+        got = self.worker_fails(capsys, monkeypatch, "quiver", "run_periodic_sequence", fail)
+        assert got == (2, "error: no seed route of 12 steps\n")
+
+    def test_count_sweep_fails_in_a_worker(self, capsys, monkeypatch):
+        def fail(graph, *args):
+            if graph.half_order == 3:
+                raise ValueError("no count for D_{3/2}")
+
+        got = self.worker_fails(capsys, monkeypatch, "counts", "count_pm", fail)
+        assert got == (2, "error: no count for D_{3/2}\n")
+
     def test_parent_failure_kills_the_workers(self, capsys, monkeypatch):
-        # the children would sleep longer than the test may take; the
-        # parent's own share fails at once, and every child is killed and
+        # the workers would sleep longer than the test may take; the calling
+        # process fails on its first job, and every worker is killed and
         # reaped
-        parent, kernel = os.getpid(), matchings.weighted_pm_sum
+        parent = os.getpid()
 
         def kernel_by_process(graph, *args):
             if os.getpid() != parent:
                 time.sleep(30)
-            raise ValueError("parent share failed")
+            raise ValueError("parent job failed")
 
-        monkeypatch.setattr(matchings, "weighted_pm_sum", kernel_by_process)
+        for module in (cli, matchings):
+            monkeypatch.setattr(module, "weighted_pm_sum", kernel_by_process)
         start = time.monotonic()
         code, _, err = self.verify(capsys, monkeypatch, 3, "--suite", "theorem",
                                    "--max-half-order", "4")
-        assert (code, err) == (2, "error: parent share failed\n")
+        assert (code, err) == (2, "error: parent job failed\n")
         assert time.monotonic() - start < 20
+        no_child_left()
+
+    def test_every_job_runs_once(self, monkeypatch, tmp_path):
+        log = tmp_path / "jobs"
+
+        def work(job):
+            with open(log, "a") as f:
+                f.write(f"{job}\n")
+            return -job
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        assert cli._run_jobs(list(range(300)), work) == [-j for j in range(300)]
+        assert sorted(map(int, log.read_text().split())) == list(range(300))
+        no_child_left()
+
+    def test_queue_never_blocks(self, monkeypatch, forks):
+        # more jobs than a 64 KiB pipe holds 8-byte records; an alarm turns a
+        # queue that blocks into a failure instead of a hung test
+        def timeout(*_):
+            raise TimeoutError("the job queue blocked")
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        jobs = list(range(20_000))
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            assert cli._run_jobs(jobs, lambda j: 2 * j, lambda: None) == [2 * j for j in jobs]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 2
         no_child_left()
 
     @pytest.mark.parametrize("launch", [
         ["-m", "dp3"],
-        # three workers even on a one-CPU machine
-        ["-c", "import sys; from dp3 import cli, matchings; "
-               "matchings._usable_cpus = lambda: 3; sys.exit(cli.main(sys.argv[1:]))"],
+        # three processes pull jobs even on a one-CPU machine
+        ["-c", "import sys; from dp3 import cli; "
+               "cli._usable_cpus = lambda: 3; sys.exit(cli.main(sys.argv[1:]))"],
     ], ids=["python-m", "three-workers"])
     def test_dev_mode_with_warnings_as_errors(self, launch):
         # an unclosed pipe warns (ResourceWarning), and so does a fork from a
@@ -262,10 +353,13 @@ class TestWorkers:
         src = str(Path(dp3.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", *launch, "verify",
-                               "--suite", "theorem", "--max-half-order", "6"],
+                               "--suite", "all", "--max-half-order", "6"],
                               capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert "suite theorem: pass (12 checks)" in proc.stdout
+        assert [line for line in proc.stdout.splitlines() if line.startswith("suite ")] == [
+            "suite theorem: pass (12 checks)", "suite counts: pass (12 checks)",
+            "suite recursions: pass (64 checks)", "suite quiver: pass (22 checks)",
+            "suite oracle: pass (24 checks)"]
 
 
 class TestSuiteReport:
@@ -321,6 +415,27 @@ class TestSuiteReport:
         rep = cli.suite_oracle(2, scheme)
         assert [c.seconds for c in rep.checks] == [1.0, 0.0, 0.0] * 4
         assert sum(c.seconds for c in rep.checks) == clock[0] == 4.0
+
+    def test_work_done_ahead_is_charged_to_the_first_check(self, capsys, monkeypatch):
+        # the counts are taken before the suite runs, on graphs whose builds
+        # each advance the stub clock by one second; in-process, so that
+        # every build moves this process's clock
+        clock = [0.0]
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        build = cli.build_diamond
+
+        def slow_build(*args):
+            clock[0] += 1.0
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_diamond", slow_build)
+        code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-half-order", "2",
+                           "--format", "json")
+        assert code == 0
+        seconds = [c["seconds"] for c in json.loads(out)[0]["checks"]]
+        assert seconds == [2.0, 0.0, 0.0, 0.0]
+        assert sum(seconds) == clock[0] == 2.0
 
 
 class TestCompute:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dp3 import laurent, matchings
+from dp3 import cli, laurent, matchings
 from dp3.cli import main
 from dp3.laurent import (
     SIGMA,
@@ -491,7 +491,7 @@ def test_no_value_finds_its_lattice_from_its_terms(capsys, monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "_support_basis", recording)
     # in-process, so that the diamond sums are made where they are recorded
-    monkeypatch.setattr(matchings, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     recurrence_y.cache_clear()
     matchings.clear_diamond_sums()
     try:
