@@ -134,23 +134,26 @@ def _usable_cpus() -> int:
 
 
 def _run_jobs(jobs: list, work, meanwhile=lambda: None) -> list:
-    """``[work(job) for job in jobs]``, pulled in order by a forked worker per
-    usable CPU but one, and by this process after ``meanwhile()``, from a
-    pipe holding the next job's index, which a process reads and writes back
-    plus one before running that job.  A worker pickles its results, or its
-    exception, down a pipe of its own and leaves by ``os._exit``.  That
-    exception is raised here with its own type (ChildProcessError naming it
-    if it cannot be pickled), as is ChildProcessError for a worker that dies
-    without a result, after every worker is killed.  One CPU forks none."""
-    workers = min(_usable_cpus() - 1, len(jobs)) if hasattr(os, "fork") else 0
-    if workers > 0:
-        import pickle  # only here: a run that forks none saves its 0.25 MB of RSS
+    """``[work(job) for job in jobs]``.  With two or more usable CPUs, a
+    forked worker per CPU pulls the jobs in order from a pipe holding the
+    next index, which it reads and writes back plus one, while this process
+    runs only ``meanwhile()``, whatever the timing (with no worker it would
+    overlap nothing, and is not called).  A worker pickles its results or
+    exception down a pipe of its own and leaves by ``os._exit``.  The first
+    exception to arrive is raised here with its own type (ChildProcessError
+    naming it if it cannot be pickled), as is ChildProcessError for a worker
+    gone without a result, once all are killed."""
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    if cpus < 2 or not jobs:
+        return [work(job) for job in jobs]
+    import pickle  # only here: a run that forks none saves its 0.25 MB of RSS
+    import select
     queue = os.pipe()
     os.write(queue[1], bytes(8))
     results = {}
-    children: dict[int, object] = {}  # pid -> the pipe from that worker
+    children: dict[int, int] = {}  # the pipe from a worker -> its pid
     try:
-        for _ in range(workers):
+        for _ in range(min(cpus, len(jobs))):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -161,40 +164,35 @@ def _run_jobs(jobs: list, work, meanwhile=lambda: None) -> list:
             if pid == 0:  # the worker: never returns
                 _worker(queue, read, write, jobs, work)
             os.close(write)
-            children[pid] = os.fdopen(read, "rb")
+            children[read] = pid
         meanwhile()
-        results.update((i, work(jobs[i])) for i in _pulled(queue, len(jobs)))
-        for pid, pipe in list(children.items()):
-            data = pipe.read()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if not data:
-                raise ChildProcessError(f"a worker exited with status "
-                                        f"{os.waitstatus_to_exitcode(status)} without a result")
-            ok, done = pickle.loads(data)
-            if not ok:
-                raise done
-            results.update(done)
+        data = {read: bytearray() for read in children}
+        while children:  # the workers' results in the order they finish
+            for read in select.select(list(children), [], [])[0]:
+                if chunk := os.read(read, 1 << 16):
+                    data[read] += chunk
+                    continue
+                pid = children.pop(read)
+                os.close(read)
+                status = os.waitpid(pid, 0)[1]
+                if not data[read]:
+                    raise ChildProcessError(f"a worker exited with status "
+                                            f"{os.waitstatus_to_exitcode(status)} without a result")
+                ok, done = pickle.loads(data.pop(read))
+                if not ok:
+                    raise done
+                results.update(done)
     except BaseException:
-        for pid in children:
+        for pid in children.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, pipe in children.items():
-            pipe.close()
+        for read, pid in children.items():
+            os.close(read)
             os.waitpid(pid, 0)
         os.close(queue[0])
         os.close(queue[1])
     return [results[i] for i in range(len(jobs))]
-
-
-def _pulled(queue: tuple[int, int], end: int):
-    """The job indices this process takes from ``queue`` until it is empty."""
-    while (i := int.from_bytes(os.read(queue[0], 8), "little")) < end:
-        os.write(queue[1], (i + 1).to_bytes(8, "little"))
-        yield i
-    os.write(queue[1], end.to_bytes(8, "little"))
 
 
 def _worker(queue, read: int, write: int, jobs: list, work):
@@ -203,10 +201,14 @@ def _worker(queue, read: int, write: int, jobs: list, work):
     without cleanup, so that no inherited buffer is flushed twice."""
     try:
         import pickle  # loaded by _run_jobs before the fork
-
         os.close(read)
         try:
-            data = pickle.dumps((True, [(i, work(jobs[i])) for i in _pulled(queue, len(jobs))]))
+            done, end = [], len(jobs)
+            while (i := int.from_bytes(os.read(queue[0], 8), "little")) < end:
+                os.write(queue[1], (i + 1).to_bytes(8, "little"))
+                done.append((i, work(jobs[i])))
+            os.write(queue[1], end.to_bytes(8, "little"))  # for the next worker to read
+            data = pickle.dumps((True, done))
         except BaseException as e:
             try:
                 data = pickle.dumps((False, e))
@@ -225,11 +227,11 @@ def _condensation_instances(max_half_order: int, scheme: BlockScheme) -> list:
                for n in range(1, (max_half_order + 1) // 2 + 1)])
 
 
-def _work_ahead(names, max_half_order: int, scheme: BlockScheme) -> dict:
-    """Work out the seed route, counts and diamond sums that the suites
-    ``names`` check, on every usable CPU, while this process computes
-    y_1..y_N by the recurrence.  The sums go to the memo of ``diamond_sum``;
-    the counts, keyed ``("count", n)``, and the seed route are returned."""
+def _work_ahead(names, max_half_order: int, scheme: BlockScheme) -> dict[int, int]:
+    """Work out the diamond sums and counts that the suites ``names`` check,
+    on every usable CPU, while this process computes y_1..y_N by the
+    recurrence if workers run.  The sums go to the memo of ``diamond_sum``;
+    the counts of D_1..D_N, by N, are returned."""
     sums = set()
     if "theorem" in names:
         sums |= {(n, p) for n in range(1, max_half_order + 1) for p in (False, True)}
@@ -238,12 +240,9 @@ def _work_ahead(names, max_half_order: int, scheme: BlockScheme) -> dict:
                  for d in inst.diamonds}
     sums = {d for d in sums if (*d, scheme) not in _SUMS}
     counts = {(n, False) for n in range(1, max_half_order + 1)} if "counts" in names else set()
-    jobs = ["seed"] if "quiver" in names else []
-    jobs += sorted(sums | counts, reverse=True)
+    jobs = sorted(sums | counts, reverse=True)
 
     def run(job):  # one build of a diamond serves both of its kernels
-        if job == "seed":
-            return run_periodic_sequence(2 * max_half_order).entries
         graph = build_diamond(*job, scheme)
         return (weighted_pm_sum(graph) if job in sums else None,
                 count_pm(graph) if job in counts else None)
@@ -253,20 +252,20 @@ def _work_ahead(names, max_half_order: int, scheme: BlockScheme) -> dict:
     values = dict(zip(jobs, _run_jobs(jobs, run, lambda: [recurrence_y(n)
                                                           for n in range(1, top + 1)])))
     _SUMS.update({(*d, scheme): values[d][0] for d in sums})
-    return {"seed": values.get("seed"), **{("count", n): values[n, p][1] for n, p in counts}}
+    return {n: values[n, p][1] for n, p in counts}
 
 
-def suite_counts(max_half_order: int, scheme: BlockScheme, ahead: dict | None = None) -> SuiteReport:
+def suite_counts(max_half_order: int, scheme: BlockScheme, counts: dict[int, int]) -> SuiteReport:
+    """``counts`` holds the count of D_N by N, as ``_work_ahead`` returns."""
     rep = SuiteReport("counts")
     for n in range(1, max_half_order + 1):
-        got = (ahead or {}).get(("count", n)) or count_pm(build_diamond(n, False, scheme))
-        rep.check(f"counts/pm/N={n}", got, pm_count_closed(n))
+        rep.check(f"counts/pm/N={n}", counts[n], pm_count_closed(n))
         spec = recurrence_y(n)[0].evaluate()
         rep.check(f"counts/specialize/N={n}", spec, pm_count_closed(n))
     return rep
 
 
-def suite_theorem(max_half_order: int, scheme: BlockScheme, ahead: dict | None = None) -> SuiteReport:
+def suite_theorem(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("theorem")
     for n in range(1, max_half_order + 1):
         y, yp = recurrence_y(n)
@@ -275,7 +274,7 @@ def suite_theorem(max_half_order: int, scheme: BlockScheme, ahead: dict | None =
     return rep
 
 
-def suite_recursions(max_half_order: int, scheme: BlockScheme, ahead: dict | None = None) -> SuiteReport:
+def suite_recursions(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("recursions")
 
     @cache  # for this call only: the checks below use most monomials several times
@@ -322,7 +321,7 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme, ahead: dict | Non
     return rep
 
 
-def suite_quiver(max_half_order: int, scheme: BlockScheme, ahead: dict | None = None) -> SuiteReport:
+def suite_quiver(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("quiver")
     b0 = initial_b_matrix()
 
@@ -353,9 +352,9 @@ def suite_quiver(max_half_order: int, scheme: BlockScheme, ahead: dict | None = 
     neg = tuple(tuple(-v for v in row) for row in dual)
     rep.check("quiver/tiling-duality", dual == b0 or neg == b0, True)
 
-    seeded = (ahead or {}).get("seed") or run_periodic_sequence(2 * max_half_order).entries
+    seq = run_periodic_sequence(2 * max_half_order)
     want = tuple(v for n in range(1, max_half_order + 1) for v in recurrence_y(n))
-    rep.check(f"quiver/seed-vs-recurrence/N<={max_half_order}", seeded == want, True)
+    rep.check(f"quiver/seed-vs-recurrence/N<={max_half_order}", seq.entries == want, True)
 
     for n in range(1, max_half_order + 1):
         y, yp = recurrence_y(n)
@@ -364,7 +363,7 @@ def suite_quiver(max_half_order: int, scheme: BlockScheme, ahead: dict | None = 
     return rep
 
 
-def suite_oracle(max_half_order: int, scheme: BlockScheme, ahead: dict | None = None) -> SuiteReport:
+def suite_oracle(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     rep = SuiteReport("oracle")
     for n in range(1, min(4, max_half_order) + 1):
         for primed in (False, True):
@@ -411,9 +410,10 @@ def cmd_verify(args) -> int:
     scheme, _ = _get_scheme(args.calibration)
     names = SUITES if args.suite == "all" else (args.suite,)
     start = time.monotonic()
-    ahead = _work_ahead(names, args.max_half_order, scheme)
+    counts = _work_ahead(names, args.max_half_order, scheme)
     ahead_s = time.monotonic() - start
-    reports = [_SUITE_FUNCS[name](args.max_half_order, scheme, ahead) for name in names]
+    reports = [_SUITE_FUNCS[name](args.max_half_order, scheme,
+                                  *([counts] if name == "counts" else [])) for name in names]
     # charged to the first check, so that the checks' seconds add up to the run
     reports[0].checks[0].seconds += ahead_s
     if args.format == "json":

@@ -1,5 +1,6 @@
 """CLI behavior: suites, compute routes, export determinism, exit codes."""
 
+import contextlib
 import json
 import os
 import re
@@ -166,11 +167,27 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def within(seconds: int, hang: str):
+    """Turn a hang of the block longer than ``seconds`` into a TimeoutError
+    that says ``hang``, instead of a hung test."""
+    def timeout(*_):
+        raise TimeoutError(hang)
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestWorkers:
     """``dp3 verify`` runs the suites' independent jobs from one queue that
-    forked workers, one per usable CPU but one, and the calling process
-    pull; ``_usable_cpus`` pins how many.  Which process runs a job is not
-    fixed, so these tests check exit codes and messages only."""
+    forked workers, one per usable CPU, pull while the calling process runs
+    the recurrence; ``_usable_cpus`` pins how many.  Which worker runs a job
+    is not fixed, so these tests check exit codes and messages only."""
 
     @pytest.fixture(autouse=True)
     def calibrated(self, scheme):
@@ -208,38 +225,31 @@ class TestWorkers:
                 assert code == 0
                 reports.append(re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', out))
             assert reports[0] == reports[1], suite
-        # two workers for each suite with more than one job; one for the
-        # quiver suite's seed route; none for the oracle suite, which has no job
-        assert len(forks) == 2 * 4 + 1
+        # three workers for each suite with diamonds to sum or count; none for
+        # the quiver and oracle suites, which have no job
+        assert len(forks) == 3 * 4
         no_child_left()
 
     def worker_fails(self, capsys, monkeypatch, suite, where, fail):
         """Exit code and stderr of a ``suite`` run with three usable CPUs in
         which the function ``where`` of ``cli`` calls ``fail`` inside a
-        worker.  The calling process first sleeps a second, so the workers
-        take every job; should it take one all the same, it runs it."""
-        parent, real, recurrence, slept = os.getpid(), getattr(cli, where), cli.recurrence_y, []
+        worker."""
+        parent, real = os.getpid(), getattr(cli, where)
 
         def failing(*args):
             if os.getpid() != parent:
                 fail(*args)
             return real(*args)
 
-        def slow_recurrence(n):
-            if not slept:
-                slept.append(n)
-                time.sleep(1)
-            return recurrence(n)
-
         monkeypatch.setattr(cli, where, failing)
-        monkeypatch.setattr(cli, "recurrence_y", slow_recurrence)
         code, _, err = self.verify(capsys, monkeypatch, 3, "--suite", suite,
                                    "--max-half-order", "6")
         no_child_left()
         return code, err
 
     def test_worker_exception_is_raised_again(self, capsys, monkeypatch):
-        # whichever process sums D'_{5/2}, a worker or the calling one, fails
+        # whichever process sums D'_{5/2} fails: a worker at three CPUs, the
+        # calling process at one
         kernel = matchings.weighted_pm_sum
 
         def failing_kernel(graph, *args):
@@ -275,12 +285,16 @@ class TestWorkers:
         assert code == 2
         assert err.startswith("error: ") and "status 9" in err
 
-    def test_seed_route_fails_in_a_worker(self, capsys, monkeypatch):
+    def test_seed_route_failure_exits_2(self, capsys, monkeypatch, forks):
+        # the seed route runs in the calling process, which forks no worker
+        # for the quiver suite
         def fail(steps):
             raise ValueError(f"no seed route of {steps} steps")
 
-        got = self.worker_fails(capsys, monkeypatch, "quiver", "run_periodic_sequence", fail)
-        assert got == (2, "error: no seed route of 12 steps\n")
+        monkeypatch.setattr(cli, "run_periodic_sequence", fail)
+        got = self.verify(capsys, monkeypatch, 3, "--suite", "quiver", "--max-half-order", "6")
+        assert got == (2, "", "error: no seed route of 12 steps\n")
+        assert forks == []
 
     def test_count_sweep_fails_in_a_worker(self, capsys, monkeypatch):
         def fail(graph, *args):
@@ -292,58 +306,90 @@ class TestWorkers:
 
     def test_parent_failure_kills_the_workers(self, capsys, monkeypatch):
         # the workers would sleep longer than the test may take; the calling
-        # process fails on its first job, and every worker is killed and
-        # reaped
-        parent = os.getpid()
+        # process fails in the recurrence it runs meanwhile, and every worker
+        # is killed and reaped
+        def slow_kernel(graph, *args):
+            time.sleep(30)
 
-        def kernel_by_process(graph, *args):
-            if os.getpid() != parent:
-                time.sleep(30)
-            raise ValueError("parent job failed")
+        def failing_recurrence(n):
+            raise ValueError("recurrence failed")
 
-        for module in (cli, matchings):
-            monkeypatch.setattr(module, "weighted_pm_sum", kernel_by_process)
+        monkeypatch.setattr(cli, "weighted_pm_sum", slow_kernel)
+        monkeypatch.setattr(cli, "recurrence_y", failing_recurrence)
         start = time.monotonic()
         code, _, err = self.verify(capsys, monkeypatch, 3, "--suite", "theorem",
                                    "--max-half-order", "4")
-        assert (code, err) == (2, "error: parent job failed\n")
+        assert (code, err) == (2, "error: recurrence failed\n")
         assert time.monotonic() - start < 20
         no_child_left()
 
-    def test_every_job_runs_once(self, monkeypatch, tmp_path):
+    def test_first_failure_stops_the_run(self, monkeypatch):
+        # the other workers' jobs would sleep longer than the test may take;
+        # the failure of job 0 is raised as soon as it arrives
+        def work(job):
+            if job == 0:
+                raise ValueError("job 0 failed")
+            time.sleep(30)
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        with within(20, "the run went on after a failure"):
+            with pytest.raises(ValueError, match="job 0 failed"):
+                cli._run_jobs(list(range(300)), work)
+        no_child_left()
+
+    def test_worker_that_dies_holding_the_queue(self, monkeypatch):
+        # the worker running job 0 takes the next index from the queue and
+        # dies, so the other workers wait on an empty queue for ever; they
+        # are killed once its death is seen
+        pipes, pipe = [], os.pipe
+
+        def recording_pipe():
+            pipes.append(pipe())
+            return pipes[-1]
+
+        def work(job):
+            if job == 0:
+                os.read(pipes[0][0], 8)  # the first pipe made is the queue
+                os._exit(9)
+            time.sleep(0.01)  # so that the queue is not drained first
+            return job
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        with within(60, "the workers were not killed"):
+            with pytest.raises(ChildProcessError, match="status 9"):
+                cli._run_jobs(list(range(300)), work)
+        no_child_left()
+
+    def test_every_job_runs_once_in_a_worker(self, monkeypatch, tmp_path):
+        # the calling process runs none, so what it runs (and what a tracer
+        # in it sees) does not depend on which worker is faster
         log = tmp_path / "jobs"
 
         def work(job):
             with open(log, "a") as f:
-                f.write(f"{job}\n")
+                f.write(f"{job} {os.getpid()}\n")
             return -job
 
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         assert cli._run_jobs(list(range(300)), work) == [-j for j in range(300)]
-        assert sorted(map(int, log.read_text().split())) == list(range(300))
+        runs = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(job) for job, _ in runs) == list(range(300))
+        assert str(os.getpid()) not in {pid for _, pid in runs}
         no_child_left()
 
     def test_queue_never_blocks(self, monkeypatch, forks):
-        # more jobs than a 64 KiB pipe holds 8-byte records; an alarm turns a
-        # queue that blocks into a failure instead of a hung test
-        def timeout(*_):
-            raise TimeoutError("the job queue blocked")
-
+        # more jobs than a 64 KiB pipe holds 8-byte records
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         jobs = list(range(20_000))
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(60)
-        try:
+        with within(60, "the job queue blocked"):
             assert cli._run_jobs(jobs, lambda j: 2 * j, lambda: None) == [2 * j for j in jobs]
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert len(forks) == 2
+        assert len(forks) == 3
         no_child_left()
 
     @pytest.mark.parametrize("launch", [
         ["-m", "dp3"],
-        # three processes pull jobs even on a one-CPU machine
+        # three workers pull jobs even on a one-CPU machine
         ["-c", "import sys; from dp3 import cli; "
                "cli._usable_cpus = lambda: 3; sys.exit(cli.main(sys.argv[1:]))"],
     ], ids=["python-m", "three-workers"])
