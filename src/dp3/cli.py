@@ -44,9 +44,8 @@ from .diamonds import (
     pm_count_closed,
 )
 from .matchings import (
-    _SUMS,
     aggregate_enumeration,
-    condensation_instance,
+    condensation_diamonds,
     count_pm,
     matchings_route_y,
     verify_condensation,
@@ -221,24 +220,30 @@ def _worker(queue, read: int, write: int, jobs: list, work):
         os._exit(0)
 
 
-def _condensation_instances(max_half_order: int, scheme: BlockScheme) -> list:
-    return ([condensation_instance(n, 1, scheme) for n in range(2, max_half_order // 2 + 1)]
-            + [condensation_instance(n, 2, scheme)
-               for n in range(1, (max_half_order + 1) // 2 + 1)])
+def _condensation_orders(top: int) -> list[int]:
+    """The half-orders N of the condensation checks, in the order of their
+    ids: the even N from 4 to top, then the odd N from 3 to the first odd N
+    above top."""
+    return [*range(4, top + 1, 2), *range(3, top + 3, 2)]
 
 
-def _work_ahead(names, max_half_order: int, scheme: BlockScheme) -> dict[int, int]:
+def _cover_product(n: int) -> tuple[int, ...]:
+    """The exponents of m(D_N) m(D_{N-3}) for N = n >= 3, in closed form."""
+    a, b = (n * n - 3 * n + 6) // 2, (n * n - n + 4) // 2
+    return a, a, b, a - 1, a, b - 1
+
+
+def _work_ahead(names, max_half_order: int, scheme: BlockScheme) -> tuple[dict, dict[int, int]]:
     """Work out the diamond sums and counts that the suites ``names`` check,
     on every usable CPU, while this process computes y_1..y_N by the
-    recurrence if workers run.  The sums go to the memo of ``diamond_sum``;
-    the counts of D_1..D_N, by N, are returned."""
+    recurrence if workers run.  Returns the sums w(D) by (half-order,
+    primed) and the counts of D_1..D_N by N."""
     sums = set()
     if "theorem" in names:
         sums |= {(n, p) for n in range(1, max_half_order + 1) for p in (False, True)}
     if "recursions" in names:
-        sums |= {d for inst in _condensation_instances(max_half_order, scheme)
-                 for d in inst.diamonds}
-    sums = {d for d in sums if (*d, scheme) not in _SUMS}
+        sums |= {d for n in _condensation_orders(max_half_order)
+                 for d in condensation_diamonds(n)}
     counts = {(n, False) for n in range(1, max_half_order + 1)} if "counts" in names else set()
     jobs = sorted(sums | counts, reverse=True)
 
@@ -251,8 +256,7 @@ def _work_ahead(names, max_half_order: int, scheme: BlockScheme) -> dict[int, in
     top = max_half_order if {"theorem", "counts", "quiver"}.intersection(names) else 0
     values = dict(zip(jobs, _run_jobs(jobs, run, lambda: [recurrence_y(n)
                                                           for n in range(1, top + 1)])))
-    _SUMS.update({(*d, scheme): values[d][0] for d in sums})
-    return {n: values[n, p][1] for n, p in counts}
+    return {d: values[d][0] for d in sums}, {n: values[n, p][1] for n, p in counts}
 
 
 def suite_counts(max_half_order: int, scheme: BlockScheme, counts: dict[int, int]) -> SuiteReport:
@@ -265,24 +269,29 @@ def suite_counts(max_half_order: int, scheme: BlockScheme, counts: dict[int, int
     return rep
 
 
-def suite_theorem(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
+def suite_theorem(max_half_order: int, scheme: BlockScheme, sums: dict) -> SuiteReport:
+    """``sums`` holds w(D) by (half-order, primed), as ``_work_ahead`` returns."""
     rep = SuiteReport("theorem")
     for n in range(1, max_half_order + 1):
         y, yp = recurrence_y(n)
-        rep.check(f"theorem/y/N={n}", matchings_route_y(n, False, scheme), y)
-        rep.check(f"theorem/yprime/N={n}", matchings_route_y(n, True, scheme), yp)
+        rep.check(f"theorem/y/N={n}", sums[n, False] * covering_monomial(n, False, scheme), y)
+        rep.check(f"theorem/yprime/N={n}", sums[n, True] * covering_monomial(n, True, scheme), yp)
     return rep
 
 
-def suite_recursions(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
+def suite_recursions(max_half_order: int, scheme: BlockScheme, sums: dict) -> SuiteReport:
+    """``sums`` holds w(D) by (half-order, primed), as ``_work_ahead`` returns.
+    A check at half-order N is named kind 1, n = N/2 for even N, and kind 2,
+    n = (N-1)/2 for odd N."""
     rep = SuiteReport("recursions")
 
     @cache  # for this call only: the checks below use most monomials several times
     def m(n: int, primed: bool = False) -> LaurentPoly:
         return covering_monomial(n, primed, scheme)
 
-    for inst in _condensation_instances(max_half_order, scheme):
-        rep.check(f"recursions/weights/kind{inst.kind}/n={inst.n}", *verify_condensation(inst))
+    for n in _condensation_orders(max_half_order):
+        rep.check(f"recursions/weights/kind{1 + n % 2}/n={n // 2}",
+                  *verify_condensation(n, sums))
 
     # the closed-form checks are monomial arithmetic; always cover n <= 5
     top = max(5, (max_half_order + 1) // 2)
@@ -298,26 +307,12 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
 
     unprimed_factor, primed_factor = (LaurentPoly.monomial(1, label_exponents(labels))
                                       for labels in RECURSION_FACTOR_LABELS)
-    for n in range(2, top + 1):
-        lhs = m(2 * n) * m(2 * n - 3)
-        prod = LaurentPoly.monomial(1, (
-            2 * n * n - 3 * n + 3, 2 * n * n - 3 * n + 3, 2 * n * n - n + 2,
-            2 * n * n - 3 * n + 2, 2 * n * n - 3 * n + 3, 2 * n * n - n + 1))
-        rep.check(f"recursions/cover-rec1/unprimed/n={n}",
-                  m(2 * n - 1) * m(2 * n - 2) * unprimed_factor, lhs)
-        rep.check(f"recursions/cover-rec1/primed/n={n}",
-                  m(2 * n - 1, True) * m(2 * n - 2, True) * primed_factor, lhs)
-        rep.check(f"recursions/cover-rec1/product/n={n}", lhs, prod)
-    for n in range(1, top + 1):
-        lhs = m(2 * n + 1) * m(2 * n - 2)
-        prod = LaurentPoly.monomial(1, (
-            2 * n * n - n + 2, 2 * n * n - n + 2, 2 * n * n + n + 2,
-            2 * n * n - n + 1, 2 * n * n - n + 2, 2 * n * n + n + 1))
-        rep.check(f"recursions/cover-rec2/unprimed/n={n}",
-                  m(2 * n) * m(2 * n - 1) * unprimed_factor, lhs)
-        rep.check(f"recursions/cover-rec2/primed/n={n}",
-                  m(2 * n, True) * m(2 * n - 1, True) * primed_factor, lhs)
-        rep.check(f"recursions/cover-rec2/product/n={n}", lhs, prod)
+    for n in _condensation_orders(2 * top):
+        tag = f"recursions/cover-rec{1 + n % 2}/{{}}/n={n // 2}"
+        lhs = m(n) * m(n - 3)
+        rep.check(tag.format("unprimed"), m(n - 1) * m(n - 2) * unprimed_factor, lhs)
+        rep.check(tag.format("primed"), m(n - 1, True) * m(n - 2, True) * primed_factor, lhs)
+        rep.check(tag.format("product"), lhs, LaurentPoly.monomial(1, _cover_product(n)))
     return rep
 
 
@@ -410,10 +405,11 @@ def cmd_verify(args) -> int:
     scheme, _ = _get_scheme(args.calibration)
     names = SUITES if args.suite == "all" else (args.suite,)
     start = time.monotonic()
-    counts = _work_ahead(names, args.max_half_order, scheme)
+    sums, counts = _work_ahead(names, args.max_half_order, scheme)
     ahead_s = time.monotonic() - start
-    reports = [_SUITE_FUNCS[name](args.max_half_order, scheme,
-                                  *([counts] if name == "counts" else [])) for name in names]
+    ahead = {"theorem": (sums,), "recursions": (sums,), "counts": (counts,)}
+    reports = [_SUITE_FUNCS[name](args.max_half_order, scheme, *ahead.get(name, ()))
+               for name in names]
     # charged to the first check, so that the checks' seconds add up to the run
     reports[0].checks[0].seconds += ahead_s
     if args.format == "json":

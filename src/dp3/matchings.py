@@ -40,21 +40,17 @@ is the bit length of the matching count plus a sign bit, in whole bytes
 so all of this holds on the reduced graph unchanged.  Results are exact and
 independent of the sweep order and of the reduction.
 
-Each sum is computed sequentially and deterministically.  The theorem and
-the condensation identities share their diamond sums through one memo
-(``diamond_sum``); ``dp3 verify`` fills it ahead from the job queue that
-its forked workers pull (``cli``).
+Each sum is computed sequentially and deterministically, and never cached:
+``dp3 verify`` takes each diamond's sum once, from the job queue that its
+forked workers pull, and hands it to both the theorem and the condensation
+identities (``cli``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 from .laurent import (UNIT_KEY, LaurentPoly, digit_bytes, echelon, label_exponents, lift_pivots,
                       pack_exponents, unpack_digits, unpack_key)
-from .diamonds import (RECURSION_FACTOR_LABELS, DiamondGraph, _default_scheme, build_diamond,
-                       covering_monomial)
+from .diamonds import RECURSION_FACTOR_LABELS, DiamondGraph, build_diamond, covering_monomial
 from .tiling import BlockScheme, vertex_coords
 
 #: The sweep direction: a vertex at ``(x, y) = vertex_coords(v)`` is swept
@@ -454,96 +450,30 @@ def aggregate_enumeration(graph: DiamondGraph, limit: int = 1 << 20) -> LaurentP
 
 
 # ---------------------------------------------------------------------------
-# Diamond sums and condensation identities
+# Condensation identities
 
 
-# w(D) by (half-order, primed, scheme): the one memo of diamond sums
-_SUMS: dict[tuple[int, bool, BlockScheme], LaurentPoly] = {}
+def condensation_diamonds(n: int) -> tuple[tuple[int, bool], ...]:
+    """The six diamonds, as (half-order, primed), of the condensation identity
+    at half-order N = n >= 3: big, center, then each pair of
+
+        w(D_N) w(D_{N-3}) = w(D_{N-1}) w(D_{N-2}) mono1 + w(D'_{N-1}) w(D'_{N-2}) mono2,
+
+    the center being empty at N = 3."""
+    if n < 3:
+        raise ValueError("condensation requires N >= 3")
+    return (n, False), (n - 3, False), (n - 1, False), (n - 2, False), (n - 1, True), (n - 2, True)
 
 
-def clear_diamond_sums() -> None:
-    """Forget every memoized diamond sum."""
-    _SUMS.clear()
-
-
-def diamond_sum(n: int, primed: bool = False, scheme: BlockScheme | None = None) -> LaurentPoly:
-    """w(D_{n/2}) (or w(D'_{n/2})), summed once per process and scheme.
-
-    The theorem and the condensation identities relate the same diamond
-    sums, so both take them from this memo, which ``dp3 verify`` fills
-    ahead.  The kernels it calls are not cached: the oracle suite and
-    calibration recompute through them."""
-    key = (n, primed, scheme or _default_scheme())
-    value = _SUMS.get(key)
-    if value is None:
-        value = _SUMS[key] = weighted_pm_sum(build_diamond(*key))
-    return value
-
-
-class Diamond(NamedTuple):
-    """A diamond named by its half-order N and priming."""
-
-    half_order: int
-    primed: bool = False
-
-
-@dataclass(frozen=True)
-class CondensationInstance:
-    """One bilinear matching-weight identity: the diamonds and monomial
-    factors of w(big) w(center) = w(p1a) w(p1b) mono1 + w(p2a) w(p2b) mono2."""
-
-    n: int
-    kind: int
-    scheme: BlockScheme | None
-    big: Diamond
-    center: Diamond
-    pair1: tuple[Diamond, Diamond, LaurentPoly]
-    pair2: tuple[Diamond, Diamond, LaurentPoly]
-
-    @property
-    def diamonds(self) -> tuple[Diamond, ...]:
-        """The six diamonds of the identity: big, center, then each pair."""
-        return (self.big, self.center, *self.pair1[:2], *self.pair2[:2])
-
-
-def condensation_instance(n: int, kind: int, scheme: BlockScheme | None = None) -> CondensationInstance:
-    """The kind-1 identity relates D_n D_{n-3/2} to D_{n-1/2} D_{n-1} and
-    their primed mates (n >= 2); kind 2 relates D_{n+1/2} D_{n-1} to
-    D_n D_{n-1/2} and mates (n >= 1, the center being empty at n = 1)."""
-    if kind == 1:
-        if n < 2:
-            raise ValueError("kind-1 condensation requires n >= 2")
-        big, center, a, b = 2 * n, 2 * n - 3, 2 * n - 1, 2 * n - 2
-    elif kind == 2:
-        if n < 1:
-            raise ValueError("kind-2 condensation requires n >= 1")
-        big, center, a, b = 2 * n + 1, 2 * n - 2, 2 * n, 2 * n - 1
-    else:
-        raise ValueError("kind must be 1 or 2")
+def verify_condensation(n: int, sums: dict[tuple[int, bool], LaurentPoly]
+                        ) -> tuple[LaurentPoly, LaurentPoly]:
+    """Both sides of the identity at half-order N = n, with the six weighted
+    sums taken from ``sums`` by (half-order, primed); the identity holds when
+    they are equal."""
+    big, center, a, b, ap, bp = (sums[d] for d in condensation_diamonds(n))
     mono1, mono2 = (LaurentPoly.monomial(1, label_exponents(labels, -1))
                     for labels in RECURSION_FACTOR_LABELS)
-    return CondensationInstance(
-        n=n,
-        kind=kind,
-        scheme=scheme,
-        big=Diamond(big),
-        center=Diamond(center),
-        pair1=(Diamond(a), Diamond(b), mono1),
-        pair2=(Diamond(a, True), Diamond(b, True), mono2),
-    )
-
-
-def verify_condensation(inst: CondensationInstance) -> tuple[LaurentPoly, LaurentPoly]:
-    """Both sides of the identity, with the six weighted sums taken from
-    ``diamond_sum``; the identity holds when they are equal."""
-    def w(d: Diamond) -> LaurentPoly:
-        return diamond_sum(d.half_order, d.primed, inst.scheme)
-
-    lhs = w(inst.big) * w(inst.center)
-    rhs = LaurentPoly.zero()
-    for da, db, mono in (inst.pair1, inst.pair2):
-        rhs = rhs + w(da) * w(db) * mono
-    return lhs, rhs
+    return big * center, a * b * mono1 + ap * bp * mono2
 
 
 def matchings_route_y(n: int, primed: bool = False,
@@ -551,4 +481,4 @@ def matchings_route_y(n: int, primed: bool = False,
     """y_N (or y'_N) through the matching model: w(D_{N/2}) m(D_{N/2})."""
     if n < 1:
         raise ValueError("matching route defined for N >= 1")
-    return diamond_sum(n, primed, scheme) * covering_monomial(n, primed, scheme)
+    return weighted_pm_sum(build_diamond(n, primed, scheme)) * covering_monomial(n, primed, scheme)

@@ -21,7 +21,7 @@ from dp3.diamonds import (
 from dp3.laurent import SIGMA, LaurentPoly
 from dp3.matchings import (
     aggregate_enumeration,
-    condensation_instance,
+    condensation_diamonds,
     count_pm,
     matchings_route_y,
     verify_condensation,
@@ -109,11 +109,11 @@ def test_criterion_4_quiver_behavior():
 
 
 def test_criterion_5_weight_recursions(scheme):
-    for kind, ns in ((1, (2, 3, 4)), (2, (1, 2, 3, 4))):
-        for n in ns:
-            lhs, rhs = verify_condensation(condensation_instance(n, kind, scheme))
-            assert lhs == rhs, f"kind-{kind} recursion fails at n={n}"
-    _report("criterion-5 weight recursions", "kind 1 n=2..4, kind 2 n=1..4, exact")
+    for n in range(3, 10):
+        sums = {d: weighted_pm_sum(build_diamond(*d, scheme)) for d in condensation_diamonds(n)}
+        lhs, rhs = verify_condensation(n, sums)
+        assert lhs == rhs, f"the weight recursion fails at N={n}"
+    _report("criterion-5 weight recursions", "N=3..9, exact")
 
 
 def test_criterion_6_covering_monomials(scheme):

@@ -109,10 +109,44 @@ class TestVerify:
         assert proc.returncode == 0, proc.stderr
         assert "suite counts: pass (4 checks)" in proc.stdout
 
+    def test_recursion_check_ids_and_order(self, capsys):
+        # literal ids in their order, so that a check renamed or moved shows
+        code, out, _ = run(capsys, "verify", "--suite", "recursions", "--max-half-order", "7")
+        assert code == 0
+        ids = [line.split()[1] for line in out.splitlines() if line.startswith("PASS")]
+        assert [i for i in ids if "/weights/" in i] == [
+            "recursions/weights/kind1/n=2", "recursions/weights/kind1/n=3",
+            "recursions/weights/kind2/n=1", "recursions/weights/kind2/n=2",
+            "recursions/weights/kind2/n=3", "recursions/weights/kind2/n=4"]
+        assert [i for i in ids if "/cover-rec" in i and "/product/" in i] == [
+            "recursions/cover-rec1/product/n=2", "recursions/cover-rec1/product/n=3",
+            "recursions/cover-rec1/product/n=4", "recursions/cover-rec1/product/n=5",
+            "recursions/cover-rec2/product/n=1", "recursions/cover-rec2/product/n=2",
+            "recursions/cover-rec2/product/n=3", "recursions/cover-rec2/product/n=4",
+            "recursions/cover-rec2/product/n=5"]
+        # each product check closes the unprimed and primed checks of its n
+        rec = [i for i in ids if "/cover-rec" in i]
+        assert [i.split("/")[2] for i in rec] == ["unprimed", "primed", "product"] * 9
+        assert [i.replace("/unprimed/", "/product/") for i in rec[::3]] == rec[2::3]
+
+    def test_cover_product_matches_both_families(self):
+        # the closed forms of m(D_N) m(D_{N-3}) that the even (kind 1, N = 2n)
+        # and odd (kind 2, N = 2n + 1) checks had before they were merged
+        for big in range(3, 61):
+            n = big // 2
+            if big % 2 == 0:
+                want = (2 * n * n - 3 * n + 3, 2 * n * n - 3 * n + 3, 2 * n * n - n + 2,
+                        2 * n * n - 3 * n + 2, 2 * n * n - 3 * n + 3, 2 * n * n - n + 1)
+            else:
+                want = (2 * n * n - n + 2, 2 * n * n - n + 2, 2 * n * n + n + 2,
+                        2 * n * n - n + 1, 2 * n * n - n + 2, 2 * n * n + n + 1)
+            assert cli._cover_product(big) == want, big
+
 
 class TestSharedSums:
-    """The theorem and recursions suites take every w(D) from one memo, and
-    the counts suite counts on the graphs built for it."""
+    """The theorem and recursions suites take every w(D) from the sums that
+    ``_work_ahead`` returns, and the counts suite counts on the graphs built
+    for them."""
 
     def test_each_diamond_summed_once(self, capsys, monkeypatch, scheme):
         # the oracle suite recomputes on purpose: its 8 diamonds are built
@@ -135,7 +169,6 @@ class TestSharedSums:
             cli.count_pm, counted, lambda g, *o: (g.half_order, g.primed, *o)))
         # in-process, so that every call is counted here
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        matchings.clear_diamond_sums()
         code, _, _ = run(capsys, "verify", "--suite", "all", "--max-half-order", "6")
         assert code == 0
         # theorem: N = 1..6, both primings; recursions adds D_0 and D_{7/2};
@@ -150,7 +183,6 @@ class TestSharedSums:
 
     def test_recursions_alone_match_all_suites(self, capsys):
         def recursions(suite):
-            matchings.clear_diamond_sums()
             code, out, _ = run(capsys, "verify", "--suite", suite, "--max-half-order", "6",
                                "--format", "json")
             assert code == 0
@@ -210,11 +242,7 @@ class TestWorkers:
 
     def verify(self, capsys, monkeypatch, cpus, *argv):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        matchings.clear_diamond_sums()
-        try:
-            return run(capsys, "verify", *argv)
-        finally:
-            matchings.clear_diamond_sums()
+        return run(capsys, "verify", *argv)
 
     def test_forked_report_equals_in_process(self, capsys, monkeypatch, forks):
         for suite in cli.SUITES + ("all",):
@@ -377,6 +405,17 @@ class TestWorkers:
         assert sorted(int(job) for job, _ in runs) == list(range(300))
         assert str(os.getpid()) not in {pid for _, pid in runs}
         no_child_left()
+
+    @pytest.mark.parametrize("jobs, cpus", [([3, 1, 2], 1), ([], 1), ([], 3)],
+                             ids=["one-cpu", "no-job-one-cpu", "no-job-three-cpus"])
+    def test_runs_in_this_process_without_workers(self, monkeypatch, forks, jobs, cpus):
+        # with nothing to overlap, the jobs run here in order, and meanwhile
+        # is not called
+        called = []
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        got = cli._run_jobs(jobs, lambda job: (job, os.getpid()), lambda: called.append(1))
+        assert got == [(job, os.getpid()) for job in jobs]
+        assert (forks, called) == ([], [])
 
     def test_queue_never_blocks(self, monkeypatch, forks):
         # more jobs than a 64 KiB pipe holds 8-byte records

@@ -16,6 +16,7 @@ from dp3.laurent import (
     format_poly,
     unpack_key,
 )
+from dp3.diamonds import build_diamond
 from dp3.quiver import recurrence_y, run_periodic_sequence
 from support import ParseError, parse_poly, unpack_digits_by_loop, x
 
@@ -493,7 +494,6 @@ def test_no_value_finds_its_lattice_from_its_terms(capsys, monkeypatch):
     # in-process, so that the diamond sums are made where they are recorded
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     recurrence_y.cache_clear()
-    matchings.clear_diamond_sums()
     try:
         run_periodic_sequence(28)
         for n in range(1, 15):
@@ -501,7 +501,6 @@ def test_no_value_finds_its_lattice_from_its_terms(capsys, monkeypatch):
         assert main(["verify", "--suite", "all", "--max-half-order", "8"]) == 0
     finally:
         recurrence_y.cache_clear()
-        matchings.clear_diamond_sums()
     assert "FAIL" not in capsys.readouterr().out
     assert found == []
 
@@ -516,7 +515,8 @@ def test_carried_lattices_are_spanned_by_the_terms():
         return [(p, row[p]) for row, p in zip(*lattice)]
 
     values = [v for n in range(1, 15) for v in recurrence_y(n)]
-    values += [matchings.diamond_sum(n, primed) for n in range(1, 11) for primed in (False, True)]
+    values += [matchings.weighted_pm_sum(build_diamond(n, primed))
+               for n in range(1, 11) for primed in (False, True)]
     for v in values:
         carried = v._lattice
         spanned = LaurentPoly(_raw=dict(v._terms))._support_basis()

@@ -5,16 +5,14 @@ import random
 
 import pytest
 
-from dp3 import matchings
-from dp3.calibration import default_scheme
+from dp3 import cli, matchings
 from dp3.diamonds import build_diamond, covering_monomial
 from dp3.laurent import SIGMA, UNIT_KEY, LaurentPoly
 from dp3.matchings import (
     LimitExceededError,
     aggregate_enumeration,
-    condensation_instance,
+    condensation_diamonds,
     count_pm,
-    diamond_sum,
     enumerate_pm,
     matching_weight,
     matchings_route_y,
@@ -413,51 +411,61 @@ class TestEnumeration:
         assert weights == {"x2^-2 x3^-1 x5^-1", "x1^-1 x2^-2 x6^-1"}
 
 
+def kernel_sums(diamonds, scheme):
+    """w(D) of each (half-order, primed) diamond, from the kernel."""
+    return {d: weighted_pm_sum(build_diamond(*d, scheme)) for d in diamonds}
+
+
+def check_id(n):
+    """The kind and n that the verify check id of the identity at half-order
+    N = n names: kind 1 for even N = 2n, kind 2 for odd N = 2n + 1."""
+    return f"{1 + n % 2}-{n // 2}"
+
+
 class TestCondensation:
     def test_kind2_n1_center_is_empty(self, scheme):
-        inst = condensation_instance(1, 2, scheme)
-        assert inst.center.half_order == 0
-        assert diamond_sum(*inst.center, inst.scheme) == LaurentPoly.one()
+        big, center, *_ = condensation_diamonds(3)
+        assert (big, center) == ((3, False), (0, False))
+        assert kernel_sums([center], scheme)[center] == LaurentPoly.one()
 
-    def test_kind1_n2_center_is_half_diamond(self, scheme):
-        inst = condensation_instance(2, 1, scheme)
-        assert inst.center.half_order == 1
-        assert inst.big.half_order == 4
+    def test_kind1_n2_center_is_half_diamond(self):
+        big, center, *_ = condensation_diamonds(4)
+        assert (big, center) == ((4, False), (1, False))
 
-    def test_kind1_n3_graph_roster(self, scheme):
-        inst = condensation_instance(3, 1, scheme)
-        assert (inst.big.half_order, inst.center.half_order) == (6, 3)
-        assert (inst.pair1[0].half_order, inst.pair1[1].half_order) == (5, 4)
-        assert inst.pair2[0].primed and inst.pair2[1].primed
+    def test_kind1_n3_graph_roster(self):
+        assert condensation_diamonds(6) == (
+            (6, False), (3, False), (5, False), (4, False), (5, True), (4, True))
 
-    @pytest.mark.parametrize("kind, n", [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
-    def test_identities_hold(self, scheme, kind, n):
-        lhs, rhs = verify_condensation(condensation_instance(n, kind, scheme))
+    @pytest.mark.parametrize("n", range(3, 11), ids=check_id)
+    def test_identities_hold(self, scheme, n):
+        lhs, rhs = verify_condensation(n, kernel_sums(condensation_diamonds(n), scheme))
         assert lhs == rhs
         assert lhs - rhs == LaurentPoly.zero()
 
-    def test_broken_instance_reports_diff(self, scheme):
-        inst = condensation_instance(2, 1, scheme)
-        broken = condensation_instance(2, 1, scheme)
-        object.__setattr__(broken, "pair1",
-                           (inst.pair1[0], inst.pair1[1], LaurentPoly.one()))
-        lhs, rhs = verify_condensation(broken)
-        assert lhs != rhs
-        assert lhs - rhs != LaurentPoly.zero()
+    def test_broken_instance_reports_diff(self, scheme, monkeypatch):
+        sums = kernel_sums(condensation_diamonds(4), scheme)
+        for d in sums:  # one sum with one more matching
+            lhs, rhs = verify_condensation(4, {**sums, d: sums[d] + LaurentPoly.one()})
+            assert lhs != rhs, d
+            assert lhs - rhs != LaurentPoly.zero()
+        for i in range(2):  # one factor monomial without its x6 or x5
+            labels = list(matchings.RECURSION_FACTOR_LABELS)
+            labels[i] = labels[i][:-1]
+            monkeypatch.setattr(matchings, "RECURSION_FACTOR_LABELS", tuple(labels))
+            lhs, rhs = verify_condensation(4, sums)
+            assert lhs != rhs, i
 
-    def test_range_guards(self, scheme):
+    def test_range_guards(self):
+        for n in (2, 1, 0, -1):
+            with pytest.raises(ValueError):
+                condensation_diamonds(n)
         with pytest.raises(ValueError):
-            condensation_instance(1, 1, scheme)
-        with pytest.raises(ValueError):
-            condensation_instance(0, 2, scheme)
-        with pytest.raises(ValueError):
-            condensation_instance(2, 3, scheme)
+            verify_condensation(2, {})
 
 
 def built_roster(n, kind, scheme):
-    """The graphs a condensation instance was made of before it named its
-    diamonds: big, center, then each pair, as (half-order, primed) and
-    weighted sum."""
+    """The graphs a condensation identity was made of when it was indexed by
+    kind and n: big, center, then each pair, as (half-order, primed)."""
     if kind == 1:
         big, center, a, b = 2 * n, 2 * n - 3, 2 * n - 1, 2 * n - 2
     else:
@@ -465,37 +473,36 @@ def built_roster(n, kind, scheme):
     graphs = [build_diamond(big, False, scheme), build_diamond(center, False, scheme),
               build_diamond(a, False, scheme), build_diamond(b, False, scheme),
               build_diamond(a, True, scheme), build_diamond(b, True, scheme)]
-    return [((g.half_order, g.primed), weighted_pm_sum(g)) for g in graphs]
+    return tuple((g.half_order, g.primed) for g in graphs)
 
 
 class TestDiamondSum:
-    """The memo of w(D) against the kernel it caches."""
+    """w(D) as ``dp3 verify`` sums it for its suites, against the kernel on
+    each built diamond."""
 
     @pytest.mark.parametrize("primed", [False, True])
     def test_equals_kernel_on_built_diamond(self, scheme, primed):
-        matchings.clear_diamond_sums()
-        for n in range(11):
-            assert diamond_sum(n, primed, scheme) == weighted_pm_sum(
-                build_diamond(n, primed, scheme)), n
-
-    def test_each_sum_is_kept(self, scheme):
-        assert diamond_sum(5, True, scheme) is diamond_sum(5, True, scheme)
-        # no scheme means the default one, looked up under the same key
-        assert diamond_sum(5, True) is diamond_sum(5, True, default_scheme())
+        sums, _ = cli._work_ahead(("theorem", "recursions"), 6, scheme)
+        # theorem: N = 1..6; recursions adds D_0 and D_{7/2}, unprimed
+        want = set(range(1, 7)) | (set() if primed else {0, 7})
+        assert {n for n, p in sums if p == primed} == want
+        for n in want:
+            assert sums[n, primed] == weighted_pm_sum(build_diamond(n, primed, scheme)), n
 
     @pytest.mark.parametrize("kind, n", [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3)])
     def test_condensation_roster_matches_built_graphs(self, scheme, kind, n):
-        inst = condensation_instance(n, kind, scheme)
-        named = inst.diamonds
-        assert [(tuple(d), diamond_sum(*d, inst.scheme)) for d in named] == built_roster(
-            n, kind, scheme)
+        assert condensation_diamonds(2 * n + kind - 1) == built_roster(n, kind, scheme)
 
-    def test_kernels_are_not_cached(self):
+    def test_kernels_are_not_cached(self, scheme):
         # tests patch the kernels' internals and the oracle suite recomputes
-        # through them, so only diamond_sum may keep results, in one memo
-        for fn in (weighted_pm_sum, count_pm, build_diamond, diamond_sum):
+        # through them, so no kernel keeps results, and no memo of sums is
+        # left in the module once one has been taken
+        for fn in (weighted_pm_sum, count_pm, build_diamond, matchings_route_y,
+                   verify_condensation):
             assert not hasattr(fn, "cache_info"), fn.__name__
-        assert matchings._SUMS[(2, False, default_scheme())] is diamond_sum(2)
+        matchings_route_y(2, False, scheme)
+        assert [name for name, value in vars(matchings).items() if isinstance(value, dict)
+                and any(isinstance(v, LaurentPoly) for v in value.values())] == []
 
 
 class TestMatchingRoute:
