@@ -28,7 +28,7 @@ from .quiver import (
     run_periodic_sequence,
 )
 from .tiling import BlockScheme, quiver_from_tiling
-from . import calibration as cal
+from . import calibration as cal, quiver
 from .diamonds import (
     RECURSION_FACTOR_LABELS,
     build_diamond,
@@ -132,19 +132,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_jobs(jobs: list, work, meanwhile=lambda: None) -> list:
-    """``[work(job) for job in jobs]``.  With two or more usable CPUs, a
-    forked worker per CPU pulls the jobs in order from a pipe holding the
-    next index, which it reads and writes back plus one, while this process
-    runs only ``meanwhile()``, whatever the timing (with no worker it would
-    overlap nothing, and is not called).  A worker pickles its results or
-    exception down a pipe of its own and leaves by ``os._exit``.  The first
-    exception to arrive is raised here with its own type (ChildProcessError
-    naming it if it cannot be pickled), as is ChildProcessError for a worker
-    gone without a result, once all are killed."""
+def _run_jobs(jobs: list, work, meanwhile=lambda: None) -> tuple[list, object]:
+    """``[work(job) for job in jobs]`` and the value of ``meanwhile()``,
+    which this process calls once.  With two or more usable CPUs, a forked
+    worker per CPU pulls the jobs in order from a pipe holding the next
+    index, which it reads and writes back plus one, while this process runs
+    only ``meanwhile()``, whatever the timing; else the jobs run here in
+    order, then ``meanwhile()``.  A worker pickles its results or exception
+    down a pipe of its own and leaves by ``os._exit``.  The first exception
+    to arrive, or one of ``meanwhile()``, is raised here with its own type
+    (ChildProcessError naming it if it cannot be pickled), as is
+    ChildProcessError for a worker gone without a result, once all are
+    killed."""
     cpus = _usable_cpus() if hasattr(os, "fork") else 1
     if cpus < 2 or not jobs:
-        return [work(job) for job in jobs]
+        return [work(job) for job in jobs], meanwhile()  # in this order
     import pickle  # only here: a run that forks none saves its 0.25 MB of RSS
     import select
     queue = os.pipe()
@@ -164,7 +166,7 @@ def _run_jobs(jobs: list, work, meanwhile=lambda: None) -> list:
                 _worker(queue, read, write, jobs, work)
             os.close(write)
             children[read] = pid
-        meanwhile()
+        ahead = meanwhile()
         data = {read: bytearray() for read in children}
         while children:  # the workers' results in the order they finish
             for read in select.select(list(children), [], [])[0]:
@@ -191,7 +193,7 @@ def _run_jobs(jobs: list, work, meanwhile=lambda: None) -> list:
             os.waitpid(pid, 0)
         os.close(queue[0])
         os.close(queue[1])
-    return [results[i] for i in range(len(jobs))]
+    return [results[i] for i in range(len(jobs))], ahead
 
 
 def _worker(queue, read: int, write: int, jobs: list, work):
@@ -233,11 +235,14 @@ def _cover_product(n: int) -> tuple[int, ...]:
     return a, a, b, a - 1, a, b - 1
 
 
-def _work_ahead(names, max_half_order: int, scheme: BlockScheme) -> tuple[dict, dict[int, int]]:
-    """Work out the diamond sums and counts that the suites ``names`` check,
-    on every usable CPU, while this process computes y_1..y_N by the
-    recurrence if workers run.  Returns the sums w(D) by (half-order,
-    primed) and the counts of D_1..D_N by N."""
+def _work_ahead(names, max_half_order: int,
+                scheme: BlockScheme) -> tuple[dict, dict, quiver.YSequence | None]:
+    """Work out, on every usable CPU, what the suites ``names`` check
+    against another route: y_1..y_N by the recurrence (a job whose pairs go
+    into the recurrence memo here), the diamond sums and the counts, while
+    this process runs the seed route for the quiver suite.  Returns the sums
+    w(D) by (half-order, primed), the counts of D_1..D_N by N, and the seed
+    route's sequence (None without the quiver suite)."""
     sums = set()
     if "theorem" in names:
         sums |= {(n, p) for n in range(1, max_half_order + 1) for p in (False, True)}
@@ -246,17 +251,23 @@ def _work_ahead(names, max_half_order: int, scheme: BlockScheme) -> tuple[dict, 
                  for d in condensation_diamonds(n)}
     counts = {(n, False) for n in range(1, max_half_order + 1)} if "counts" in names else set()
     jobs = sorted(sums | counts, reverse=True)
+    # y_N for the suites that check it against another route; the job calls
+    # the quiver module's function, never this module's binding of it
+    if {"theorem", "counts", "quiver"}.intersection(names):
+        jobs.insert(0, "recurrence")
 
-    def run(job):  # one build of a diamond serves both of its kernels
-        graph = build_diamond(*job, scheme)
+    def run(job):
+        if job == "recurrence":
+            return {n: quiver.recurrence_y(n) for n in range(1, max_half_order + 1)}
+        graph = build_diamond(*job, scheme)  # one build serves both kernels
         return (weighted_pm_sum(graph) if job in sums else None,
                 count_pm(graph) if job in counts else None)
 
-    # y_N for the suites that check it against another route
-    top = max_half_order if {"theorem", "counts", "quiver"}.intersection(names) else 0
-    values = dict(zip(jobs, _run_jobs(jobs, run, lambda: [recurrence_y(n)
-                                                          for n in range(1, top + 1)])))
-    return {d: values[d][0] for d in sums}, {n: values[n, p][1] for n, p in counts}
+    results, seq = _run_jobs(jobs, run, lambda: (run_periodic_sequence(2 * max_half_order)
+                                                 if "quiver" in names else None))
+    values = dict(zip(jobs, results))
+    quiver.remember_y(values.get("recurrence", {}))
+    return {d: values[d][0] for d in sums}, {n: values[n, p][1] for n, p in counts}, seq
 
 
 def suite_counts(max_half_order: int, scheme: BlockScheme, counts: dict[int, int]) -> SuiteReport:
@@ -316,7 +327,8 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme, sums: dict) -> Su
     return rep
 
 
-def suite_quiver(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
+def suite_quiver(max_half_order: int, scheme: BlockScheme, seq: quiver.YSequence) -> SuiteReport:
+    """``seq`` is the seed route's sequence of 2N steps, as ``_work_ahead`` returns."""
     rep = SuiteReport("quiver")
     b0 = initial_b_matrix()
 
@@ -347,7 +359,6 @@ def suite_quiver(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     neg = tuple(tuple(-v for v in row) for row in dual)
     rep.check("quiver/tiling-duality", dual == b0 or neg == b0, True)
 
-    seq = run_periodic_sequence(2 * max_half_order)
     want = tuple(v for n in range(1, max_half_order + 1) for v in recurrence_y(n))
     rep.check(f"quiver/seed-vs-recurrence/N<={max_half_order}", seq.entries == want, True)
 
@@ -405,9 +416,9 @@ def cmd_verify(args) -> int:
     scheme, _ = _get_scheme(args.calibration)
     names = SUITES if args.suite == "all" else (args.suite,)
     start = time.monotonic()
-    sums, counts = _work_ahead(names, args.max_half_order, scheme)
+    sums, counts, seq = _work_ahead(names, args.max_half_order, scheme)
     ahead_s = time.monotonic() - start
-    ahead = {"theorem": (sums,), "recursions": (sums,), "counts": (counts,)}
+    ahead = {"theorem": (sums,), "recursions": (sums,), "counts": (counts,), "quiver": (seq,)}
     reports = [_SUITE_FUNCS[name](args.max_half_order, scheme, *ahead.get(name, ()))
                for name in names]
     # charged to the first check, so that the checks' seconds add up to the run

@@ -434,11 +434,6 @@ def _matching_key(graph: DiamondGraph, matching: Matching) -> int:
     return pack_exponents(label_exponents((l for ei in matching for l in graph.edges[ei][2:]), -1))
 
 
-def matching_weight(graph: DiamondGraph, matching: Matching) -> LaurentPoly:
-    """Product of the edge weights of one matching."""
-    return LaurentPoly(_raw={_matching_key(graph, matching): 1})
-
-
 def aggregate_enumeration(graph: DiamondGraph, limit: int = 1 << 20) -> LaurentPoly:
     """Brute-force oracle: sum of matching weights over all matchings,
     collected by exponent key and made one polynomial at the end."""

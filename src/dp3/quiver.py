@@ -17,7 +17,6 @@ Both routes are implemented; they must agree.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .laurent import SIGMA, LaurentPoly
@@ -94,13 +93,19 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     return Seed(mutate_matrix(b, k), cluster)
 
 
-@functools.lru_cache(maxsize=None)
+#: recurrence_y's memo, (y_N, y'_N) by N >= 1; a value in it is never replaced.
+_Y: dict[int, tuple[LaurentPoly, LaurentPoly]] = {}
+
+
 def recurrence_y(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The pair (y_N, y'_N) for N >= -2 via the three-term exchange recurrence.
 
-    Memoized; results are immutable and the cache is only ever appended to,
-    so concurrent readers always observe consistent values.
+    Memoized in ``_Y``, which ``remember_y`` also fills; it recurses once per
+    N the memo lacks.  Results are immutable and the memo is only appended
+    to, so concurrent readers always observe consistent values.
     """
+    if n in _Y:
+        return _Y[n]
     if n < -2:
         raise ValueError("recurrence defined for N >= -2 only")
     if n == -2:
@@ -113,7 +118,14 @@ def recurrence_y(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     y2, yp2 = recurrence_y(n - 2)
     y3, yp3 = recurrence_y(n - 3)
     num = y1 * y2 + yp1 * yp2
-    return num.exact_div(y3), num.permute(SIGMA).exact_div(yp3)
+    return _Y.setdefault(n, (num.exact_div(y3), num.permute(SIGMA).exact_div(yp3)))
+
+
+def remember_y(pairs: dict[int, tuple[LaurentPoly, LaurentPoly]]) -> None:
+    """Put ``{N: (y_N, y'_N)}`` that ``recurrence_y`` computed in another
+    process into its memo, keeping any pair the memo already holds."""
+    for n, pair in pairs.items():
+        _Y.setdefault(n, pair)
 
 
 @dataclass(frozen=True)

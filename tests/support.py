@@ -1,9 +1,12 @@
 """Helpers used only by the tests: a polynomial parser, and small graph and
 labeling predicates that the package itself never needs."""
 
+import contextlib
+
+from dp3 import quiver
 from dp3.calibration import labeling_failures
 from dp3.diamonds import DiamondGraph
-from dp3.laurent import N_VARS, SIGMA, LaurentPoly
+from dp3.laurent import N_VARS, SIGMA, LaurentPoly, label_exponents
 from dp3.tiling import Labeling
 
 
@@ -210,3 +213,26 @@ def unpack_digits_by_loop(value: int, length: int, width: int):
             positions.append(i)
             coeffs.append(sign * d)
     return None if carry else (positions, coeffs)
+
+
+def matching_weight(graph: DiamondGraph, matching) -> LaurentPoly:
+    """Product of the edge weights of one matching."""
+    labels = (l for ei in matching for l in graph.edges[ei][2:])
+    return LaurentPoly.monomial(1, label_exponents(labels, -1))
+
+
+# the first cluster variables, y_1 and y'_1
+Y1 = parse_poly("x1 x2^-1 x6 + x2^-1 x3 x5")
+Y1P = parse_poly("x1 x4^-1 x6 + x3 x4^-1 x5")
+
+
+@contextlib.contextmanager
+def empty_recurrence_memo():
+    """Run the block with ``recurrence_y``'s memo empty, so that it computes
+    every y_N it asks for, and empty the memo again after it, so that no
+    value the block made (or planted) outlives it."""
+    quiver._Y.clear()
+    try:
+        yield
+    finally:
+        quiver._Y.clear()

@@ -15,10 +15,10 @@ from types import SimpleNamespace
 import pytest
 
 import dp3
-from dp3 import calibration, cli, laurent, matchings
+from dp3 import calibration, cli, laurent, matchings, quiver
 from dp3.cli import main
 from dp3.diamonds import pm_count_closed
-from support import x
+from support import Y1, Y1P, empty_recurrence_memo, x
 
 
 def run(capsys, *argv):
@@ -216,10 +216,11 @@ def within(seconds: int, hang: str):
 
 
 class TestWorkers:
-    """``dp3 verify`` runs the suites' independent jobs from one queue that
-    forked workers, one per usable CPU, pull while the calling process runs
-    the recurrence; ``_usable_cpus`` pins how many.  Which worker runs a job
-    is not fixed, so these tests check exit codes and messages only."""
+    """``dp3 verify`` runs the suites' independent jobs (the recurrence,
+    then the diamonds) from one queue that forked workers, one per usable
+    CPU, pull while the calling process runs the seed route; ``_usable_cpus``
+    pins how many.  Which worker runs a job is not fixed, so most of these
+    tests check exit codes and messages only."""
 
     @pytest.fixture(autouse=True)
     def calibrated(self, scheme):
@@ -253,23 +254,23 @@ class TestWorkers:
                 assert code == 0
                 reports.append(re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', out))
             assert reports[0] == reports[1], suite
-        # three workers for each suite with diamonds to sum or count; none for
-        # the quiver and oracle suites, which have no job
-        assert len(forks) == 3 * 4
+        # three workers for each suite with diamonds to sum or count, one for
+        # the quiver suite's recurrence job, none for the oracle suite
+        assert len(forks) == 3 * 4 + 1
         no_child_left()
 
-    def worker_fails(self, capsys, monkeypatch, suite, where, fail):
+    def worker_fails(self, capsys, monkeypatch, suite, where, fail, owner=cli):
         """Exit code and stderr of a ``suite`` run with three usable CPUs in
-        which the function ``where`` of ``cli`` calls ``fail`` inside a
-        worker."""
-        parent, real = os.getpid(), getattr(cli, where)
+        which the function ``where`` of the module ``owner`` calls ``fail``
+        inside a worker."""
+        parent, real = os.getpid(), getattr(owner, where)
 
         def failing(*args):
             if os.getpid() != parent:
                 fail(*args)
             return real(*args)
 
-        monkeypatch.setattr(cli, where, failing)
+        monkeypatch.setattr(owner, where, failing)
         code, _, err = self.verify(capsys, monkeypatch, 3, "--suite", suite,
                                    "--max-half-order", "6")
         no_child_left()
@@ -314,15 +315,63 @@ class TestWorkers:
         assert err.startswith("error: ") and "status 9" in err
 
     def test_seed_route_failure_exits_2(self, capsys, monkeypatch, forks):
-        # the seed route runs in the calling process, which forks no worker
-        # for the quiver suite
+        # the seed route fails in the calling process while the one worker
+        # of the quiver suite runs the recurrence
         def fail(steps):
             raise ValueError(f"no seed route of {steps} steps")
 
         monkeypatch.setattr(cli, "run_periodic_sequence", fail)
         got = self.verify(capsys, monkeypatch, 3, "--suite", "quiver", "--max-half-order", "6")
         assert got == (2, "", "error: no seed route of 12 steps\n")
-        assert forks == []
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_recurrence_fails_in_a_worker(self, capsys, monkeypatch):
+        def fail(n):
+            raise ValueError(f"no y_{n}")
+
+        got = self.worker_fails(capsys, monkeypatch, "quiver", "recurrence_y", fail, quiver)
+        assert got == (2, "error: no y_1\n")
+
+    def test_seed_route_here_and_recurrence_in_a_worker(self, capsys, monkeypatch, tmp_path):
+        # every mutation, and every recurrence step the memo lacks, is logged
+        # with the pid of the process that takes it; cli's binding of the
+        # recurrence is logged too, so a step taken here would show
+        log = tmp_path / "steps"
+
+        def logged(route, fn):
+            def wrapper(*args):
+                if route == "seed" or (args[0] >= 1 and args[0] not in quiver._Y):
+                    with open(log, "a") as f:
+                        f.write(f"{route} {os.getpid()}\n")
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(quiver, "mutate_seed", logged("seed", quiver.mutate_seed))
+        for owner in (quiver, cli):
+            monkeypatch.setattr(owner, "recurrence_y", logged("recurrence", quiver.recurrence_y))
+        with empty_recurrence_memo():
+            code, _, _ = self.verify(capsys, monkeypatch, 3, "--suite", "quiver",
+                                     "--max-half-order", "4")
+        assert code == 0
+        runs = Counter(tuple(line.split()) for line in log.read_text().splitlines())
+        here = str(os.getpid())
+        assert runs[("seed", here)] == 8 and sum(runs.values()) == 8 + 4
+        (route, pid), = set(runs) - {("seed", here)}
+        assert route == "recurrence" and pid != here
+        no_child_left()
+
+    def test_wrong_recurrence_in_this_process_stays_here(self, capsys, monkeypatch):
+        # cli's binding returns wrong values; the recurrence job calls the
+        # quiver module's own function, so none of them reaches the memo
+        monkeypatch.setattr(cli, "recurrence_y", lambda n: (x(1), x(2)))
+        with empty_recurrence_memo():
+            code, out, _ = self.verify(capsys, monkeypatch, 3, "--suite", "quiver",
+                                       "--max-half-order", "2")
+            assert code == 1
+            assert "FAIL  quiver/seed-vs-recurrence/N<=2" in out
+            assert quiver.recurrence_y(1) == (Y1, Y1P)
+        no_child_left()
 
     def test_count_sweep_fails_in_a_worker(self, capsys, monkeypatch):
         def fail(graph, *args):
@@ -333,21 +382,22 @@ class TestWorkers:
         assert got == (2, "error: no count for D_{3/2}\n")
 
     def test_parent_failure_kills_the_workers(self, capsys, monkeypatch):
-        # the workers would sleep longer than the test may take; the calling
-        # process fails in the recurrence it runs meanwhile, and every worker
-        # is killed and reaped
-        def slow_kernel(graph, *args):
+        # the workers' jobs, the recurrence and the diamond sums, would sleep
+        # longer than the test may take; the calling process fails in the
+        # seed route it runs meanwhile, and every worker is killed and reaped
+        def slow(*args):
             time.sleep(30)
 
-        def failing_recurrence(n):
-            raise ValueError("recurrence failed")
+        def failing_seed_route(steps):
+            raise ValueError("seed route failed")
 
-        monkeypatch.setattr(cli, "weighted_pm_sum", slow_kernel)
-        monkeypatch.setattr(cli, "recurrence_y", failing_recurrence)
+        monkeypatch.setattr(quiver, "recurrence_y", slow)
+        monkeypatch.setattr(cli, "weighted_pm_sum", slow)
+        monkeypatch.setattr(cli, "run_periodic_sequence", failing_seed_route)
         start = time.monotonic()
-        code, _, err = self.verify(capsys, monkeypatch, 3, "--suite", "theorem",
+        code, _, err = self.verify(capsys, monkeypatch, 3, "--suite", "all",
                                    "--max-half-order", "4")
-        assert (code, err) == (2, "error: recurrence failed\n")
+        assert (code, err) == (2, "error: seed route failed\n")
         assert time.monotonic() - start < 20
         no_child_left()
 
@@ -400,7 +450,7 @@ class TestWorkers:
             return -job
 
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        assert cli._run_jobs(list(range(300)), work) == [-j for j in range(300)]
+        assert cli._run_jobs(list(range(300)), work) == ([-j for j in range(300)], None)
         runs = [line.split() for line in log.read_text().splitlines()]
         assert sorted(int(job) for job, _ in runs) == list(range(300))
         assert str(os.getpid()) not in {pid for _, pid in runs}
@@ -409,20 +459,25 @@ class TestWorkers:
     @pytest.mark.parametrize("jobs, cpus", [([3, 1, 2], 1), ([], 1), ([], 3)],
                              ids=["one-cpu", "no-job-one-cpu", "no-job-three-cpus"])
     def test_runs_in_this_process_without_workers(self, monkeypatch, forks, jobs, cpus):
-        # with nothing to overlap, the jobs run here in order, and meanwhile
-        # is not called
-        called = []
+        # with nothing to overlap, the jobs run here in order, then meanwhile
+        order = []
+
+        def work(job):
+            order.append(job)
+            return job, os.getpid()
+
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        got = cli._run_jobs(jobs, lambda job: (job, os.getpid()), lambda: called.append(1))
-        assert got == [(job, os.getpid()) for job in jobs]
-        assert (forks, called) == ([], [])
+        got = cli._run_jobs(jobs, work, lambda: order.append("meanwhile") or "ahead")
+        assert got == ([(job, os.getpid()) for job in jobs], "ahead")
+        assert (forks, order) == ([], [*jobs, "meanwhile"])
 
     def test_queue_never_blocks(self, monkeypatch, forks):
         # more jobs than a 64 KiB pipe holds 8-byte records
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         jobs = list(range(20_000))
         with within(60, "the job queue blocked"):
-            assert cli._run_jobs(jobs, lambda j: 2 * j, lambda: None) == [2 * j for j in jobs]
+            got = cli._run_jobs(jobs, lambda j: 2 * j, lambda: "ahead")
+        assert got == ([2 * j for j in jobs], "ahead")
         assert len(forks) == 3
         no_child_left()
 

@@ -18,7 +18,7 @@ from dp3.laurent import (
 )
 from dp3.diamonds import build_diamond
 from dp3.quiver import recurrence_y, run_periodic_sequence
-from support import ParseError, parse_poly, unpack_digits_by_loop, x
+from support import ParseError, empty_recurrence_memo, parse_poly, unpack_digits_by_loop, x
 
 
 def P(text: str) -> LaurentPoly:
@@ -379,11 +379,8 @@ def test_quiver_routes_match_dict_arithmetic(monkeypatch):
         monkeypatch.setattr(laurent, name, counting)
 
     def both_routes():
-        recurrence_y.cache_clear()
-        try:
+        with empty_recurrence_memo():
             return run_periodic_sequence(24).entries, [recurrence_y(n) for n in range(1, 13)]
-        finally:
-            recurrence_y.cache_clear()
 
     fast = both_routes()
     assert len(packed) > 50 and all(packed)
@@ -421,13 +418,10 @@ def test_cached_boxes_and_lattices_hold_on_the_quiver_values(monkeypatch):
         given_at_birth.append((self._box is not None, self._lattice is not None))
 
     monkeypatch.setattr(LaurentPoly, "__init__", recording)
-    recurrence_y.cache_clear()
-    try:
+    with empty_recurrence_memo():
         run_periodic_sequence(28)
         for n in range(1, 15):
             recurrence_y(n)
-    finally:
-        recurrence_y.cache_clear()
     monkeypatch.undo()
     # the operations that made them gave most of them a box and a lattice
     boxes, lattices = zip(*given_at_birth)
@@ -493,14 +487,11 @@ def test_no_value_finds_its_lattice_from_its_terms(capsys, monkeypatch):
     monkeypatch.setattr(LaurentPoly, "_support_basis", recording)
     # in-process, so that the diamond sums are made where they are recorded
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    recurrence_y.cache_clear()
-    try:
+    with empty_recurrence_memo():
         run_periodic_sequence(28)
         for n in range(1, 15):
             recurrence_y(n)
         assert main(["verify", "--suite", "all", "--max-half-order", "8"]) == 0
-    finally:
-        recurrence_y.cache_clear()
     assert "FAIL" not in capsys.readouterr().out
     assert found == []
 

@@ -14,13 +14,12 @@ from dp3.matchings import (
     condensation_diamonds,
     count_pm,
     enumerate_pm,
-    matching_weight,
     matchings_route_y,
     verify_condensation,
     weighted_pm_sum,
 )
 from dp3.quiver import recurrence_y
-from support import matching_covers, parse_poly, sweep_stats
+from support import matching_covers, matching_weight, parse_poly, sweep_stats
 
 COUNTS = {1: 2, 2: 4, 3: 16, 4: 64, 5: 512, 6: 4096, 7: 65536, 8: 1048576}
 
@@ -482,7 +481,7 @@ class TestDiamondSum:
 
     @pytest.mark.parametrize("primed", [False, True])
     def test_equals_kernel_on_built_diamond(self, scheme, primed):
-        sums, _ = cli._work_ahead(("theorem", "recursions"), 6, scheme)
+        sums, _, _ = cli._work_ahead(("theorem", "recursions"), 6, scheme)
         # theorem: N = 1..6; recursions adds D_0 and D_{7/2}, unprimed
         want = set(range(1, 7)) | (set() if primed else {0, 7})
         assert {n for n, p in sums if p == primed} == want

@@ -10,9 +10,10 @@ from dp3.quiver import (
     mutate_matrix,
     mutate_seed,
     recurrence_y,
+    remember_y,
     run_periodic_sequence,
 )
-from support import parse_poly, x
+from support import Y1, Y1P, empty_recurrence_memo, x
 
 B0 = initial_b_matrix()
 
@@ -69,10 +70,6 @@ class TestMatrixMutation:
             mutate_matrix(B0, 0)
 
 
-Y1 = parse_poly("x1 x2^-1 x6 + x2^-1 x3 x5")
-Y1P = parse_poly("x1 x4^-1 x6 + x3 x4^-1 x5")
-
-
 class TestSeedMutation:
     def test_first_three_mutations(self):
         s1 = mutate_seed(initial_seed(), 2)
@@ -116,6 +113,15 @@ class TestRecurrence:
     def test_below_range(self):
         with pytest.raises(ValueError):
             recurrence_y(-3)
+
+    def test_remembered_pairs_never_replace_the_memo(self):
+        # a pair computed elsewhere fills a gap in the memo, never a value
+        # the memo holds
+        with empty_recurrence_memo():
+            assert recurrence_y(1) == (Y1, Y1P)
+            remember_y({1: (x(1), x(2)), 2: (x(3), x(4))})
+            assert recurrence_y(1) == (Y1, Y1P)
+            assert recurrence_y(2) == (x(3), x(4))
 
 
 class TestPeriodicSequence:

@@ -251,8 +251,8 @@ class TestCalibration:
 
     def test_calibrated_half_diamond_weights(self, scheme):
         from dp3.diamonds import build_diamond
-        from dp3.matchings import enumerate_pm, matching_weight
-        from support import parse_poly
+        from dp3.matchings import enumerate_pm
+        from support import matching_weight, parse_poly
 
         g = build_diamond(1, False, scheme)
         weights = sorted(str(matching_weight(g, m)) for m in enumerate_pm(g))
