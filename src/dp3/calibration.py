@@ -14,15 +14,12 @@ the (forced) block shapes for each, and keeps those passing, in order:
   6. covering monomial closed forms for those diamonds,
   7. the cluster identity y_1 = w(D_1/2) m(D_1/2).
 
-Exactly one assignment survives; anything else raises.  The result can be
-persisted to a small versioned JSON file.
+Exactly one assignment survives; anything else raises.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from pathlib import Path
 
 from .laurent import SIGMA
 from .quiver import recurrence_y
@@ -34,8 +31,6 @@ from .tiling import (
     face_adjacency,
     rotate180,
 )
-
-CALIBRATION_SCHEMA_VERSION = 1
 
 
 class CalibrationError(RuntimeError):
@@ -178,65 +173,3 @@ def default_scheme() -> BlockScheme:
         _SCHEME = calibrate()
     return _SCHEME
 
-
-# -- persistence --------------------------------------------------------------
-
-
-def scheme_to_json(scheme: BlockScheme) -> str:
-    doc = {
-        "schema_version": CALIBRATION_SCHEMA_VERSION,
-        "labels": {"up": list(scheme.labeling.up), "down": list(scheme.labeling.down)},
-        "rho_center": list(scheme.labeling.rho_center),
-        "shapes": {
-            name: [[int(up), c, da] for (up, c), da in sorted(shape.items())]
-            for name, shape in scheme.shapes.items()
-        },
-        "anchor": [0, 0],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def save_calibration(scheme: BlockScheme, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(scheme_to_json(scheme))
-
-
-def _ints(value, length: int, field: str) -> tuple[int, ...]:
-    """``value`` as a tuple if it is a list of ``length`` integers."""
-    if not (isinstance(value, list) and len(value) == length
-            and all(type(v) is int for v in value)):
-        raise CalibrationError(f"calibration field {field} is not a list of {length} integers")
-    return tuple(value)
-
-
-def load_calibration(path: str | Path) -> BlockScheme:
-    """Load and revalidate a stored calibration, refusing version or content
-    mismatches (a stale or edited file must never silently miscalibrate).
-    The labeling is rebuilt from ``labels`` and ``rho_center``, and the file
-    must then hold exactly what ``scheme_to_json`` writes for it: the same
-    keys, shapes and anchor, with the same JSON types.  A document of the
-    wrong shape raises CalibrationError too."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise CalibrationError("calibration file does not hold a JSON object")
-    version = doc.get("schema_version")
-    if version != CALIBRATION_SCHEMA_VERSION:
-        raise CalibrationError(
-            f"calibration schema version {version!r} unsupported "
-            f"(expected {CALIBRATION_SCHEMA_VERSION})")
-    labels = doc.get("labels")
-    if not isinstance(labels, dict):
-        raise CalibrationError("calibration file lacks the labels object")
-    lab = Labeling(
-        up=_ints(labels.get("up"), 3, "labels.up"),
-        down=_ints(labels.get("down"), 3, "labels.down"),
-        rho_center=_ints(doc.get("rho_center"), 2, "rho_center"),
-    )
-    scheme = BlockScheme.from_labeling(lab)
-    if json.dumps(doc, indent=1, sort_keys=True) != scheme_to_json(scheme):
-        raise CalibrationError("calibration file disagrees with what its labeling gives")
-    failures = labeling_failures(lab)
-    if failures:
-        raise CalibrationError(f"stored calibration fails validation: {failures}")
-    return scheme

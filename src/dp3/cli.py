@@ -1,8 +1,8 @@
 """Command line front end: verification suites, cluster variable computation
-by any route, diamond export, and calibration management.
+by any route, diamond export, and the calibration search.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage, configuration
-or I/O error.
+Exit codes: 0 all checks pass, 1 verification or calibration failure, 2 usage,
+input or I/O error, or out of memory.
 """
 
 from __future__ import annotations
@@ -211,6 +211,8 @@ def _worker(queue, read: int, write: int, jobs: list, work):
             os.write(queue[1], end.to_bytes(8, "little"))  # for the next worker to read
             data = pickle.dumps((True, done))
         except BaseException as e:
+            # free the job's frames: after a MemoryError, pickling needs their room
+            e.__traceback__ = None
             try:
                 data = pickle.dumps((False, e))
                 pickle.loads(data)
@@ -392,28 +394,10 @@ _SUITE_FUNCS = {
 SUITES = tuple(_SUITE_FUNCS)
 
 
-def _get_scheme(path: Path | None, recalibrate: bool = False) -> tuple[BlockScheme, str]:
-    """The calibrated scheme and whether it was "loaded" or "computed".
-
-    With a path, the calibration stored there is loaded unless the file is
-    missing or ``recalibrate`` is set; then the search runs and its result
-    is saved there.  With no path, the search runs if ``recalibrate`` is
-    set, and otherwise the process-wide default scheme is returned.
-    """
-    if path is not None and path.exists() and not recalibrate:
-        return cal.load_calibration(path), "loaded"
-    if path is None and not recalibrate:
-        return cal.default_scheme(), "computed"
-    scheme = cal.calibrate()
-    if path is not None:
-        cal.save_calibration(scheme, path)
-    return scheme, "computed"
-
-
 def cmd_verify(args) -> int:
     if args.max_half_order < 1:
         raise ValueError("max_half_order must be >= 1")
-    scheme, _ = _get_scheme(args.calibration)
+    scheme = cal.default_scheme()
     names = SUITES if args.suite == "all" else (args.suite,)
     start = time.monotonic()
     sums, counts, seq = _work_ahead(names, args.max_half_order, scheme)
@@ -444,7 +428,7 @@ def cmd_compute(args) -> int:
     if args.via == "matchings":
         if n < 1:
             raise ValueError("the matching route needs N >= 1")
-        poly = matchings_route_y(n, prime, _get_scheme(args.calibration)[0])
+        poly = matchings_route_y(n, prime, cal.default_scheme())
     elif args.via == "seed":
         if n < 1:
             raise ValueError("the seed route needs N >= 1")
@@ -469,7 +453,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_export(args) -> int:
-    graph = build_diamond(args.half_order, args.primed, _get_scheme(args.calibration)[0])
+    graph = build_diamond(args.half_order, args.primed, cal.default_scheme())
     render = {"json": graph_to_json, "dot": graph_to_dot, "svg": graph_to_svg}[args.format]
     text = render(graph)
     out = Path(args.out)
@@ -480,10 +464,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    # with no file to load from, the command always runs the search
-    scheme, source = _get_scheme(args.out, args.recalibrate or args.out is None)
-    lab = scheme.labeling
-    print(f"{source}: up={lab.up} down={lab.down} rho_center={lab.rho_center}")
+    lab = cal.calibrate().labeling
+    print(f"computed: up={lab.up} down={lab.down} rho_center={lab.rho_center}")
     return 0
 
 
@@ -494,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=SUITES + ("all",), default="all")
     v.add_argument("--max-half-order", type=int, default=8, metavar="N")
-    v.add_argument("--calibration", type=Path, default=None, metavar="PATH")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.set_defaults(func=cmd_verify)
 
@@ -503,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--via", choices=("recurrence", "seed", "matchings"),
                    default="recurrence")
-    c.add_argument("--calibration", type=Path, default=None, metavar="PATH")
     c.add_argument("--format", choices=("text", "json"), default="text")
     c.set_defaults(func=cmd_compute)
 
@@ -512,12 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--primed", action="store_true")
     e.add_argument("--format", choices=("json", "dot", "svg"), default="json")
     e.add_argument("--out", required=True, metavar="PATH")
-    e.add_argument("--calibration", type=Path, default=None, metavar="PATH")
     e.set_defaults(func=cmd_export)
 
-    k = sub.add_parser("calibrate", help="run or load the calibration search")
-    k.add_argument("--recalibrate", action="store_true")
-    k.add_argument("--out", type=Path, default=None, metavar="PATH")
+    k = sub.add_parser("calibrate", help="run the calibration search")
     k.set_defaults(func=cmd_calibrate)
     return p
 
@@ -528,13 +505,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (cal.CalibrationFailed, cal.CalibrationAmbiguous) as e:
+    except cal.CalibrationError as e:
         # no labeling or several survive the search: the lattice model is broken
         print(f"calibration failed: {e}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, RecursionError, cal.CalibrationError) as e:
+    except (ValueError, OSError, RecursionError) as e:
         # RecursionError: an input too deep for the interpreter's recursion limit
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:  # its message is usually empty
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -278,21 +278,41 @@ class TestWorkers:
 
     def test_worker_exception_is_raised_again(self, capsys, monkeypatch):
         # whichever process sums D'_{5/2} fails: a worker at three CPUs, the
-        # calling process at one
+        # calling process at one; str(MemoryError()) is empty, so its message
+        # is main()'s own
         kernel = matchings.weighted_pm_sum
+        for error, message in ((ValueError("no sum for D'_{5/2}"), "no sum for D'_{5/2}"),
+                               (MemoryError(), "out of memory")):
+            def failing_kernel(graph, *args, error=error):
+                if (graph.half_order, graph.primed) == (5, True):
+                    raise error
+                return kernel(graph, *args)
 
-        def failing_kernel(graph, *args):
-            if (graph.half_order, graph.primed) == (5, True):
-                raise ValueError("no sum for D'_{5/2}")
-            return kernel(graph, *args)
+            for module in (cli, matchings):
+                monkeypatch.setattr(module, "weighted_pm_sum", failing_kernel)
+            for cpus in (3, 1):
+                got = self.verify(capsys, monkeypatch, cpus, "--suite", "theorem",
+                                  "--max-half-order", "6")
+                assert got == (2, "", f"error: {message}\n")
+                no_child_left()
 
-        for module in (cli, matchings):
-            monkeypatch.setattr(module, "weighted_pm_sum", failing_kernel)
-        for cpus in (3, 1):
-            code, _, err = self.verify(capsys, monkeypatch, cpus, "--suite", "theorem",
-                                       "--max-half-order", "6")
-            assert (code, err) == (2, "error: no sum for D'_{5/2}\n")
-            no_child_left()
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmSize")
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_address_space_limit_exits_2(self, cpus):
+        # a real MemoryError: each process may map 4 MiB more than the calling
+        # process holds after its imports, and the DP at N=14 needs more
+        src = str(Path(dp3.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import resource, sys; from dp3 import cli; "
+                f"cli._usable_cpus = lambda: {cpus}; "
+                "vm = next(int(line.split()[1]) for line in open('/proc/self/status') "
+                "if line.startswith('VmSize:')) * 1024; "
+                "resource.setrlimit(resource.RLIMIT_AS, (vm + 4 * 2**20,) * 2); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", code, "verify", "--suite", "theorem",
+                               "--max-half-order", "14"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
 
     def test_worker_exception_that_cannot_be_pickled(self, capsys, monkeypatch):
         class Local(ValueError):  # pickle finds no class by this name
@@ -661,96 +681,35 @@ class TestExport:
 
 
 class TestCalibrateCommand:
-    def test_compute_and_save(self, capsys, tmp_path):
-        path = tmp_path / "cal.json"
-        code, out, _ = run(capsys, "calibrate", "--out", str(path))
-        assert code == 0
-        assert out.startswith("computed:")
-        assert path.exists()
+    """``dp3 calibrate`` runs the search; every other command takes the
+    process's default scheme, which runs the same search on first need."""
 
-    def test_second_run_loads(self, capsys, tmp_path):
-        path = tmp_path / "cal.json"
-        run(capsys, "calibrate", "--out", str(path))
-        code, out, _ = run(capsys, "calibrate", "--out", str(path))
-        assert code == 0
-        assert out.startswith("loaded:")
+    def test_prints_the_labeling(self, capsys):
+        assert run(capsys, "calibrate") == (
+            0, "computed: up=(4, 6, 5) down=(1, 3, 2) rho_center=(9, 6)\n", "")
 
-    def test_recalibrate_forces_search(self, capsys, tmp_path):
-        path = tmp_path / "cal.json"
-        run(capsys, "calibrate", "--out", str(path))
-        code, out, _ = run(capsys, "calibrate", "--out", str(path), "--recalibrate")
-        assert code == 0
-        assert out.startswith("computed:")
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--calibration", "cal.json"),
+        ("compute", "--target", "y", "--n", "1", "--calibration", "cal.json"),
+        ("export", "--half-order", "1", "--out", "d.json", "--calibration", "cal.json"),
+        ("calibrate", "--out", "cal.json"),
+        ("calibrate", "--recalibrate"),
+    ], ids=["verify", "compute", "export", "calibrate-out", "calibrate-recalibrate"])
+    def test_calibration_file_options_are_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_stale_schema_refused_by_other_commands(self, capsys, tmp_path):
-        path = tmp_path / "cal.json"
-        run(capsys, "calibrate", "--out", str(path))
-        path.write_text(path.read_text().replace('"schema_version": 1',
-                                                 '"schema_version": 0'))
-        code, _, err = run(capsys, "compute", "--target", "y", "--n", "1",
-                           "--via", "matchings", "--calibration", str(path))
-        assert code == 2
-        assert "schema" in err
-
-    def test_verify_uses_calibration_file(self, capsys, tmp_path):
-        path = tmp_path / "cal.json"
-        code, out, _ = run(capsys, "verify", "--suite", "oracle",
-                           "--max-half-order", "2", "--calibration", str(path))
-        assert code == 0
-        assert path.exists()
-        assert "suite oracle: pass" in out
-
-
-def _text_labels(doc: dict) -> dict:
-    doc["labels"]["up"] = "abc"
-    return doc
-
-
-def _shape_flag_7(doc: dict) -> dict:
-    # an up-face entry, whose flag 1 a coercion to bool would not tell from 7
-    assert doc["shapes"]["254"][-1][0] == 1
-    doc["shapes"]["254"][-1][0] = 7
-    return doc
-
-
-def _duplicate_shape_entry(doc: dict) -> dict:
-    doc["shapes"]["254"].append(doc["shapes"]["254"][0])
-    return doc
-
-
-MALFORMED_CALIBRATIONS = {
-    "no-labels": lambda doc: {"schema_version": 1},
-    "not-an-object": lambda doc: [1, 2],
-    "text-labels": _text_labels,
-    "anchor-moved": lambda doc: {**doc, "anchor": [5, 5]},
-    "shape-flag-7": _shape_flag_7,
-    "duplicate-shape-entry": _duplicate_shape_entry,
-    "unknown-key": lambda doc: {**doc, "comment": "edited by hand"},
-}
-
-CALIBRATION_COMMANDS = {
-    "verify": ("verify", "--suite", "quiver", "--max-half-order", "1", "--calibration"),
-    "calibrate": ("calibrate", "--out"),
-}
-
-
-class TestMalformedCalibration:
-    @pytest.mark.parametrize("command", sorted(CALIBRATION_COMMANDS))
-    @pytest.mark.parametrize("malformed", sorted(MALFORMED_CALIBRATIONS))
-    def test_exits_2_without_traceback(self, capsys, tmp_path, scheme, command, malformed):
-        path = tmp_path / "cal.json"
-        doc = json.loads(calibration.scheme_to_json(scheme))
-        path.write_text(json.dumps(MALFORMED_CALIBRATIONS[malformed](doc)))
-        code, _, err = run(capsys, *CALIBRATION_COMMANDS[command], str(path))
-        assert code == 2
-        assert "error:" in err
-        assert "Traceback" not in err
-
-    def test_failed_search_exits_1(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["calibrate", "verify"])
+    @pytest.mark.parametrize("error", [calibration.CalibrationFailed,
+                                       calibration.CalibrationAmbiguous])
+    def test_failed_search_exits_1(self, capsys, monkeypatch, error, command):
         def fail():
-            raise calibration.CalibrationFailed("no labeling survives")
+            raise error("no unique labeling")
 
         monkeypatch.setattr(calibration, "calibrate", fail)
-        code, _, err = run(capsys, "calibrate")
-        assert code == 1
-        assert "calibration failed:" in err
+        monkeypatch.setattr(calibration, "_SCHEME", None)  # so verify searches again
+        argv = {"calibrate": ("calibrate",),
+                "verify": ("verify", "--suite", "quiver", "--max-half-order", "1")}[command]
+        assert run(capsys, *argv) == (1, "", "calibration failed: no unique labeling\n")
