@@ -175,10 +175,10 @@ def _run_jobs(jobs: list, work, meanwhile=lambda: None) -> tuple[list, object]:
                     continue
                 pid = children.pop(read)
                 os.close(read)
-                status = os.waitpid(pid, 0)[1]
-                if not data[read]:
-                    raise ChildProcessError(f"a worker exited with status "
-                                            f"{os.waitstatus_to_exitcode(status)} without a result")
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if status or not data[read]:
+                    raise ChildProcessError(f"a worker exited with status {status} "
+                                            "without a result")
                 ok, done = pickle.loads(data.pop(read))
                 if not ok:
                     raise done
@@ -199,7 +199,9 @@ def _run_jobs(jobs: list, work, meanwhile=lambda: None) -> tuple[list, object]:
 def _worker(queue, read: int, write: int, jobs: list, work):
     """A forked worker of ``_run_jobs``: run the jobs it pulls, send the
     pickled ``(index, result)`` pairs or exception down ``write``, and exit
-    without cleanup, so that no inherited buffer is flushed twice."""
+    without cleanup, so that no inherited buffer is flushed twice: with
+    status 0 once they are written, else 1 after naming why on fd 2."""
+    status = 1
     try:
         import pickle  # loaded by _run_jobs before the fork
         os.close(read)
@@ -220,8 +222,11 @@ def _worker(queue, read: int, write: int, jobs: list, work):
                 data = pickle.dumps((False, ChildProcessError(f"{type(e).__name__}: {e}")))
         with os.fdopen(write, "wb") as pipe:
             pipe.write(data)
+        status = 0
+    except BaseException as e:
+        os.write(2, f"dp3 worker: {type(e).__name__}: {e}\n".encode())
     finally:
-        os._exit(0)
+        os._exit(status)
 
 
 def _condensation_orders(top: int) -> list[int]:

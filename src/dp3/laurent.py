@@ -767,24 +767,33 @@ def _packed_div(num: LaurentPoly, den: LaurentPoly, lattice) -> dict[int, int] |
     return None
 
 
+class _FactorTexts(dict):
+    """x_i's factor text by biased exponent field, filled as fields are met."""
+
+    def __init__(self, i: int):
+        self.x = f" x{i}"
+
+    def __missing__(self, field: int) -> str:
+        e = field - _BIAS
+        text = self[field] = "" if e == 0 else self.x if e == 1 else f"{self.x}^{e}"
+        return text
+
+
 def format_poly(p: LaurentPoly) -> str:
-    """Canonical text form: terms sorted by exponent vector descending."""
-    if not p:
+    """Canonical text form: terms sorted by exponent vector descending, with
+    exponent fields read from the packed keys through per-call text tables."""
+    terms = p._terms
+    if not terms:
         return "0"
-    parts: list[str] = []
-    for exps, coeff in p.terms():
-        factors = []
-        for i, e in enumerate(exps, start=1):
-            if e == 1:
-                factors.append(f"x{i}")
-            elif e != 0:
-                factors.append(f"x{i}^{e}")
-        mag = abs(coeff)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        term = " ".join(factors)
-        if not parts:
-            parts.append(f"-{term}" if coeff < 0 else term)
-        else:
-            parts.append(f"- {term}" if coeff < 0 else f"+ {term}")
-    return " ".join(parts)
+    t1, t2, t3, t4, t5, t6 = map(_FactorTexts, range(1, N_VARS + 1))
+    s1, s2, s3, s4, s5, _ = _SHIFTS
+    out = []
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        head = f" + {c}" if c > 0 else f" - {-c}"
+        if (c == 1 or c == -1) and key != UNIT_KEY:
+            head = head[:2]  # a unit coefficient shows on the constant term only
+        out.append(f"{head}{t1[key >> s1]}{t2[key >> s2 & _MASK]}{t3[key >> s3 & _MASK]}"
+                   f"{t4[key >> s4 & _MASK]}{t5[key >> s5 & _MASK]}{t6[key & _MASK]}")
+    out[0] = out[0][3:] if out[0][1] == "+" else "-" + out[0][3:]  # no " + ", a bare "-"
+    return "".join(out)

@@ -10,16 +10,19 @@ produces the variables y_1, y'_1, y_2, y'_2, ... which alternatively follow
 the closed three-term recurrence
 
     y_N y_{N-3} = y_{N-1} y_{N-2} + y'_{N-1} y'_{N-2},
+    y'_N y'_{N-3} = y'_{N-1} y'_{N-2} + y_{N-1} y_{N-2},
 
 with bases y_{-2}=x2, y'_{-2}=x4, y_{-1}=x5, y'_{-1}=x1, y_0=x3, y'_0=x6.
-Both routes are implemented; they must agree.
+Both routes compute the right-hand side they share once; they must agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import is_, mul
 
-from .laurent import SIGMA, LaurentPoly
+from .laurent import LaurentPoly
 
 BMatrix = tuple[tuple[int, ...], ...]
 
@@ -42,33 +45,24 @@ def initial_b_matrix() -> BMatrix:
 
 
 def mutate_matrix(b: BMatrix, k: int) -> BMatrix:
-    """Fomin-Zelevinsky matrix mutation at node k (1-based)."""
+    """Fomin-Zelevinsky matrix mutation at node k (1-based): b_ij changes sign
+    if i or j is k, else gains (|b_ik| b_kj + b_ik |b_kj|) / 2."""
     if not 1 <= k <= 6:
         raise ValueError(f"node index {k} out of range 1..6")
     k -= 1
-    n = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-b[i][j])
-            elif b[i][k] > 0 and b[k][j] > 0:
-                row.append(b[i][j] + b[i][k] * b[k][j])
-            elif b[i][k] < 0 and b[k][j] < 0:
-                row.append(b[i][j] - b[i][k] * b[k][j])
-            else:
-                row.append(b[i][j])
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(-b[i][j] if k in (i, j)
+                       else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
+                       for j in range(len(b))) for i in range(len(b)))
 
 
 @dataclass(frozen=True)
 class Seed:
-    """An exchange matrix together with the cluster variables at its nodes."""
+    """An exchange matrix together with the cluster variables at its nodes;
+    ``exchange`` (not part of its value) is what ``mutate_seed`` may reuse."""
 
     matrix: BMatrix
     cluster: tuple[LaurentPoly, ...]
+    exchange: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def initial_seed() -> Seed:
@@ -76,21 +70,25 @@ def initial_seed() -> Seed:
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Mutate at node k: exchange binomial from column k, then exact division."""
+    """Mutate at node k: exchange binomial from column k, then exact division.
+    A binomial that the mutation making ``seed`` computed is reused once, when
+    column k picks the very same variable objects with the same or negated exponents."""
     if not 1 <= k <= 6:
         raise ValueError(f"node index {k} out of range 1..6")
     b, cl = seed.matrix, seed.cluster
-    pos = LaurentPoly.one()
-    neg = LaurentPoly.one()
-    for i in range(6):
-        e = b[i][k - 1]
-        if e > 0:
-            pos = pos * cl[i] ** e
-        elif e < 0:
-            neg = neg * cl[i] ** (-e)
-    new_var = (pos + neg).exact_div(cl[k - 1])
-    cluster = cl[: k - 1] + (new_var,) + cl[k:]
-    return Seed(mutate_matrix(b, k), cluster)
+    rows = [i for i in range(6) if b[i][k - 1]]
+    factors, exps = [cl[i] for i in rows], [b[i][k - 1] for i in rows]
+    old, old_exps, binomial = seed.exchange or ((), (), None)
+    reused = (len(factors) == len(old) and all(map(is_, factors, old))
+              and exps in (old_exps, [-e for e in old_exps]))
+    if not reused:
+        # each product starts from its first factor, not from 1
+        pos, neg = (reduce(mul, [v ** (s * e) for v, e in zip(factors, exps) if s * e > 0]
+                           or [LaurentPoly.one()]) for s in (1, -1))
+        binomial = pos + neg
+    cluster = cl[: k - 1] + (binomial.exact_div(cl[k - 1]),) + cl[k:]
+    # one sigma-pair per binomial: held through the next products, it raises peak memory
+    return Seed(mutate_matrix(b, k), cluster, None if reused else (factors, exps, binomial))
 
 
 #: recurrence_y's memo, (y_N, y'_N) by N >= 1; a value in it is never replaced.
@@ -117,8 +115,8 @@ def recurrence_y(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     y1, yp1 = recurrence_y(n - 1)
     y2, yp2 = recurrence_y(n - 2)
     y3, yp3 = recurrence_y(n - 3)
-    num = y1 * y2 + yp1 * yp2
-    return _Y.setdefault(n, (num.exact_div(y3), num.permute(SIGMA).exact_div(yp3)))
+    num = y1 * y2 + yp1 * yp2  # the numerator of both: sigma maps it to itself
+    return _Y.setdefault(n, (num.exact_div(y3), num.exact_div(yp3)))
 
 
 def remember_y(pairs: dict[int, tuple[LaurentPoly, LaurentPoly]]) -> None:

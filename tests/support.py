@@ -1,5 +1,6 @@
-"""Helpers used only by the tests: a polynomial parser, and small graph and
-labeling predicates that the package itself never needs."""
+"""Helpers used only by the tests: a polynomial parser and a term-by-term
+formatter, and small graph and labeling predicates that the package itself
+never needs."""
 
 import contextlib
 
@@ -101,6 +102,51 @@ def parse_poly(text: str) -> LaurentPoly:
         if pos == n:
             break
     return LaurentPoly.from_exponent_terms(terms)
+
+
+def format_poly_by_terms(p: LaurentPoly) -> str:
+    """The canonical text form built term by term from unpacked exponent
+    vectors, as ``laurent.format_poly`` did before it read the packed keys:
+    the oracle that the fast formatter must match byte for byte."""
+    if not p:
+        return "0"
+    parts: list[str] = []
+    for exps, coeff in p.terms():
+        factors = []
+        for i, e in enumerate(exps, start=1):
+            if e == 1:
+                factors.append(f"x{i}")
+            elif e != 0:
+                factors.append(f"x{i}^{e}")
+        mag = abs(coeff)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        term = " ".join(factors)
+        if not parts:
+            parts.append(f"-{term}" if coeff < 0 else term)
+        else:
+            parts.append(f"- {term}" if coeff < 0 else f"+ {term}")
+    return " ".join(parts)
+
+
+def mutate_matrix_by_cases(b, k: int):
+    """Matrix mutation at node k (1-based) by the sign cases of b_ik and
+    b_kj, as the definition states it: the oracle of the closed form."""
+    k -= 1
+    out = []
+    for i in range(len(b)):
+        row = []
+        for j in range(len(b)):
+            if i == k or j == k:
+                row.append(-b[i][j])
+            elif b[i][k] > 0 and b[k][j] > 0:
+                row.append(b[i][j] + b[i][k] * b[k][j])
+            elif b[i][k] < 0 and b[k][j] < 0:
+                row.append(b[i][j] - b[i][k] * b[k][j])
+            else:
+                row.append(b[i][j])
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def x(i: int) -> LaurentPoly:

@@ -334,6 +334,54 @@ class TestWorkers:
         assert code == 2
         assert err.startswith("error: ") and "status 9" in err
 
+    def test_worker_that_cannot_send_its_result_exits_non_zero(self, capfd, monkeypatch):
+        # pickle.dumps raises in every worker, for its results and for both
+        # fallbacks: a worker names the error on stderr and exits 1, and the
+        # run exits 2 naming that status
+        import pickle
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("no pickling here")
+
+        monkeypatch.setattr(pickle, "dumps", fail)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        code = main(["verify", "--suite", "counts", "--max-half-order", "2"])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert "error: a worker exited with status 1 without a result\n" in err
+        assert "dp3 worker: RuntimeError: no pickling here\n" in err
+        no_child_left()
+
+    def test_worker_that_sends_part_of_its_result_exits_non_zero(self, capfd, monkeypatch):
+        # a worker's pipe takes half the result, then the write fails: the
+        # parent goes by the exit status, not by the bytes that arrived
+        parent, fdopen = os.getpid(), os.fdopen
+
+        class Torn:
+            def __init__(self, fd, mode):
+                self.pipe = fdopen(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.pipe.close()
+
+            def write(self, data):
+                self.pipe.write(data[: len(data) // 2])
+                self.pipe.flush()
+                raise OSError("pipe torn")
+
+        monkeypatch.setattr(os, "fdopen", lambda *a: Torn(*a) if os.getpid() != parent
+                            else fdopen(*a))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        code = main(["verify", "--suite", "counts", "--max-half-order", "2"])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert "error: a worker exited with status 1 without a result\n" in err
+        assert "dp3 worker: OSError: pipe torn\n" in err
+        no_child_left()
+
     def test_seed_route_failure_exits_2(self, capsys, monkeypatch, forks):
         # the seed route fails in the calling process while the one worker
         # of the quiver suite runs the recurrence
@@ -596,6 +644,44 @@ class TestSuiteReport:
         seconds = [c["seconds"] for c in json.loads(out)[0]["checks"]]
         assert seconds == [2.0, 0.0, 0.0, 0.0]
         assert sum(seconds) == clock[0] == 2.0
+
+
+#: cli._digest of (y_N, y'_N) for N = 1..14, as the term-by-term formatter
+#: printed them
+Y_DIGESTS = {
+    1: ("3f84042a281c", "3a36993278cc"),
+    2: ("ed78fe4eaf96", "3c2496c4cc30"),
+    3: ("fb2fb66bb064", "e8c00d844d93"),
+    4: ("cc42da8c4ec7", "352d9dcd6585"),
+    5: ("18bc2620d851", "203ab2e809ff"),
+    6: ("6a6a949be6ac", "898baa6f82a4"),
+    7: ("77c577d00242", "cd772cc2f778"),
+    8: ("24c4e716562e", "00e3bd0ef8e9"),
+    9: ("1ad79d118c1d", "ee2cac57fa36"),
+    10: ("5246a3191b1f", "e1e53f8974c1"),
+    11: ("fd547fd5bdd1", "850b630de974"),
+    12: ("10e39e3af55f", "6e495ba0586f"),
+    13: ("99e3afdb48f5", "07e6b83bf475"),
+    14: ("6ac9430ae401", "00c2c2cddd05"),
+}
+
+
+def test_digests_of_y_are_pinned():
+    got = {n: tuple(map(cli._digest, quiver.recurrence_y(n))) for n in Y_DIGESTS}
+    assert got == Y_DIGESTS
+
+
+def test_sigma_pair_fails_on_a_perturbed_base(monkeypatch, scheme):
+    # y'_0 = -x6 instead of x6 substitutes x6 -> -x6 everywhere, so every
+    # division stays exact, but sigma (which swaps x3 and x6) no longer maps
+    # y_N to y'_N
+    real = quiver.recurrence_y
+    monkeypatch.setattr(quiver, "recurrence_y", lambda n: (x(3), -x(6)) if n == 0 else real(n))
+    with empty_recurrence_memo():
+        rep = cli.suite_quiver(4, scheme, quiver.run_periodic_sequence(8))
+    failed = [c.check_id for c in rep.checks if not c.ok]
+    assert [i for i in failed if i.startswith("quiver/sigma-pair/")]
+    assert "quiver/positivity/N=1" in failed  # y_1 = (x3 x5 - x1 x6) / x2
 
 
 class TestCompute:

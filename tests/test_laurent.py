@@ -18,7 +18,14 @@ from dp3.laurent import (
 )
 from dp3.diamonds import build_diamond
 from dp3.quiver import recurrence_y, run_periodic_sequence
-from support import ParseError, empty_recurrence_memo, parse_poly, unpack_digits_by_loop, x
+from support import (
+    ParseError,
+    empty_recurrence_memo,
+    format_poly_by_terms,
+    parse_poly,
+    unpack_digits_by_loop,
+    x,
+)
 
 
 def P(text: str) -> LaurentPoly:
@@ -172,6 +179,24 @@ def test_canonical_form_no_zero_coefficients(a, b):
 @given(polys)
 def test_parse_format_round_trip(p):
     assert parse_poly(format_poly(p)) == p
+
+
+# exponents in -1..1 and coefficients in -2..2 make unit coefficients,
+# exponents of +-1 and constant terms common; {} is the zero polynomial
+text_polys = st.dictionaries(
+    st.one_of(st.just((0,) * 6), st.tuples(*[st.integers(-1, 1)] * 6), exponents),
+    st.integers(-2, 2), max_size=6).map(LaurentPoly.from_exponent_terms)
+
+
+@settings(max_examples=300)
+@given(text_polys)
+@example(LaurentPoly.zero())
+@example(-LaurentPoly.one())
+@example(LaurentPoly.monomial(-7, (0,) * 6))
+@example(LaurentPoly.monomial(-1, (0, 0, -1, 0, 0, 0)))
+@example(LaurentPoly.monomial(1, (-3_000_000, 0, 0, 0, 0, 3_000_000)))
+def test_format_matches_the_term_by_term_oracle(p):
+    assert format_poly(p) == format_poly_by_terms(p)
 
 
 # -- exponent range -------------------------------------------------------------
@@ -423,9 +448,12 @@ def test_cached_boxes_and_lattices_hold_on_the_quiver_values(monkeypatch):
         for n in range(1, 15):
             recurrence_y(n)
     monkeypatch.undo()
-    # the operations that made them gave most of them a box and a lattice
+    # the operations that made them gave most of them a box, and every value
+    # with more than one term its lattice (a share would move with the count
+    # of monomials, which are made from dicts)
     boxes, lattices = zip(*given_at_birth)
-    assert sum(boxes) > 0.6 * len(made) and sum(lattices) > 0.9 * len(made)
+    assert sum(boxes) > 0.6 * len(made)
+    assert all(lattice for p, lattice in zip(made, lattices) if p.term_count() > 1)
     for p in filter(None, made):
         assert_cached_support_holds(p)
 

@@ -1,10 +1,13 @@
 """Exchange matrix mutation, the period-6 sequence, and the y recurrence."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dp3.laurent import SIGMA, LaurentPoly
 from dp3.quiver import (
     MUTATION_CYCLE,
+    Seed,
     initial_b_matrix,
     initial_seed,
     mutate_matrix,
@@ -13,7 +16,7 @@ from dp3.quiver import (
     remember_y,
     run_periodic_sequence,
 )
-from support import Y1, Y1P, empty_recurrence_memo, x
+from support import Y1, Y1P, empty_recurrence_memo, mutate_matrix_by_cases, x
 
 B0 = initial_b_matrix()
 
@@ -69,6 +72,18 @@ class TestMatrixMutation:
         with pytest.raises(ValueError):
             mutate_matrix(B0, 0)
 
+    @given(st.lists(st.integers(-3, 3), min_size=15, max_size=15), st.integers(1, 6))
+    def test_closed_form_matches_the_sign_cases(self, upper, k):
+        # a random skew-symmetric 6x6 matrix from its 15 entries above the diagonal
+        entries = iter(upper)
+        b = [[0] * 6 for _ in range(6)]
+        for i in range(6):
+            for j in range(i + 1, 6):
+                b[i][j] = next(entries)
+                b[j][i] = -b[i][j]
+        b = tuple(map(tuple, b))
+        assert mutate_matrix(b, k) == mutate_matrix_by_cases(b, k)
+
 
 class TestSeedMutation:
     def test_first_three_mutations(self):
@@ -84,6 +99,78 @@ class TestSeedMutation:
         s1 = mutate_seed(initial_seed(), 2)
         for i in (0, 2, 3, 4, 5):
             assert s1.cluster[i] == LaurentPoly.var(i + 1)
+
+
+class TestSharedBinomial:
+    """Steps 2m and 2m+1 mutate antipodal nodes, whose columns are negatives
+    of each other, so the second step reuses the first one's binomial."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        """The binomials the mutations compute: one ``__add__`` each."""
+        made, add = [], LaurentPoly.__add__
+
+        def counting(a, b):
+            made.append((a, b))
+            return add(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__add__", counting)
+        return made
+
+    def test_one_binomial_per_antipodal_pair(self, sums):
+        seq = run_periodic_sequence(12)
+        assert len(sums) == 6
+        assert seq.entries == tuple(v for n in range(1, 7) for v in recurrence_y(n))
+
+    def test_a_reusing_step_keeps_no_binomial(self):
+        # so no binomial is held while the next step builds its products
+        s = mutate_seed(initial_seed(), 2)
+        assert s.exchange is not None and mutate_seed(s, 4).exchange is None
+
+    def test_unrelated_steps_compute_their_own(self, sums):
+        # after the mutation at 2, column 5 is (-1, 1, 1, 1, 0, -2): other
+        # factors than column 2's, so its binomial is computed
+        s = mutate_seed(mutate_seed(initial_seed(), 2), 5)
+        assert len(sums) == 2
+        assert s.cluster[4] == (Y1 * x(3) * x(4) + x(1) * x(6) ** 2).exact_div(x(5))
+
+    def test_equal_but_distinct_factors_are_not_reused(self, sums):
+        # a seed whose variables equal the previous seed's, but are other
+        # objects, computes its binomial again
+        s = mutate_seed(initial_seed(), 2)
+        copy = Seed(s.matrix, tuple(v * LaurentPoly.one() for v in s.cluster), s.exchange)
+        assert copy == s and copy.cluster[0] is not s.cluster[0]
+        sums.clear()
+        assert mutate_seed(copy, 4) == mutate_seed(s, 4)
+        assert len(sums) == 1
+
+    def test_other_exponents_are_not_reused(self, sums):
+        # the same objects in column 4, but with doubled exponents: the
+        # binomial is computed, and it squares both monomials
+        s = mutate_seed(initial_seed(), 2)
+        doubled = tuple(tuple(2 * v if j == 3 else v for j, v in enumerate(row))
+                        for row in s.matrix)
+        sums.clear()
+        got = mutate_seed(Seed(doubled, s.cluster, s.exchange), 4)
+        assert len(sums) == 1
+        assert got.cluster[3] == (x(1) ** 2 * x(6) ** 2 + x(3) ** 2 * x(5) ** 2).exact_div(x(4))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_mutation_is_an_involution(self, k):
+        # the second mutation at k sees column k negated: it reuses the
+        # binomial, when the first computed it, and divides it by the new variable
+        for seed in (initial_seed(), mutate_seed(mutate_seed(initial_seed(), 2), 5)):
+            assert mutate_seed(mutate_seed(seed, k), k) == seed
+
+    def test_recurrence_never_permutes(self, monkeypatch):
+        def fail(self, perm):
+            raise AssertionError("permute called")
+
+        monkeypatch.setattr(LaurentPoly, "permute", fail)
+        with empty_recurrence_memo():
+            pairs = [recurrence_y(n) for n in range(1, 11)]
+        monkeypatch.undo()
+        assert all(yp == y.permute(SIGMA) for y, yp in pairs)
 
 
 class TestRecurrence:
