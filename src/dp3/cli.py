@@ -41,6 +41,7 @@ from .diamonds import (
     graph_to_dot,
     graph_to_json,
     graph_to_svg,
+    patch_covering_monomial,
     pm_count_closed,
 )
 from .matchings import (
@@ -243,16 +244,17 @@ def _cover_product(n: int) -> tuple[int, ...]:
 
 
 def _work_ahead(names, max_half_order: int,
-                scheme: BlockScheme) -> tuple[dict, dict, quiver.YSequence | None]:
+                scheme: BlockScheme) -> tuple[dict, dict, dict, quiver.YSequence | None]:
     """Work out, on every usable CPU, what the suites ``names`` check
     against another route: y_1..y_N by the recurrence (a job whose pairs go
-    into the recurrence memo here), the diamond sums and the counts, while
-    this process runs the seed route for the quiver suite.  Returns the sums
-    w(D) by (half-order, primed), the counts of D_1..D_N by N, and the seed
+    into the recurrence memo here), the diamond sums, the theorem's
+    covering monomials and the counts, while this process runs the seed
+    route for the quiver suite.  Returns the sums w(D) and the monomials
+    m(D) by (half-order, primed), the counts of D_1..D_N by N, and the seed
     route's sequence (None without the quiver suite)."""
-    sums = set()
-    if "theorem" in names:
-        sums |= {(n, p) for n in range(1, max_half_order + 1) for p in (False, True)}
+    covers = ({(n, p) for n in range(1, max_half_order + 1) for p in (False, True)}
+              if "theorem" in names else set())
+    sums = set(covers)
     if "recursions" in names:
         sums |= {d for n in _condensation_orders(max_half_order)
                  for d in condensation_diamonds(n)}
@@ -266,15 +268,18 @@ def _work_ahead(names, max_half_order: int,
     def run(job):
         if job == "recurrence":
             return {n: quiver.recurrence_y(n) for n in range(1, max_half_order + 1)}
-        graph = build_diamond(*job, scheme)  # one build serves both kernels
+        graph = build_diamond(*job, scheme)  # one build serves both kernels and the monomial
         return (weighted_pm_sum(graph) if job in sums else None,
-                count_pm(graph) if job in counts else None)
+                count_pm(graph) if job in counts else None,
+                patch_covering_monomial((f for f, _ in graph.faces), scheme)
+                if job in covers else None)
 
     results, seq = _run_jobs(jobs, run, lambda: (run_periodic_sequence(2 * max_half_order)
                                                  if "quiver" in names else None))
     values = dict(zip(jobs, results))
     quiver.remember_y(values.get("recurrence", {}))
-    return {d: values[d][0] for d in sums}, {n: values[n, p][1] for n, p in counts}, seq
+    return ({d: values[d][0] for d in sums}, {d: values[d][2] for d in covers},
+            {n: values[n, p][1] for n, p in counts}, seq)
 
 
 def suite_counts(max_half_order: int, scheme: BlockScheme, counts: dict[int, int]) -> SuiteReport:
@@ -287,13 +292,15 @@ def suite_counts(max_half_order: int, scheme: BlockScheme, counts: dict[int, int
     return rep
 
 
-def suite_theorem(max_half_order: int, scheme: BlockScheme, sums: dict) -> SuiteReport:
-    """``sums`` holds w(D) by (half-order, primed), as ``_work_ahead`` returns."""
+def suite_theorem(max_half_order: int, scheme: BlockScheme, sums: dict,
+                  covers: dict) -> SuiteReport:
+    """``sums`` and ``covers`` hold w(D) and m(D) by (half-order, primed),
+    as ``_work_ahead`` returns."""
     rep = SuiteReport("theorem")
     for n in range(1, max_half_order + 1):
         y, yp = recurrence_y(n)
-        rep.check(f"theorem/y/N={n}", sums[n, False] * covering_monomial(n, False, scheme), y)
-        rep.check(f"theorem/yprime/N={n}", sums[n, True] * covering_monomial(n, True, scheme), yp)
+        rep.check(f"theorem/y/N={n}", sums[n, False] * covers[n, False], y)
+        rep.check(f"theorem/yprime/N={n}", sums[n, True] * covers[n, True], yp)
     return rep
 
 
@@ -405,9 +412,10 @@ def cmd_verify(args) -> int:
     scheme = cal.default_scheme()
     names = SUITES if args.suite == "all" else (args.suite,)
     start = time.monotonic()
-    sums, counts, seq = _work_ahead(names, args.max_half_order, scheme)
+    sums, covers, counts, seq = _work_ahead(names, args.max_half_order, scheme)
     ahead_s = time.monotonic() - start
-    ahead = {"theorem": (sums,), "recursions": (sums,), "counts": (counts,), "quiver": (seq,)}
+    ahead = {"theorem": (sums, covers), "recursions": (sums,), "counts": (counts,),
+             "quiver": (seq,)}
     reports = [_SUITE_FUNCS[name](args.max_half_order, scheme, *ahead.get(name, ()))
                for name in names]
     # charged to the first check, so that the checks' seconds add up to the run

@@ -21,6 +21,7 @@ from .laurent import LaurentPoly
 from .tiling import (
     BlockScheme,
     Face,
+    Labeling,
     Vertex,
     face_adjacency,
     face_boundary,
@@ -66,8 +67,18 @@ def diamond_face_set(n: int, primed: bool, scheme: BlockScheme) -> frozenset[Fac
         faces.add(scheme.s3())
         faces.add(scheme.s2())
     if primed:
-        faces = {rotate180(f, scheme.labeling) for f in faces}
+        faces = rotated_faces(faces, scheme.labeling)
     return frozenset(faces)
+
+
+def rotated_faces(faces: Iterable[Face], labeling: Labeling) -> set[Face]:
+    """The images of ``faces`` under the labeling's 180-degree rotation.
+    The rotation maps the translate by t of a face to the translate by -t
+    of its image, so each of the six face classes is rotated once, at the
+    origin, and every face is translated."""
+    image = {(up, c): rotate180(Face(0, 0, up, c), labeling)
+             for up in (True, False) for c in range(3)}
+    return {Face(g.a - f.a, g.b - f.b, g.up, g.c) for f in faces for g in (image[f.up, f.c],)}
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,16 @@ def sweep_stats(sweep, limit: int | None = None) -> tuple[int, int] | None:
     return total[0], max(sizes)
 
 
+def line_sweep(graph: DiamondGraph, direction: tuple[int, int]):
+    """The sweep of ``matchings._sweep(graph)`` with the reduced graph's
+    vertices in straight-line order along ``direction`` instead of the
+    greedy one, laid out by the package's own ``_layout``."""
+    from dp3 import matchings
+
+    points, edges = matchings._reduce(*matchings._points_edges(graph))
+    return matchings._layout(points, edges, matchings._line_order(points, direction))
+
+
 def unpack_digits_by_loop(value: int, length: int, width: int):
     """The balanced-digit decoder that ``laurent.unpack_digits`` replaced,
     kept as its reference: |value|'s digits in [-256**width / 2,

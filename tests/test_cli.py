@@ -15,9 +15,9 @@ from types import SimpleNamespace
 import pytest
 
 import dp3
-from dp3 import calibration, cli, laurent, matchings, quiver
+from dp3 import calibration, cli, diamonds, laurent, matchings, quiver
 from dp3.cli import main
-from dp3.diamonds import pm_count_closed
+from dp3.diamonds import covering_monomial, pm_count_closed
 from support import Y1, Y1P, empty_recurrence_memo, x
 
 
@@ -427,6 +427,37 @@ class TestWorkers:
         assert runs[("seed", here)] == 8 and sum(runs.values()) == 8 + 4
         (route, pid), = set(runs) - {("seed", here)}
         assert route == "recurrence" and pid != here
+        no_child_left()
+
+    @pytest.mark.parametrize("cpus", [3, 1])
+    def test_theorem_jobs_return_the_covering_monomials(self, monkeypatch, forks, scheme, cpus):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        _, covers, _, _ = cli._work_ahead(("theorem",), 8, scheme)
+        assert covers == {(n, p): covering_monomial(n, p, scheme)
+                          for n in range(1, 9) for p in (False, True)}
+        assert len(forks) == (3 if cpus > 1 else 0)
+        no_child_left()
+
+    def test_covering_monomials_in_workers_only(self, capsys, monkeypatch, tmp_path):
+        # every covering monomial made, through cli's binding or through
+        # covering_monomial, is logged with the pid of the process making it
+        log = tmp_path / "covers"
+
+        def logged(fn):
+            def wrapper(*args):
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()}\n")
+                return fn(*args)
+            return wrapper
+
+        for owner in (cli, diamonds):
+            monkeypatch.setattr(owner, "patch_covering_monomial",
+                                logged(diamonds.patch_covering_monomial))
+        code, _, _ = self.verify(capsys, monkeypatch, 3, "--suite", "theorem",
+                                 "--max-half-order", "6")
+        assert code == 0
+        pids = log.read_text().split()
+        assert len(pids) == 12 and str(os.getpid()) not in pids
         no_child_left()
 
     def test_wrong_recurrence_in_this_process_stays_here(self, capsys, monkeypatch):

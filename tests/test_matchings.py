@@ -19,7 +19,7 @@ from dp3.matchings import (
     weighted_pm_sum,
 )
 from dp3.quiver import recurrence_y
-from support import matching_covers, matching_weight, parse_poly, sweep_stats
+from support import line_sweep, matching_covers, matching_weight, parse_poly, sweep_stats
 
 COUNTS = {1: 2, 2: 4, 3: 16, 4: 64, 5: 512, 6: 4096, 7: 65536, 8: 1048576}
 
@@ -324,19 +324,46 @@ AXES = ((1, 0), (-1, 0), (2, 1), (-2, -1), (2, -1), (-2, 1),
         (2, 3), (-2, -3), (2, -3), (-2, 3), (0, 1), (0, -1))
 
 
+def assert_greedy_order_exact(monkeypatch, graph):
+    """The greedy order visits each vertex of the reduced graph once, and
+    ``count_pm`` and ``weighted_pm_sum`` of ``graph`` are the same as with
+    the reduced graph swept along the straight line ``SWEEP``."""
+    points, edges = matchings._reduce(*matchings._points_edges(graph))
+    order = matchings._min_frontier_order(points, edges)
+    assert sorted(order) == list(range(len(points)))
+    assert matchings._sweep(graph)[0] == [points[i][2] for i in order]
+    count, w = count_pm(graph), weighted_pm_sum(graph)
+    with monkeypatch.context() as m:
+        m.setattr(matchings, "_sweep", lambda g, order=None: line_sweep(g, matchings.SWEEP))
+        assert (count_pm(graph), weighted_pm_sum(graph)) == (count, w)
+
+
 class TestSweepChoice:
     @pytest.mark.parametrize("primed", [False, True])
-    @pytest.mark.parametrize("n", range(6, 13))
-    def test_chosen_direction_near_best(self, scheme, monkeypatch, n, primed):
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_chosen_direction_near_best(self, scheme, n, primed):
+        # the greedy order takes no more state-steps than the best of the
+        # twelve straight lines from N=5 on, and at most 1.25 times as many
+        # below
         g = build_diamond(n, primed, scheme)
         chosen, _ = sweep_stats(matchings._sweep(g))
-        measured = []
-        for axis in AXES:
-            monkeypatch.setattr(matchings, "SWEEP", axis)
-            # an axis is stopped once it costs more than the chosen one
-            measured.append(sweep_stats(matchings._sweep(g), limit=chosen))
-        best = min(steps for steps, _ in filter(None, measured))
-        assert chosen <= 1.25 * best
+        # an axis is stopped once it costs more than the greedy order
+        measured = [sweep_stats(line_sweep(g, axis), limit=chosen) for axis in AXES]
+        best = min((steps for steps, _ in filter(None, measured)), default=chosen)
+        assert chosen <= (best if n >= 5 else 1.25 * best)
+
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_greedy_order_is_exact(self, scheme, monkeypatch, n):
+        for primed in (False, True):
+            assert_greedy_order_exact(monkeypatch, build_diamond(n, primed, scheme))
+
+    def test_greedy_order_is_exact_on_random_graphs(self, scheme, monkeypatch):
+        # the graphs of TestPackedFold.test_general_lattice_ranks, some of
+        # them with several components
+        for seed in range(120):
+            rng = random.Random(seed)
+            g = relabelled(build_diamond(rng.randint(1, 5), rng.random() < 0.5, scheme), rng)
+            assert_greedy_order_exact(monkeypatch, g)
 
     def test_reference_orders_sort_by_rows_and_columns(self, scheme):
         g = build_diamond(5, True, scheme)
@@ -481,10 +508,12 @@ class TestDiamondSum:
 
     @pytest.mark.parametrize("primed", [False, True])
     def test_equals_kernel_on_built_diamond(self, scheme, primed):
-        sums, _, _ = cli._work_ahead(("theorem", "recursions"), 6, scheme)
-        # theorem: N = 1..6; recursions adds D_0 and D_{7/2}, unprimed
+        sums, covers, _, _ = cli._work_ahead(("theorem", "recursions"), 6, scheme)
+        # theorem: N = 1..6; recursions adds D_0 and D_{7/2}, unprimed,
+        # whose covering monomials its own checks make
         want = set(range(1, 7)) | (set() if primed else {0, 7})
         assert {n for n, p in sums if p == primed} == want
+        assert {n for n, p in covers if p == primed} == set(range(1, 7))
         for n in want:
             assert sums[n, primed] == weighted_pm_sum(build_diamond(n, primed, scheme)), n
 
