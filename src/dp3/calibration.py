@@ -60,7 +60,7 @@ def _rho_sigma_ok(lab: Labeling) -> bool:
         for c in range(3):
             for a, b in ((0, 0), (2, -1)):
                 f = Face(a, b, up, c)
-                if lab.label(rotate180(f, lab)) != SIGMA(lab.label(f)):
+                if lab.label(rotate180(f)) != SIGMA(lab.label(f)):
                     return False
     return True
 

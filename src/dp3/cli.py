@@ -21,13 +21,13 @@ from pathlib import Path
 
 from .laurent import SIGMA, LaurentPoly, label_exponents
 from .quiver import (
+    B0,
     MUTATION_CYCLE,
-    initial_b_matrix,
     mutate_matrix,
     recurrence_y,
     run_periodic_sequence,
 )
-from .tiling import BlockScheme, quiver_from_tiling
+from .tiling import RHO_CENTER, BlockScheme, quiver_from_tiling
 from . import calibration as cal, quiver
 from .diamonds import (
     RECURSION_FACTOR_LABELS,
@@ -282,7 +282,7 @@ def _work_ahead(names, max_half_order: int,
             {n: values[n, p][1] for n, p in counts}, seq)
 
 
-def suite_counts(max_half_order: int, scheme: BlockScheme, counts: dict[int, int]) -> SuiteReport:
+def suite_counts(max_half_order: int, counts: dict[int, int]) -> SuiteReport:
     """``counts`` holds the count of D_N by N, as ``_work_ahead`` returns."""
     rep = SuiteReport("counts")
     for n in range(1, max_half_order + 1):
@@ -292,8 +292,7 @@ def suite_counts(max_half_order: int, scheme: BlockScheme, counts: dict[int, int
     return rep
 
 
-def suite_theorem(max_half_order: int, scheme: BlockScheme, sums: dict,
-                  covers: dict) -> SuiteReport:
+def suite_theorem(max_half_order: int, sums: dict, covers: dict) -> SuiteReport:
     """``sums`` and ``covers`` hold w(D) and m(D) by (half-order, primed),
     as ``_work_ahead`` returns."""
     rep = SuiteReport("theorem")
@@ -344,34 +343,33 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme, sums: dict) -> Su
 def suite_quiver(max_half_order: int, scheme: BlockScheme, seq: quiver.YSequence) -> SuiteReport:
     """``seq`` is the seed route's sequence of 2N steps, as ``_work_ahead`` returns."""
     rep = SuiteReport("quiver")
-    b0 = initial_b_matrix()
 
-    rep.check("quiver/skew", all(b0[i][j] == -b0[j][i] for i in range(6) for j in range(6)),
+    rep.check("quiver/skew", all(B0[i][j] == -B0[j][i] for i in range(6) for j in range(6)),
               True)
     sig = [SIGMA(i) for i in range(1, 7)]
     rep.check("quiver/sigma-invariant",
-              all(b0[sig[i] - 1][sig[j] - 1] == b0[i][j] for i in range(6) for j in range(6)),
+              all(B0[sig[i] - 1][sig[j] - 1] == B0[i][j] for i in range(6) for j in range(6)),
               True)
-    rep.check("quiver/antipodal-zero", [b0[i][sig[i] - 1] for i in range(6)], [0] * 6)
+    rep.check("quiver/antipodal-zero", [B0[i][sig[i] - 1] for i in range(6)], [0] * 6)
 
-    b = b0
+    b = B0
     for k in MUTATION_CYCLE:
         b = mutate_matrix(b, k)
-    rep.check("quiver/period-6", b, b0)
+    rep.check("quiver/period-6", b, B0)
 
     rep.check("quiver/involution",
-              all(mutate_matrix(mutate_matrix(b0, k), k) == b0 for k in range(1, 7)), True)
+              all(mutate_matrix(mutate_matrix(B0, k), k) == B0 for k in range(1, 7)), True)
 
     for a in (1, 2, 3):
         pair = {a, SIGMA(a)}
-        got = mutate_matrix(mutate_matrix(b0, a), SIGMA(a))
-        want = tuple(tuple(-b0[i][j] if (i + 1 in pair) != (j + 1 in pair) else b0[i][j]
+        got = mutate_matrix(mutate_matrix(B0, a), SIGMA(a))
+        want = tuple(tuple(-B0[i][j] if (i + 1 in pair) != (j + 1 in pair) else B0[i][j]
                            for j in range(6)) for i in range(6))
         rep.check(f"quiver/pair-negation/a={a}", got, want)
 
     dual = quiver_from_tiling(scheme.labeling)
     neg = tuple(tuple(-v for v in row) for row in dual)
-    rep.check("quiver/tiling-duality", dual == b0 or neg == b0, True)
+    rep.check("quiver/tiling-duality", dual == B0 or neg == B0, True)
 
     want = tuple(v for n in range(1, max_half_order + 1) for v in recurrence_y(n))
     rep.check(f"quiver/seed-vs-recurrence/N<={max_half_order}", seq.entries == want, True)
@@ -414,10 +412,9 @@ def cmd_verify(args) -> int:
     start = time.monotonic()
     sums, covers, counts, seq = _work_ahead(names, args.max_half_order, scheme)
     ahead_s = time.monotonic() - start
-    ahead = {"theorem": (sums, covers), "recursions": (sums,), "counts": (counts,),
-             "quiver": (seq,)}
-    reports = [_SUITE_FUNCS[name](args.max_half_order, scheme, *ahead.get(name, ()))
-               for name in names]
+    ahead = {"theorem": (sums, covers), "counts": (counts,), "recursions": (scheme, sums),
+             "quiver": (scheme, seq), "oracle": (scheme,)}
+    reports = [_SUITE_FUNCS[name](args.max_half_order, *ahead[name]) for name in names]
     # charged to the first check, so that the checks' seconds add up to the run
     reports[0].checks[0].seconds += ahead_s
     if args.format == "json":
@@ -478,7 +475,7 @@ def cmd_export(args) -> int:
 
 def cmd_calibrate(args) -> int:
     lab = cal.calibrate().labeling
-    print(f"computed: up={lab.up} down={lab.down} rho_center={lab.rho_center}")
+    print(f"computed: up={lab.up} down={lab.down} rho_center={RHO_CENTER}")
     return 0
 
 

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, label_exponents
 from .tiling import (
     BlockScheme,
     Face,
-    Labeling,
     Vertex,
     face_adjacency,
     face_boundary,
@@ -67,16 +66,16 @@ def diamond_face_set(n: int, primed: bool, scheme: BlockScheme) -> frozenset[Fac
         faces.add(scheme.s3())
         faces.add(scheme.s2())
     if primed:
-        faces = rotated_faces(faces, scheme.labeling)
+        faces = rotated_faces(faces)
     return frozenset(faces)
 
 
-def rotated_faces(faces: Iterable[Face], labeling: Labeling) -> set[Face]:
-    """The images of ``faces`` under the labeling's 180-degree rotation.
+def rotated_faces(faces: Iterable[Face]) -> set[Face]:
+    """The images of ``faces`` under the 180-degree rotation ``rotate180``.
     The rotation maps the translate by t of a face to the translate by -t
     of its image, so each of the six face classes is rotated once, at the
     origin, and every face is translated."""
-    image = {(up, c): rotate180(Face(0, 0, up, c), labeling)
+    image = {(up, c): rotate180(Face(0, 0, up, c))
              for up in (True, False) for c in range(3)}
     return {Face(g.a - f.a, g.b - f.b, g.up, g.c) for f in faces for g in (image[f.up, f.c],)}
 
@@ -124,10 +123,7 @@ def build_diamond(n: int, primed: bool = False, scheme: BlockScheme | None = Non
 
 
 def patch_face_vector(faces: Iterable[Face], scheme: BlockScheme) -> tuple[int, ...]:
-    counts = [0] * 6
-    for f in faces:
-        counts[scheme.labeling.label(f) - 1] += 1
-    return tuple(counts)
+    return label_exponents(scheme.labeling.label(f) for f in faces)
 
 
 def patch_boundary_faces(faces: Iterable[Face]) -> frozenset[Face]:
@@ -266,12 +262,7 @@ _FACE_FILL = {1: "#d7e8f7", 2: "#f7d7d7", 3: "#d7f7dd", 4: "#f7f0d7", 5: "#e8d7f
 
 def graph_to_svg(g: DiamondGraph) -> str:
     scale = 48.0
-    pts: dict[Vertex, tuple[float, float]] = {}
-    for f, _ in g.faces:
-        for v in face_boundary(f)[0]:
-            pts[v] = _draw_xy(v)
-    for v in g.vertices:
-        pts[v] = _draw_xy(v)
+    pts = {v: _draw_xy(v) for v in g.vertices}
     if pts:
         xs = [p[0] for p in pts.values()]
         ys = [p[1] for p in pts.values()]

@@ -134,12 +134,6 @@ class VarPermutation:
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VarPermutation) and self.image == other.image
-
-    def __hash__(self) -> int:
-        return hash(self.image)
-
     def __repr__(self) -> str:
         return f"VarPermutation({self.image})"
 
@@ -202,9 +196,6 @@ class LaurentPoly:
 
     def term_count(self) -> int:
         return len(self._terms)
-
-    def coefficients(self) -> list[int]:
-        return list(self._terms.values())
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -296,13 +287,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            if len(self._terms) != 1:
-                raise NotDivisibleError("negative powers exist only for monomials")
-            ((k, c),) = self._terms.items()
-            if abs(c) != 1:
-                raise NotDivisibleError("negative powers need a unit coefficient")
-            exps = [n * e for e in unpack_key(k)]
-            return LaurentPoly(_raw={pack_exponents(exps): c ** (n & 1) if c < 0 else 1})
+            raise ValueError("negative powers are not supported; use LaurentPoly.var(i, -k)")
         # start from the first factor, not from 1 times it, so that p ** 1
         # is p itself, with the box and lattice it has computed
         result = None

@@ -140,8 +140,8 @@ def _reduce(points: list, edges: list[tuple[int, int, int]]):
 
 def _sweep(graph: DiamondGraph, order: str | None = None):
     """Vertex order plus, per vertex, its earlier neighbors (with weight key
-    offsets), whether it has later neighbors, and the prune mask of vertices
-    whose last neighbor it is.
+    offsets) and the prune mask of vertices whose last neighbor it is; a
+    vertex is in its own mask exactly when it has no later neighbor.
 
     ``order`` None sweeps the graph ``_reduce`` leaves in the order of
     ``_min_frontier_order``; a name in ``SWEEP_ORDERS`` sweeps the graph as
@@ -263,19 +263,18 @@ def _layout(points: list, edges: list[tuple[int, int, int]], ranked: list[int]):
             last[i] = j
     for lst in earlier:
         lst.sort()
-    has_future = [j > i for i, j in enumerate(last)]
     dead_at = [0] * nv
     for i, j in enumerate(last):
         # an isolated vertex can never be covered: its own step kills all states
         dead_at[j] |= 1 << i
-    return verts, earlier, has_future, dead_at
+    return verts, earlier, dead_at
 
 
 def _reweigh(sweep, weight: dict[int, int]):
     """The same sweep with every edge's weight key offset ``w`` replaced by
     ``weight[w]``."""
-    verts, earlier, has_future, dead_at = sweep
-    return verts, [[(u, weight[w]) for u, w in back] for back in earlier], has_future, dead_at
+    verts, earlier, dead_at = sweep
+    return verts, [[(u, weight[w]) for u, w in back] for back in earlier], dead_at
 
 
 def _frontier_sum(sweep, unit, fold):
@@ -294,11 +293,12 @@ def _frontier_sum(sweep, unit, fold):
     vertices has no completion and is skipped, and one holding exactly one
     folds only the edges to it.
     """
-    verts, earlier, has_future, dead_at = sweep
+    verts, earlier, dead_at = sweep
     states = {0: unit}
     for s in range(len(verts)):
         bit = 1 << s
-        future, back, dead = has_future[s], earlier[s], dead_at[s]
+        back, dead = earlier[s], dead_at[s]
+        future = not dead & bit
         forced: dict[int, list[int]] = {}
         for u, w in back:
             if dead >> u & 1:
@@ -365,7 +365,7 @@ def _difference_lattice(sweep) -> tuple[list[list[int]], list[int]]:
     generates the lattice; integer row reduction turns the generators into
     an echelon basis.  Raises ValueError for a graph that is not bipartite.
     """
-    verts, earlier, _, _ = sweep
+    verts, earlier, _ = sweep
     adj: list[list[tuple[int, int]]] = [[] for _ in verts]
     for j, back in enumerate(earlier):
         for i, w in back:

@@ -29,7 +29,8 @@ BMatrix = tuple[tuple[int, ...], ...]
 #: Mutation order of the periodic sequence.
 MUTATION_CYCLE = (2, 4, 5, 1, 3, 6)
 
-_B0_ROWS = (
+#: The exchange matrix of the dP3 quiver, rows/columns 1-based nodes.
+B0: BMatrix = (
     (0, -1, 1, 1, 0, -1),
     (1, 0, -1, 0, -1, 1),
     (-1, 1, 0, -1, 1, 0),
@@ -37,11 +38,6 @@ _B0_ROWS = (
     (0, 1, -1, -1, 0, 1),
     (1, -1, 0, 1, -1, 0),
 )
-
-
-def initial_b_matrix() -> BMatrix:
-    """The exchange matrix of the dP3 quiver, rows/columns 1-based nodes."""
-    return _B0_ROWS
 
 
 def mutate_matrix(b: BMatrix, k: int) -> BMatrix:
@@ -66,7 +62,7 @@ class Seed:
 
 
 def initial_seed() -> Seed:
-    return Seed(initial_b_matrix(), tuple(LaurentPoly.var(i) for i in range(1, 7)))
+    return Seed(B0, tuple(LaurentPoly.var(i) for i in range(1, 7)))
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
@@ -129,10 +125,9 @@ def remember_y(pairs: dict[int, tuple[LaurentPoly, LaurentPoly]]) -> None:
 @dataclass(frozen=True)
 class YSequence:
     """Variables harvested from the periodic mutation sequence, in order
-    y_1, y'_1, y_2, y'_2, ...; ``final_matrix`` is the B-matrix after the run."""
+    y_1, y'_1, y_2, y'_2, ..."""
 
     entries: tuple[LaurentPoly, ...]
-    final_matrix: BMatrix
 
     def y(self, n: int) -> LaurentPoly:
         return self.entries[2 * n - 2]
@@ -153,4 +148,4 @@ def run_periodic_sequence(steps: int) -> YSequence:
         k = MUTATION_CYCLE[s % 6]
         seed = mutate_seed(seed, k)
         harvested.append(seed.cluster[k - 1])
-    return YSequence(tuple(harvested), seed.matrix)
+    return YSequence(tuple(harvested))

@@ -157,29 +157,21 @@ def in_row_neighbors(up: bool, c: int) -> tuple[tuple[bool, int, int], ...]:
 # Labeling and 180-degree rotation
 
 
-def _is_rotation_center(x: int, y: int) -> bool:
-    # Valid 2-fold centers are tri-vertices and edge midpoints.
-    if y % 12 == 0:
-        return x % 6 == 0
-    if y % 12 == 6:
-        return x % 6 == 3
-    return False
+#: The centre of the 180-degree rotation that realizes sigma on the lattice:
+#: the midpoint of the (0,0) diagonal edge.
+RHO_CENTER = (9, 6)
 
 
 @dataclass(frozen=True)
 class Labeling:
-    """Bijective face labels per class plus the anchor of the 180-degree
-    rotation that realizes sigma on the lattice."""
+    """Bijective face labels per class."""
 
     up: tuple[int, int, int]
     down: tuple[int, int, int]
-    rho_center: tuple[int, int] = (9, 6)  # midpoint of the (0,0) diagonal edge
 
     def __post_init__(self):
         if sorted(self.up + self.down) != list(LABELS):
             raise ValueError(f"labels must be a bijection onto 1..6: {self.up}+{self.down}")
-        if not _is_rotation_center(*self.rho_center):
-            raise ValueError(f"{self.rho_center} is not a 2-fold symmetry center")
 
     def label(self, f: Face) -> int:
         return (self.up if f.up else self.down)[f.c]
@@ -210,14 +202,14 @@ def _face_from_geometry(centroid_xy: tuple[int, int], corner_xy: tuple[int, int]
     raise ValueError(f"corner {corner_xy} does not belong to triangle at {centroid_xy}")
 
 
-def rotate180(f: Face, labeling: Labeling) -> Face:
-    """Image of f under the 180-degree rotation about the labeling's anchor.
+def rotate180(f: Face) -> Face:
+    """Image of f under the 180-degree rotation about ``RHO_CENTER``.
 
     The rotation maps up kites to down kites and carries a face with label i
     to one with label sigma(i) for any labeling whose antipodal label pairs
     sit on antipodal face classes.
     """
-    cx, cy = labeling.rho_center
+    cx, cy = RHO_CENTER
     verts, _ = _boundary_spec(f)
     tx, ty = vertex_coords(verts[0])
     gx, gy = vertex_coords(centroid(f.a, f.b, f.up))

@@ -28,8 +28,8 @@ from dp3.matchings import (
     weighted_pm_sum,
 )
 from dp3.quiver import (
+    B0,
     MUTATION_CYCLE,
-    initial_b_matrix,
     initial_seed,
     mutate_matrix,
     mutate_seed,
@@ -81,16 +81,15 @@ def test_criterion_3_specialization(scheme):
 
 
 def test_criterion_4_quiver_behavior():
-    b0 = initial_b_matrix()
-    b = b0
+    b = B0
     for k in MUTATION_CYCLE:
         b = mutate_matrix(b, k)
-    assert b == b0
+    assert b == B0
 
     for a in (1, 2, 3):
         pair = {a, SIGMA(a)}
-        got = mutate_matrix(mutate_matrix(b0, a), SIGMA(a))
-        want = tuple(tuple(-b0[i][j] if (i + 1 in pair) != (j + 1 in pair) else b0[i][j]
+        got = mutate_matrix(mutate_matrix(B0, a), SIGMA(a))
+        want = tuple(tuple(-B0[i][j] if (i + 1 in pair) != (j + 1 in pair) else B0[i][j]
                            for j in range(6)) for i in range(6))
         assert got == want, f"pair mutation at ({a}, sigma({a}))"
 

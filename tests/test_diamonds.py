@@ -19,10 +19,9 @@ from dp3.diamonds import (
     graph_to_json,
     graph_to_svg,
     patch_covering_monomial,
-    rotated_faces,
 )
 from dp3.laurent import SIGMA, LaurentPoly
-from dp3.tiling import BlockScheme, Face, Labeling, rotate180
+from dp3.tiling import Face, rotate180
 from support import is_connected, sigma_vector
 
 
@@ -64,18 +63,7 @@ class TestFaceSets:
         for n in range(0, 17):
             unprimed = diamond_face_set(n, False, scheme)
             primed = diamond_face_set(n, True, scheme)
-            assert primed == {rotate180(f, scheme.labeling) for f in unprimed}, n
-
-    @pytest.mark.parametrize("center", [(0, 0), (6, 0), (3, 6), (-15, 18)])
-    def test_rotation_by_translation_about_any_center(self, scheme, center):
-        lab = Labeling(scheme.labeling.up, scheme.labeling.down, rho_center=center)
-        window = [Face(a, b, up, c) for a in range(-4, 5) for b in range(-4, 5)
-                  for up in (True, False) for c in range(3)]
-        assert rotated_faces(window, lab) == {rotate180(f, lab) for f in window}
-        other = BlockScheme.from_labeling(lab)
-        for n in range(0, 7):
-            assert diamond_face_set(n, True, other) == {
-                rotate180(f, lab) for f in diamond_face_set(n, False, other)}
+            assert primed == {rotate180(f) for f in unprimed}, n
 
     def test_primed_face_counts_are_sigma_image(self, scheme):
         for n in range(1, 8):

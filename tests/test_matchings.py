@@ -179,11 +179,11 @@ def post_filter_frontier_sum(sweep, unit, fold):
     """The kernel the pruning one replaced: every transition is folded, and
     the states keeping a vertex past its last neighbor are dropped after
     the step."""
-    verts, earlier, has_future, dead_at = sweep
+    verts, earlier, dead_at = sweep
     states = {0: unit}
     for s in range(len(verts)):
         bit = 1 << s
-        future, back = has_future[s], earlier[s]
+        future, back = not dead_at[s] & bit, earlier[s]
         new = {}
         for mask, value in states.items():
             if future:
@@ -274,7 +274,7 @@ class TestReduction:
         g = made_graph(scheme, 4, [(0, 1, 1, 2), (1, 2, 3, 4), (2, 3, 5, 6), (3, 0, 1, 5)])
         w = assert_reduction_exact(g)
         assert w == parse_poly("x1^-1 x2^-1 x5^-1 x6^-1 + x1^-1 x3^-1 x4^-1 x5^-1")
-        verts, earlier, _, _ = matchings._sweep(g)
+        verts, earlier, _ = matchings._sweep(g)
         assert len(verts) == 2 and len(earlier[1]) == 2
 
     def test_degree_two_to_one_neighbor_is_kept(self, scheme):
@@ -297,7 +297,7 @@ class TestReduction:
         g = dataclasses.replace(g, vertices=tuple(g.vertices[i] for i in listed))
         w = assert_reduction_exact(g)
         assert w == parse_poly("x1^-1 x2^-2 x4^-1 x5^-1 x6^-1")
-        verts, earlier, _, _ = matchings._sweep(g)
+        verts, earlier, _ = matchings._sweep(g)
         assert len(verts) == 2 and earlier[0] == []
         ((_, key),) = earlier[1]
         assert LaurentPoly({UNIT_KEY + key: 1}) == w

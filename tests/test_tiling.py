@@ -6,11 +6,10 @@ import pytest
 
 from dp3.calibration import CalibrationFailed, calibrate, labeling_failures
 from dp3.laurent import SIGMA
-from dp3.quiver import initial_b_matrix
+from dp3.quiver import B0
 from dp3.tiling import (
     BlockScheme,
     Face,
-    Labeling,
     expected_block_type,
     face_adjacency,
     face_boundary,
@@ -117,30 +116,24 @@ class TestLabeling:
 
 
 class TestRotation:
-    def test_involution(self, scheme):
-        lab = scheme.labeling
+    def test_involution(self):
         for f in WINDOW:
-            assert rotate180(rotate180(f, lab), lab) == f
+            assert rotate180(rotate180(f)) == f
 
-    def test_swaps_orientation(self, scheme):
+    def test_swaps_orientation(self):
         for f in WINDOW:
-            assert rotate180(f, scheme.labeling).up != f.up
+            assert rotate180(f).up != f.up
 
     def test_relabels_by_sigma(self, scheme):
         lab = scheme.labeling
         for f in WINDOW:
-            assert lab.label(rotate180(f, lab)) == SIGMA(lab.label(f))
+            assert lab.label(rotate180(f)) == SIGMA(lab.label(f))
 
-    def test_conjugates_adjacency(self, scheme):
-        lab = scheme.labeling
+    def test_conjugates_adjacency(self):
         for f in WINDOW[:24]:
-            fr = rotate180(f, lab)
+            fr = rotate180(f)
             assert sorted(face_adjacency(fr)) == sorted(
-                rotate180(g, lab) for g in face_adjacency(f))
-
-    def test_bad_center_rejected(self):
-        with pytest.raises(ValueError):
-            Labeling(up=(4, 6, 5), down=(1, 3, 2), rho_center=(1, 1))
+                rotate180(g) for g in face_adjacency(f))
 
 
 class TestBlocks:
@@ -218,10 +211,9 @@ class TestBlocks:
 
 class TestQuiverDuality:
     def test_matches_b0_up_to_global_sign(self, scheme):
-        b0 = initial_b_matrix()
         dual = quiver_from_tiling(scheme.labeling)
         neg = tuple(tuple(-v for v in row) for row in dual)
-        assert dual == b0 or neg == b0
+        assert dual == B0 or neg == B0
 
     def test_twelve_arrows(self, scheme):
         dual = quiver_from_tiling(scheme.labeling)
