@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import itertools
 
+from .diamonds import build_diamond, covering_monomial, covering_monomial_closed, pm_count_closed
 from .laurent import SIGMA
+from .matchings import count_pm, weighted_pm_sum
 from .quiver import recurrence_y
 from .tiling import (
     BlockScheme,
@@ -105,12 +107,6 @@ def _opposite_pairs_ok(scheme: BlockScheme) -> bool:
 
 
 def _oracle_failures(scheme: BlockScheme) -> list[str]:
-    # Imported here: diamonds/matchings use the calibrated scheme by default,
-    # while calibration probes candidate schemes with the same machinery.
-    from .diamonds import (build_diamond, covering_monomial, covering_monomial_closed,
-                           pm_count_closed)
-    from .matchings import count_pm, weighted_pm_sum
-
     failures = []
     for n in range(1, 5):
         got = count_pm(build_diamond(n, False, scheme))

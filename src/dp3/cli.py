@@ -436,8 +436,6 @@ def cmd_compute(args) -> int:
     n = args.n
     prime = args.target == "yp"
     if args.via == "matchings":
-        if n < 1:
-            raise ValueError("the matching route needs N >= 1")
         poly = matchings_route_y(n, prime, cal.default_scheme())
     elif args.via == "seed":
         if n < 1:
@@ -445,8 +443,6 @@ def cmd_compute(args) -> int:
         seq = run_periodic_sequence(2 * n)
         poly = seq.y_prime(n) if prime else seq.y(n)
     else:
-        if n < -2:
-            raise ValueError("the recurrence needs N >= -2")
         poly = recurrence_y(n)[1 if prime else 0]
     name = f"y'_{n}" if prime else f"y_{n}"
     if args.format == "json":

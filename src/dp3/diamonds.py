@@ -65,19 +65,7 @@ def diamond_face_set(n: int, primed: bool, scheme: BlockScheme) -> frozenset[Fac
             faces.update(scheme.block_faces(i, j))
         faces.add(scheme.s3())
         faces.add(scheme.s2())
-    if primed:
-        faces = rotated_faces(faces)
-    return frozenset(faces)
-
-
-def rotated_faces(faces: Iterable[Face]) -> set[Face]:
-    """The images of ``faces`` under the 180-degree rotation ``rotate180``.
-    The rotation maps the translate by t of a face to the translate by -t
-    of its image, so each of the six face classes is rotated once, at the
-    origin, and every face is translated."""
-    image = {(up, c): rotate180(Face(0, 0, up, c))
-             for up in (True, False) for c in range(3)}
-    return {Face(g.a - f.a, g.b - f.b, g.up, g.c) for f in faces for g in (image[f.up, f.c],)}
+    return frozenset(map(rotate180, faces) if primed else faces)
 
 
 @dataclass(frozen=True)
@@ -116,9 +104,8 @@ def build_patch(faces: Iterable[Face], scheme: BlockScheme,
     )
 
 
-def build_diamond(n: int, primed: bool = False, scheme: BlockScheme | None = None) -> DiamondGraph:
+def build_diamond(n: int, primed: bool, scheme: BlockScheme) -> DiamondGraph:
     """Assemble the diamond of half-order N = n as a concrete graph."""
-    scheme = scheme or _default_scheme()
     return build_patch(diamond_face_set(n, primed, scheme), scheme, n, primed)
 
 
@@ -143,26 +130,23 @@ def patch_covering_monomial(faces: Iterable[Face], scheme: BlockScheme) -> Laure
     return LaurentPoly.monomial(1, tuple(a + b for a, b in zip(fv, hv)))
 
 
-def face_vector(n: int, primed: bool = False, scheme: BlockScheme | None = None) -> tuple[int, ...]:
+def face_vector(n: int, primed: bool, scheme: BlockScheme) -> tuple[int, ...]:
     """Count of diamond faces per label."""
-    scheme = scheme or _default_scheme()
     return patch_face_vector(diamond_face_set(n, primed, scheme), scheme)
 
 
-def boundary_vector(n: int, primed: bool = False, scheme: BlockScheme | None = None) -> tuple[int, ...]:
+def boundary_vector(n: int, primed: bool, scheme: BlockScheme) -> tuple[int, ...]:
     """Count of the distinct lattice faces outside the diamond sharing an
     edge with it, per label."""
-    scheme = scheme or _default_scheme()
     return patch_face_vector(patch_boundary_faces(diamond_face_set(n, primed, scheme)), scheme)
 
 
-def covering_monomial(n: int, primed: bool = False, scheme: BlockScheme | None = None) -> LaurentPoly:
+def covering_monomial(n: int, primed: bool, scheme: BlockScheme) -> LaurentPoly:
     """The monomial whose x_i exponent counts faces of the diamond and its
     neighbors labeled i.  D_0 is empty but is formally assigned x3 (x6 when
     primed) to make the recursions uniform."""
     if n == 0:
         return LaurentPoly.var(6 if primed else 3)
-    scheme = scheme or _default_scheme()
     return patch_covering_monomial(diamond_face_set(n, primed, scheme), scheme)
 
 
@@ -298,9 +282,3 @@ def graph_to_svg(g: DiamondGraph) -> str:
         out.append(f'  <circle cx="{x}" cy="{y}" r="3.5" fill="{fill}" stroke="#000"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _default_scheme() -> BlockScheme:
-    from .calibration import default_scheme
-
-    return default_scheme()

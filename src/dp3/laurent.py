@@ -49,18 +49,19 @@ elimination) runs.  A monomial operand shifts the other's keys in one pass.
 Each value carries its degree box (per-variable lowest and highest
 exponents) and a lattice it lies in one coset of, under one rule: the
 operation that made the value gives them, else they are found from its
-terms on first use, like the hash (the lattice as ``echelon`` of its
-exponent differences).  A product's box and lattice are the sums of its
+terms on first use (the lattice as ``echelon`` of its exponent
+differences).  A product's box and lattice are the sums of its
 factors'; an exact quotient's box is the difference of the operands' and
 its lattice their sum.  A sum's lattice is the sum of the summands' plus
 the difference of their first exponent vectors, since cancellation only
-removes terms.  A monomial factor or divisor, a negation and a permutation
-keep the lattice (permuted), and a weighted matching sum gets the one its
-decoding lifted every term through.  So each ``y_N`` has its box and
+removes terms.  A monomial factor or divisor and a negation keep the
+lattice, and a weighted matching sum gets the one its decoding lifted every
+term through; a permutation, which only the sigma checks compare, starts
+with neither.  So each ``y_N`` has its box and
 lattice computed at most once, however often it is an operand.
 
 All values are immutable after construction (the cached box and lattice
-are idempotent fills, like the hash); every operation returns a new
+are idempotent fills); every operation returns a new
 polynomial, so values can be shared freely between threads.
 """
 
@@ -145,7 +146,7 @@ SIGMA = VarPermutation((5, 4, 6, 2, 1, 3))
 class LaurentPoly:
     """An exact Laurent polynomial in x1..x6 with integer coefficients."""
 
-    __slots__ = ("_terms", "_hash", "_box", "_lattice")
+    __slots__ = ("_terms", "_box", "_lattice")
 
     def __init__(self, terms: Mapping[int, int] | None = None, *, _raw: dict | None = None,
                  _box=None, _lattice=None):
@@ -156,7 +157,6 @@ class LaurentPoly:
             self._terms = _raw
         else:
             self._terms = {k: c for k, c in (terms or {}).items() if c != 0}
-        self._hash = None
         self._box = _box
         self._lattice = _lattice
 
@@ -206,11 +206,6 @@ class LaurentPoly:
         if isinstance(other, int):
             return self._terms == ({UNIT_KEY: other} if other else {})
         return NotImplemented
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
 
     def _degree_box(self) -> tuple[list[int], list[int]]:
         """Per-variable lowest and highest exponents of a nonzero value,
@@ -340,20 +335,14 @@ class LaurentPoly:
 
     def permute(self, perm: VarPermutation) -> "LaurentPoly":
         """Apply x_i -> x_perm(i) to every monomial.  The biased exponent
-        fields move as they are, since all share one bias; a known degree
-        box and support lattice move with them."""
+        fields move as they are, since all share one bias.  The image finds
+        its degree box and lattice on first use, if it is ever an operand."""
         keys = list(self._terms)
         out = [0] * len(keys)
         for s, j in zip(_SHIFTS, perm.image):
             t = _SHIFTS[j - 1]
             out = [a | (k >> s & _MASK) << t for a, k in zip(out, keys)]
-        box, lattice = self._box, self._lattice
-        if box is not None:
-            box = tuple(_permuted(v, perm) for v in box)
-        if lattice is not None:
-            lattice = echelon(_permuted(row, perm) for row in lattice[0])
-        return LaurentPoly(_raw=dict(zip(out, self._terms.values())), _box=box,
-                           _lattice=lattice)
+        return LaurentPoly(_raw=dict(zip(out, self._terms.values())))
 
     def evaluate(self) -> int:
         """The value at x_1 = ... = x_6 = 1: the sum of the coefficients."""
@@ -516,14 +505,6 @@ def _pair_lattice(a: LaurentPoly, b: LaurentPoly) -> tuple[list[list[int]], list
     """An echelon basis and pivots of the sum of the operands' support
     lattices."""
     return echelon(a._support_basis()[0] + b._support_basis()[0])
-
-
-def _permuted(v: Sequence[int], perm: VarPermutation) -> list[int]:
-    """A per-variable vector with entry i moved to perm(i)."""
-    out = [0] * N_VARS
-    for e, j in zip(v, perm.image):
-        out[j - 1] = e
-    return out
 
 
 def _positions(terms: dict[int, int], pivots, lows, radix) -> list[int]:

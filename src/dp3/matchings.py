@@ -561,8 +561,7 @@ def verify_condensation(n: int, sums: dict[tuple[int, bool], LaurentPoly]
     return big * center, a * b * mono1 + ap * bp * mono2
 
 
-def matchings_route_y(n: int, primed: bool = False,
-                      scheme: BlockScheme | None = None) -> LaurentPoly:
+def matchings_route_y(n: int, primed: bool, scheme: BlockScheme) -> LaurentPoly:
     """y_N (or y'_N) through the matching model: w(D_{N/2}) m(D_{N/2})."""
     if n < 1:
         raise ValueError("matching route defined for N >= 1")

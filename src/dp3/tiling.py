@@ -182,38 +182,16 @@ class Labeling:
         return False, self.down.index(label)
 
 
-def _face_from_geometry(centroid_xy: tuple[int, int], corner_xy: tuple[int, int]) -> Face:
-    cx, cy = centroid_xy
-    if cy % 12 == 4:
-        b, rem = divmod(cy - 4, 12)
-        a = (cx - 6 * b - 6) // 12
-        up = True
-        corners = [tri(a, b), tri(a + 1, b), tri(a, b + 1)]
-    elif cy % 12 == 8:
-        b = (cy - 8) // 12
-        a = (cx - 6 * b - 12) // 12
-        up = False
-        corners = [tri(a + 1, b), tri(a, b + 1), tri(a + 1, b + 1)]
-    else:
-        raise ValueError(f"{centroid_xy} is not a triangle centroid")
-    for c, v in enumerate(corners):
-        if vertex_coords(v) == corner_xy:
-            return Face(a, b, up, c)
-    raise ValueError(f"corner {corner_xy} does not belong to triangle at {centroid_xy}")
-
-
 def rotate180(f: Face) -> Face:
-    """Image of f under the 180-degree rotation about ``RHO_CENTER``.
+    """Image of f under the 180-degree rotation about ``RHO_CENTER``, in
+    closed form: the rotation carries triangle (a, b) onto (-a, -b) of the
+    other orientation and corner c onto corner 2 - c.
 
     The rotation maps up kites to down kites and carries a face with label i
     to one with label sigma(i) for any labeling whose antipodal label pairs
     sit on antipodal face classes.
     """
-    cx, cy = RHO_CENTER
-    verts, _ = _boundary_spec(f)
-    tx, ty = vertex_coords(verts[0])
-    gx, gy = vertex_coords(centroid(f.a, f.b, f.up))
-    return _face_from_geometry((2 * cx - gx, 2 * cy - gy), (2 * cx - tx, 2 * cy - ty))
+    return Face(-f.a, -f.b, not f.up, 2 - f.c)
 
 
 # ---------------------------------------------------------------------------

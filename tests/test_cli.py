@@ -748,6 +748,11 @@ class TestCompute:
         assert code == 2
         assert "N >= 1" in err
 
+    def test_recurrence_requires_n_at_least_minus_2(self, capsys):
+        code, _, err = run(capsys, "compute", "--target", "y", "--n", "-3")
+        assert code == 2
+        assert "N >= -2" in err
+
     def test_too_deep_for_recursion_limit_exits_2(self, capsys):
         code, out, err = run(capsys, "compute", "--target", "y", "--n", "1500")
         assert code == 2

@@ -59,7 +59,7 @@ class TestFaceSets:
             assert small < diamond_face_set(2 * n + 2, False, scheme)
 
     def test_primed_is_rotation_image(self, scheme):
-        # translating the images of the six face classes is per-face rotation
+        # D'_m is the 180-degree rotation image of D_m, face by face
         for n in range(0, 17):
             unprimed = diamond_face_set(n, False, scheme)
             primed = diamond_face_set(n, True, scheme)

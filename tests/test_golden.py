@@ -1,11 +1,13 @@
 """Golden report: the CLI's output pinned byte for byte, apart from seconds.
 
 `golden.json` holds each check of ``dp3 verify --suite all --max-half-order 5
---format json`` (id, status and both digests) and the sha256 of every
-``dp3 export`` in json, dot and svg for N=0..4, both primings.  A change meant
-to keep the CLI's output must keep this test passing as it stands.  After a
-change that alters the output on purpose, rewrite the fixture with
-``PYTHONPATH=src python tests/test_golden.py`` and say why in the change.
+--format json`` (id, status and both digests), the sha256 of every
+``dp3 export`` in json, dot and svg for N=0..4, both primings, and the sha256
+of the stdout of ``dp3 compute`` of y_5 and y'_5 by each route, in text and
+JSON.  A change meant to keep the CLI's output must keep this test passing as
+it stands.  After a change that alters the output on purpose, rewrite the
+fixture with ``PYTHONPATH=src python tests/test_golden.py`` and say why in
+the change.
 """
 
 import contextlib
@@ -45,7 +47,14 @@ def golden() -> dict:
                          str(path), *(["--primed"] if primed else []))
                     key = f"{fmt}/N={n}/{'primed' if primed else 'unprimed'}"
                     export[key] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {"verify": verify, "export": export}
+    compute = {}
+    for target in ("y", "yp"):
+        for via in ("recurrence", "seed", "matchings"):
+            for fmt in ("text", "json"):
+                text = _run("compute", "--target", target, "--n", "5", "--via", via,
+                            "--format", fmt)
+                compute[f"{target}/{via}/{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
+    return {"verify": verify, "export": export, "compute": compute}
 
 
 def test_cli_output_matches_the_golden_report():
@@ -53,6 +62,7 @@ def test_cli_output_matches_the_golden_report():
     got = golden()
     assert got["export"] == want["export"]
     assert got["verify"] == want["verify"]
+    assert got["compute"] == want["compute"]
 
 
 if __name__ == "__main__":

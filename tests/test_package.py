@@ -22,7 +22,7 @@ def test_readme_library_snippet():
     text = README.read_text()
     library = text[text.index("## Library"):]
     snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
-    assert "assert w * covering_monomial(4) == y4" in snippet
+    assert "assert w * covering_monomial(4, False, scheme) == y4" in snippet
     exec(compile(snippet, str(README), "exec"), {})
 
 
@@ -43,3 +43,25 @@ def test_only_standard_library_imports():
             outside += [(path.name, n) for n in names
                         if n.split(".")[0] not in sys.stdlib_module_names | {"dp3"}]
     assert outside == []
+
+
+def test_imports_form_a_dag():
+    """Every module imports the dp3 modules it needs at module level, so the
+    import graph is acyclic by construction: an import of a dp3 module inside
+    a function body is how a cycle hides.  Deferred standard-library imports
+    are allowed."""
+    deferred = set()
+    for path in sorted((ROOT / "src" / "dp3").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = ["." * node.level + (node.module or "")]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                deferred |= {(path.name, fn.name, n) for n in names
+                             if n.startswith(".") or n.split(".")[0] == "dp3"}
+    assert sorted(deferred) == []

@@ -8,6 +8,7 @@ from dp3.calibration import CalibrationFailed, calibrate, labeling_failures
 from dp3.laurent import SIGMA
 from dp3.quiver import B0
 from dp3.tiling import (
+    RHO_CENTER,
     BlockScheme,
     Face,
     expected_block_type,
@@ -134,6 +135,15 @@ class TestRotation:
             fr = rotate180(f)
             assert sorted(face_adjacency(fr)) == sorted(
                 rotate180(g) for g in face_adjacency(f))
+
+    def test_turns_the_boundary_about_the_center(self):
+        # the closed form against forward geometry: the image's corners are
+        # the face's corners turned 180 degrees about RHO_CENTER
+        cx, cy = RHO_CENTER
+        for f in WINDOW:
+            turned = sorted((2 * cx - x, 2 * cy - y)
+                            for x, y in map(vertex_coords, face_boundary(f)[0]))
+            assert sorted(map(vertex_coords, face_boundary(rotate180(f))[0])) == turned, f
 
 
 class TestBlocks:
