@@ -14,7 +14,9 @@ the (forced) block shapes for each, and keeps those passing, in order:
   6. covering monomial closed forms for those diamonds,
   7. the cluster identity y_1 = w(D_1/2) m(D_1/2).
 
-Exactly one assignment survives; anything else raises.
+Checks 1 and 2 accept the same 48 labelings, since each face class touches
+all classes but its rotation image; check 2 stays as the only one that ties
+``rotate180`` to sigma.  Exactly one assignment survives; anything else raises.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 
 from .diamonds import build_diamond, covering_monomial, covering_monomial_closed, pm_count_closed
 from .laurent import SIGMA
-from .matchings import count_pm, weighted_pm_sum
+from .matchings import count_pm, matchings_route_y
 from .quiver import recurrence_y
 from .tiling import (
     BlockScheme,
@@ -119,8 +121,7 @@ def _oracle_failures(scheme: BlockScheme) -> list[str]:
         if got != want:
             failures.append(f"m(D_{n}/2) = {got}, expected {want}")
     y1 = recurrence_y(1)[0]
-    half = build_diamond(1, False, scheme)
-    got = weighted_pm_sum(half) * covering_monomial(1, False, scheme)
+    got = matchings_route_y(1, False, scheme)
     if got != y1:
         failures.append(f"w(D_1/2) m(D_1/2) = {got} != y_1 = {y1}")
     return failures

@@ -133,7 +133,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_jobs(jobs: list, work, meanwhile=lambda: None) -> tuple[list, object]:
+def _run_jobs(jobs: list, work, meanwhile) -> tuple[list, object]:
     """``[work(job) for job in jobs]`` and the value of ``meanwhile()``,
     which this process calls once.  With two or more usable CPUs, a forked
     worker per CPU pulls the jobs in order from a pipe holding the next
@@ -310,7 +310,7 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme, sums: dict) -> Su
     rep = SuiteReport("recursions")
 
     @cache  # for this call only: the checks below use most monomials several times
-    def m(n: int, primed: bool = False) -> LaurentPoly:
+    def m(n: int, primed: bool) -> LaurentPoly:
         return covering_monomial(n, primed, scheme)
 
     for n in _condensation_orders(max_half_order):
@@ -324,18 +324,19 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme, sums: dict) -> Su
                   face_vector_closed(n))
         rep.check(f"recursions/boundary/N={n}", boundary_vector(n, False, scheme),
                   boundary_vector_closed(n))
-        rep.check(f"recursions/cover/N={n}", m(n), covering_monomial_closed(n))
-    rep.check("recursions/cover/N=1", m(1),
+        rep.check(f"recursions/cover/N={n}", m(n, False), covering_monomial_closed(n))
+    rep.check("recursions/cover/N=1", m(1, False),
               LaurentPoly.monomial(1, label_exponents((1, 2, 3, 5, 6))))
-    rep.check("recursions/cover/N=0", m(0), LaurentPoly.var(3))
+    rep.check("recursions/cover/N=0", m(0, False), LaurentPoly.var(3))
 
     unprimed_factor, primed_factor = (LaurentPoly.monomial(1, label_exponents(labels))
                                       for labels in RECURSION_FACTOR_LABELS)
     for n in _condensation_orders(2 * top):
         tag = f"recursions/cover-rec{1 + n % 2}/{{}}/n={n // 2}"
-        lhs = m(n) * m(n - 3)
-        rep.check(tag.format("unprimed"), m(n - 1) * m(n - 2) * unprimed_factor, lhs)
-        rep.check(tag.format("primed"), m(n - 1, True) * m(n - 2, True) * primed_factor, lhs)
+        big, center, a, b, ap, bp = (m(*d) for d in condensation_diamonds(n))
+        lhs = big * center
+        rep.check(tag.format("unprimed"), a * b * unprimed_factor, lhs)
+        rep.check(tag.format("primed"), ap * bp * primed_factor, lhs)
         rep.check(tag.format("product"), lhs, LaurentPoly.monomial(1, _cover_product(n)))
     return rep
 

@@ -82,8 +82,8 @@ class DiamondGraph:
     edges: tuple[tuple[Vertex, Vertex, int, int], ...]
 
 
-def build_patch(faces: Iterable[Face], scheme: BlockScheme,
-                half_order: int = -1, primed: bool = False) -> DiamondGraph:
+def build_patch(faces: Iterable[Face], scheme: BlockScheme, half_order: int,
+                primed: bool) -> DiamondGraph:
     """The graph carried by an arbitrary set of lattice faces."""
     lab = scheme.labeling
     face_set = frozenset(faces)

@@ -552,9 +552,10 @@ def unpack_digits(value: int, length: int, width: int) -> tuple[list[int], list[
     return positions, [digits[i] - half for i in positions]
 
 
-def _radix(widths: Sequence[int]) -> list[int]:
+def mixed_radix(widths: Sequence[int]) -> list[int]:
+    """1 and each cumulative product of ``widths``; the last is their box size."""
     radix = [1]
-    for w in widths[:-1]:
+    for w in widths:
         radix.append(radix[-1] * w)
     return radix
 
@@ -604,16 +605,15 @@ def _packed_mul(a: LaurentPoly, b: LaurentPoly, lattice) -> dict[int, int] | Non
     blo, bw = _pivot_box(b, pivots)
     a, b = a._terms, b._terms
     widths = [x + y - 1 for x, y in zip(aw, bw)]
-    size = prod(widths)
-    if size > _PACK_DENSITY * len(a) * len(b):
+    radix = mixed_radix(widths)
+    if radix[-1] > _PACK_DENSITY * len(a) * len(b):
         return None
-    radix = _radix(widths)
     width = _product_width(_norms(a.values()), _norms(b.values()))
     apos = _positions(a, pivots, alo, radix)
     bpos = _positions(b, pivots, blo, radix)
     value = (_pack(apos, a.values(), max(apos) + 1, width)
              * _pack(bpos, b.values(), max(bpos) + 1, width))
-    positions, coeffs = unpack_digits(value, size, width)
+    positions, coeffs = unpack_digits(value, radix[-1], width)
     qs = [[low + i // r % w for i in positions] for low, r, w in zip(
         [x + y for x, y in zip(alo, blo)], radix, widths)]
     base = [x + y for x, y in zip(unpack_key(next(iter(a))), unpack_key(next(iter(b))))]
@@ -696,12 +696,12 @@ def _packed_div(num: LaurentPoly, den: LaurentPoly, lattice) -> dict[int, int] |
     dlo, dw = _pivot_box(den, pivots)
     num, den = num._terms, den._terms
     qw = [x - y + 1 for x, y in zip(nw, dw)]
-    if min(qw) < 1:
+    if any(w < 1 for w in qw):
         raise NotDivisibleError("no exact quotient (empty pivot box)")
-    size = prod(nw)
+    radix = mixed_radix(nw)
+    size = radix[-1]
     if size > _PACK_DENSITY * len(num):
         return None
-    radix = _radix(nw)
     npos = _positions(num, pivots, nlo, radix)
     dpos = _positions(den, pivots, dlo, radix)
     qsize = sum((w - 1) * r for w, r in zip(qw, radix)) + 1

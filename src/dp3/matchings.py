@@ -55,7 +55,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from .laurent import (UNIT_KEY, LaurentPoly, digit_bytes, echelon, label_exponents, lift_pivots,
-                      pack_exponents, unpack_digits, unpack_key)
+                      mixed_radix, pack_exponents, unpack_digits, unpack_key)
 from .diamonds import RECURSION_FACTOR_LABELS, DiamondGraph, build_diamond, covering_monomial
 from .tiling import BlockScheme, vertex_coords
 
@@ -79,9 +79,12 @@ SWEEP_ORDERS = {"yx": (0, 1), "xy": (1, 0)}
 #: 3e5 to 5e5, so its states would take gigabytes.
 PACKED_BYTES_BUDGET = 1 << 16
 
+#: The most perfect matchings ``enumerate_pm`` lists before it gives up.
+ENUMERATION_LIMIT = 1 << 20
+
 
 class LimitExceededError(RuntimeError):
-    """Enumeration would produce more matchings than the caller allowed."""
+    """Enumeration would produce more than ``ENUMERATION_LIMIT`` matchings."""
 
 
 def _reduce(points: list, edges: list[tuple[int, int, int]]):
@@ -444,9 +447,7 @@ def weighted_pm_sum(graph: DiamondGraph, order: str | None = None) -> LaurentPol
                                       (1, 0, 0), _add_extremes)
         lows.append(lo)
         widths.append(hi - lo + 1)
-    radix = [1]
-    for width in widths:
-        radix.append(radix[-1] * width)
+    radix = mixed_radix(widths)
     width = digit_bytes(count)
     if radix[-1] * width > PACKED_BYTES_BUDGET:
         raise ValueError(f"the packed matching sum of a rank-{len(pivots)} lattice needs "
@@ -479,10 +480,10 @@ def weighted_pm_sum(graph: DiamondGraph, order: str | None = None) -> LaurentPol
 Matching = tuple[tuple[int, ...], ...]  # sorted edge indices into graph.edges
 
 
-def enumerate_pm(graph: DiamondGraph, limit: int = 1 << 20) -> list[Matching]:
+def enumerate_pm(graph: DiamondGraph) -> list[Matching]:
     """Exhaustive backtracking enumeration, branching on the lowest-index
     uncovered vertex; deterministic order.  Raises LimitExceededError once
-    more than ``limit`` matchings would be produced."""
+    more than ``ENUMERATION_LIMIT`` matchings would be produced."""
     nv = len(graph.vertices)
     index = {v: i for i, v in enumerate(graph.vertices)}
     incident: list[list[tuple[int, int]]] = [[] for _ in range(nv)]  # (other, edge_idx)
@@ -501,8 +502,8 @@ def enumerate_pm(graph: DiamondGraph, limit: int = 1 << 20) -> list[Matching]:
         while v < nv and covered[v]:
             v += 1
         if v == nv:
-            if len(out) >= limit:
-                raise LimitExceededError(f"more than {limit} perfect matchings")
+            if len(out) >= ENUMERATION_LIMIT:
+                raise LimitExceededError(f"more than {ENUMERATION_LIMIT} perfect matchings")
             out.append(tuple(sorted(chosen)))
             return
         covered[v] = True
@@ -524,11 +525,11 @@ def _matching_key(graph: DiamondGraph, matching: Matching) -> int:
     return pack_exponents(label_exponents((l for ei in matching for l in graph.edges[ei][2:]), -1))
 
 
-def aggregate_enumeration(graph: DiamondGraph, limit: int = 1 << 20) -> LaurentPoly:
+def aggregate_enumeration(graph: DiamondGraph) -> LaurentPoly:
     """Brute-force oracle: sum of matching weights over all matchings,
     collected by exponent key and made one polynomial at the end."""
     terms: dict[int, int] = {}
-    for m in enumerate_pm(graph, limit):
+    for m in enumerate_pm(graph):
         key = _matching_key(graph, m)
         terms[key] = terms.get(key, 0) + 1
     return LaurentPoly(_raw=terms)

@@ -143,16 +143,6 @@ def face_corner_sum(f: Face) -> tuple[int, int]:
     return xs, ys
 
 
-def in_row_neighbors(up: bool, c: int) -> tuple[tuple[bool, int, int], ...]:
-    """Neighbors of face class (up, c) within its own triangle row, as
-    (up', c', delta_a) triples."""
-    out = []
-    for g in face_adjacency(Face(0, 0, up, c)):
-        if g.b == 0:
-            out.append((g.up, g.c, g.a))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Labeling and 180-degree rotation
 
@@ -206,6 +196,11 @@ class BlockSchemeError(ValueError):
 BLOCK_TYPES = {"254": (2, 5, 4), "316": (3, 1, 6), "214": (2, 1, 4), "356": (3, 5, 6)}
 
 
+def _regime(b: int) -> tuple[str, str]:
+    """The two block types that tile row b, alternating along the row."""
+    return ("254", "316") if b <= 0 else ("214", "356")
+
+
 def _derive_shape(classes: list[tuple[bool, int]]) -> dict[tuple[bool, int], int]:
     """Relative a-offsets realizing three face classes as a connected in-row
     triple; offsets are normalized to minimum 0.  Raises if disconnected."""
@@ -213,10 +208,10 @@ def _derive_shape(classes: list[tuple[bool, int]]) -> dict[tuple[bool, int], int
     frontier = [classes[0]]
     while frontier:
         cls = frontier.pop()
-        for up2, c2, da in in_row_neighbors(*cls):
-            other = (up2, c2)
-            if other in classes:
-                pos = offsets[cls] + da
+        for g in face_adjacency(Face(0, 0, *cls)):
+            other = (g.up, g.c)
+            if g.b == 0 and other in classes:  # a neighbour in the same triangle row
+                pos = offsets[cls] + g.a
                 if other not in offsets:
                     offsets[other] = pos
                     frontier.append(other)
@@ -256,12 +251,9 @@ class BlockScheme:
                 raise BlockSchemeError(f"blocks {pair} do not tile a strip")
         return BlockScheme(labeling, shapes)
 
-    def _regime(self, b: int) -> tuple[str, str]:
-        return ("254", "316") if b <= 0 else ("214", "356")
-
     def block_at_face(self, f: Face) -> tuple[str, int, int]:
         """The (type, a, b) of the unique block containing face f."""
-        for name in self._regime(f.b):
+        for name in _regime(f.b):
             da = self.shapes[name].get((f.up, f.c))
             if da is not None:
                 return name, f.a - da, f.b
@@ -314,9 +306,7 @@ class BlockScheme:
 
 def expected_block_type(i: int, j: int) -> str:
     """The parity rule for block types, validated at calibration time."""
-    if j <= 0:
-        return "254" if (i + j) % 2 == 0 else "316"
-    return "214" if (i + j) % 2 == 0 else "356"
+    return _regime(j)[(i + j) % 2]
 
 
 # ---------------------------------------------------------------------------

@@ -511,7 +511,7 @@ class TestWorkers:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         with within(20, "the run went on after a failure"):
             with pytest.raises(ValueError, match="job 0 failed"):
-                cli._run_jobs(list(range(300)), work)
+                cli._run_jobs(list(range(300)), work, lambda: None)
         no_child_left()
 
     def test_worker_that_dies_holding_the_queue(self, monkeypatch):
@@ -535,7 +535,7 @@ class TestWorkers:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         with within(60, "the workers were not killed"):
             with pytest.raises(ChildProcessError, match="status 9"):
-                cli._run_jobs(list(range(300)), work)
+                cli._run_jobs(list(range(300)), work, lambda: None)
         no_child_left()
 
     def test_every_job_runs_once_in_a_worker(self, monkeypatch, tmp_path):
@@ -549,7 +549,8 @@ class TestWorkers:
             return -job
 
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        assert cli._run_jobs(list(range(300)), work) == ([-j for j in range(300)], None)
+        assert cli._run_jobs(list(range(300)), work, lambda: None) == (
+            [-j for j in range(300)], None)
         runs = [line.split() for line in log.read_text().splitlines()]
         assert sorted(int(job) for job, _ in runs) == list(range(300))
         assert str(os.getpid()) not in {pid for _, pid in runs}

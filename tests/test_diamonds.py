@@ -21,7 +21,7 @@ from dp3.diamonds import (
     patch_covering_monomial,
 )
 from dp3.laurent import SIGMA, LaurentPoly
-from dp3.tiling import Face, rotate180
+from dp3.tiling import RHO_CENTER, Face, face_corner_sum
 from support import is_connected, sigma_vector
 
 
@@ -59,11 +59,20 @@ class TestFaceSets:
             assert small < diamond_face_set(2 * n + 2, False, scheme)
 
     def test_primed_is_rotation_image(self, scheme):
-        # D'_m is the 180-degree rotation image of D_m, face by face
-        for n in range(0, 17):
-            unprimed = diamond_face_set(n, False, scheme)
-            primed = diamond_face_set(n, True, scheme)
-            assert primed == {rotate180(f) for f in unprimed}, n
+        # D'_m is D_m turned 180 degrees about RHO_CENTER, relabeled by sigma:
+        # a face's corner sum is 4 times its centre, so the image of a face
+        # at corner sum (x, y) sits at (8 cx - x, 8 cy - y)
+        cx, cy = RHO_CENTER
+        label = scheme.labeling.label
+
+        def turned(f):
+            x, y = face_corner_sum(f)
+            return 8 * cx - x, 8 * cy - y
+
+        for n in range(0, 11):
+            primed = {face_corner_sum(f): label(f) for f in diamond_face_set(n, True, scheme)}
+            image = {turned(f): SIGMA(label(f)) for f in diamond_face_set(n, False, scheme)}
+            assert primed == image, n
 
     def test_primed_face_counts_are_sigma_image(self, scheme):
         for n in range(1, 8):
@@ -160,7 +169,7 @@ class TestTranslationInvariance:
         for da, db in ((1, 0), (-2, 1), (3, -2)):
             shifted = Face(s2.a + da, s2.b + db, s2.up, s2.c)
             assert scheme.labeling.label(shifted) == 2
-            g = build_patch({shifted}, scheme)
+            g = build_patch({shifted}, scheme, -1, False)
             assert weighted_pm_sum(g) == base_w
             assert patch_covering_monomial({shifted}, scheme) == base_m
 

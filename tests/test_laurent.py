@@ -393,6 +393,20 @@ def test_rank_zero_lattice_cannot_hold_a_packed_operand():
         laurent._packed_div(x(1) * x(3) + x(2) * x(4), x(3) + x(4), ([], []))
 
 
+def test_rank_zero_lattice_divides_monomials():
+    # both operands monomials: no pivots, a one-point box
+    def mono(coeff, *exps):
+        return LaurentPoly.monomial(coeff, exps)
+
+    lattice = ([], [])
+    got = laurent._packed_div(mono(3, 3, 0, 0, 0, 0, 0), x(1), lattice)
+    assert got == mono(3, 2, 0, 0, 0, 0, 0)._terms
+    got = laurent._packed_div(mono(6, 0, 2, 0, 0, 0, -1), mono(-2, 0, 1, 0, 0, 0, 1), lattice)
+    assert got == mono(-3, 0, 1, 0, 0, 0, -2)._terms
+    with pytest.raises(NotDivisibleError):
+        laurent._packed_div(mono(3, 3, 0, 0, 0, 0, 0), mono(2, 1, 0, 0, 0, 0, 0), lattice)
+
+
 def test_rank_zero_lift_is_the_base_point():
     base = (1, 0, -2, 0, 0, 3)
     assert laurent.lift_pivots(base, [], [], []) == [laurent.pack_exponents(base)]

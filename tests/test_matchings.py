@@ -427,9 +427,10 @@ class TestEnumeration:
                 total = total + matching_weight(g, m)
             assert aggregate_enumeration(g) == total, seed
 
-    def test_limit_guard(self, scheme):
+    def test_limit_guard(self, scheme, monkeypatch):
+        monkeypatch.setattr(matchings, "ENUMERATION_LIMIT", 3)
         with pytest.raises(LimitExceededError):
-            enumerate_pm(build_diamond(4, False, scheme), limit=3)
+            enumerate_pm(build_diamond(4, False, scheme))
 
     def test_matching_weight(self, scheme):
         g = build_diamond(1, False, scheme)

@@ -4,13 +4,20 @@ import itertools
 
 import pytest
 
-from dp3.calibration import CalibrationFailed, calibrate, labeling_failures
+from dp3.calibration import (
+    CalibrationFailed,
+    _octahedral_ok,
+    _rho_sigma_ok,
+    calibrate,
+    labeling_failures,
+)
 from dp3.laurent import SIGMA
 from dp3.quiver import B0
 from dp3.tiling import (
     RHO_CENTER,
     BlockScheme,
     Face,
+    Labeling,
     expected_block_type,
     face_adjacency,
     face_boundary,
@@ -264,6 +271,15 @@ class TestCalibration:
             "block grid disagrees with geometric block adjacency"]
         with pytest.raises(CalibrationFailed):
             calibrate()
+
+    def test_octahedral_and_rotation_checks_agree(self):
+        # checks 1 and 2 of the search accept the same 48 labelings; check 2
+        # is the only one that ties rotate180 to sigma
+        labelings = [Labeling(up=p[:3], down=p[3:]) for p in itertools.permutations(range(1, 7))]
+        octahedral = [_octahedral_ok(lab) for lab in labelings]
+        rotation = [_rho_sigma_ok(lab) for lab in labelings]
+        assert (sum(octahedral), sum(rotation)) == (48, 48)
+        assert octahedral == rotation
 
     def test_calibrated_labeling_has_no_failures(self, scheme):
         assert labeling_failures(scheme.labeling) == []
