@@ -52,8 +52,6 @@ identities (``cli``).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-
 from .laurent import (UNIT_KEY, LaurentPoly, digit_bytes, echelon, label_exponents, lift_pivots,
                       mixed_radix, pack_exponents, unpack_digits, unpack_key)
 from .diamonds import RECURSION_FACTOR_LABELS, DiamondGraph, build_diamond, covering_monomial
@@ -192,8 +190,7 @@ def _min_frontier_order(points: list, edges: list[tuple[int, int, int]]) -> list
     unvisited neighbors) minus *closes* (the visited vertices whose last
     unvisited neighbor it is).  Ties go to the lower ``SWEEP`` rank; with
     no candidate, at the start or in a new component, the lowest-ranked
-    unvisited vertex is visited.  Scores change only around the visited
-    vertex, so they are kept in a heap with stale entries skipped.
+    unvisited vertex is visited.
     """
     n = len(points)
     by_rank = _line_order(points, SWEEP)
@@ -208,27 +205,13 @@ def _min_frontier_order(points: list, edges: list[tuple[int, int, int]]) -> list
     left = [len(a) for a in adj]  # unvisited neighbors
     closes = [0] * n
     visited = [False] * n
-    heap: list[tuple[int, int, int]] = []
+    candidates: set[int] = set()
     out: list[int] = []
     first = 0  # no vertex before by_rank[first] is unvisited
-
-    def score(c: int) -> int:
-        return (left[c] > 0) - closes[c]
-
-    def push(c: int) -> None:
-        heappush(heap, (score(c), rank[c], c))
-
-    def one_left(u: int) -> None:
-        # visited u has one unvisited neighbor left, which now closes it
-        w = next(w for w in adj[u] if not visited[w])
-        closes[w] += 1
-        push(w)
-
     while len(out) < n:
-        while heap:
-            s, _, c = heappop(heap)
-            if not visited[c] and s == score(c):
-                break
+        if candidates:
+            c = min(candidates, key=lambda c: ((left[c] > 0) - closes[c], rank[c]))
+            candidates.remove(c)
         else:
             while visited[by_rank[first]]:
                 first += 1
@@ -237,13 +220,11 @@ def _min_frontier_order(points: list, edges: list[tuple[int, int, int]]) -> list
         out.append(c)
         for u in adj[c]:
             left[u] -= 1
-        for u in adj[c]:
             if not visited[u]:
-                push(u)
-            elif left[u] == 1:
-                one_left(u)
-        if left[c] == 1:
-            one_left(c)
+                candidates.add(u)
+        for u in (c, *adj[c]):
+            if visited[u] and left[u] == 1:
+                closes[next(w for w in adj[u] if not visited[w])] += 1
     return out
 
 
@@ -458,15 +439,13 @@ def weighted_pm_sum(graph: DiamondGraph, order: str | None = None) -> LaurentPol
     off, big = _frontier_sum(_reweigh(sweep, shift), (0, 1), _add_packed)
 
     # digit i of big, read from the least significant end, is the
-    # coefficient of t**(off // bits + i)
-    rest, coeffs = unpack_digits(big, -(-big.bit_length() // bits), width)
-    rest = [off // bits + i for i in rest]
-    qs = []
-    for low, width in zip(lows, widths):
-        q = [low + (r - low) % width for r in rest]
-        rest = [(r - x) // width for r, x in zip(rest, q)]
-        qs.append(q)
-    keys = lift_pivots(top, basis, pivots, qs + [rest])
+    # coefficient of t**(off // bits + i); less the shift of the lows, that
+    # exponent's mixed-radix digits are the pivot exponents above their lows
+    positions, coeffs = unpack_digits(big, -(-big.bit_length() // bits), width)
+    base = off // bits - sum(low * r for low, r in zip(lows, radix))
+    positions = [base + i for i in positions]
+    qs = [[low + i // r % w for i in positions] for low, r, w in zip(lows, radix, widths)]
+    keys = lift_pivots(top, basis, pivots, qs + [[i // radix[-1] for i in positions]])
     if keys is None:
         raise ArithmeticError("a decoded pivot exponent is off the lattice")
     terms = dict(zip(keys, coeffs))

@@ -241,6 +241,40 @@ def line_sweep(graph: DiamondGraph, direction: tuple[int, int]):
     return matchings._layout(points, edges, matchings._line_order(points, direction))
 
 
+def greedy_order_by_definition(points: list, edges) -> list[int]:
+    """The vertex order that ``matchings._min_frontier_order`` defines, with
+    every score worked out from scratch at each step: among the unvisited
+    neighbors of visited vertices, visit the one with the least *opens* (1
+    if it has an unvisited neighbor) minus *closes* (the visited neighbors
+    whose only unvisited neighbor it is), ties to the lower ``SWEEP`` rank;
+    with no candidate, visit the lowest-ranked unvisited vertex."""
+    from dp3.matchings import SWEEP, _line_order
+
+    adj: list[set[int]] = [set() for _ in points]
+    for i, j, _ in edges:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    by_rank = _line_order(points, SWEEP)
+    rank = {i: r for r, i in enumerate(by_rank)}
+    visited: set[int] = set()
+    out: list[int] = []
+
+    def score(c: int) -> int:
+        opens = bool(adj[c] - visited)
+        return opens - sum(adj[u] - visited == {c} for u in adj[c] & visited)
+
+    while len(out) < len(points):
+        candidates = {c for u in visited for c in adj[u]} - visited
+        if candidates:
+            c = min(candidates, key=lambda c: (score(c), rank[c]))
+        else:
+            c = next(i for i in by_rank if i not in visited)
+        visited.add(c)
+        out.append(c)
+    return out
+
+
 def unpack_digits_by_loop(value: int, length: int, width: int):
     """The balanced-digit decoder that ``laurent.unpack_digits`` replaced,
     kept as its reference: |value|'s digits in [-256**width / 2,

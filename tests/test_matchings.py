@@ -19,7 +19,14 @@ from dp3.matchings import (
     weighted_pm_sum,
 )
 from dp3.quiver import recurrence_y
-from support import line_sweep, matching_covers, matching_weight, parse_poly, sweep_stats
+from support import (
+    greedy_order_by_definition,
+    line_sweep,
+    matching_covers,
+    matching_weight,
+    parse_poly,
+    sweep_stats,
+)
 
 COUNTS = {1: 2, 2: 4, 3: 16, 4: 64, 5: 512, 6: 4096, 7: 65536, 8: 1048576}
 
@@ -325,17 +332,40 @@ AXES = ((1, 0), (-1, 0), (2, 1), (-2, -1), (2, -1), (-2, 1),
 
 
 def assert_greedy_order_exact(monkeypatch, graph):
-    """The greedy order visits each vertex of the reduced graph once, and
-    ``count_pm`` and ``weighted_pm_sum`` of ``graph`` are the same as with
-    the reduced graph swept along the straight line ``SWEEP``."""
+    """The greedy order visits each vertex of the reduced graph once, in the
+    order its definition gives, and ``count_pm`` and ``weighted_pm_sum`` of
+    ``graph`` are the same as with the reduced graph swept along the
+    straight line ``SWEEP``."""
     points, edges = matchings._reduce(*matchings._points_edges(graph))
     order = matchings._min_frontier_order(points, edges)
     assert sorted(order) == list(range(len(points)))
+    assert order == greedy_order_by_definition(points, edges)
     assert matchings._sweep(graph)[0] == [points[i][2] for i in order]
     count, w = count_pm(graph), weighted_pm_sum(graph)
     with monkeypatch.context() as m:
         m.setattr(matchings, "_sweep", lambda g, order=None: line_sweep(g, matchings.SWEEP))
         assert (count_pm(graph), weighted_pm_sum(graph)) == (count, w)
+
+
+#: (state-steps, peak states) of the default sweep of D_N and of D'_N, as
+#: sweep_stats counts them; a change to _reduce or to the greedy order that
+#: moves them updates this table and says why
+SWEEP_SIZES = {
+    1: ((3, 1), (3, 1)),
+    2: ((3, 1), (3, 1)),
+    3: ((11, 2), (11, 2)),
+    4: ((19, 3), (19, 3)),
+    5: ((61, 6), (59, 6)),
+    6: ((151, 10), (156, 10)),
+    7: ((333, 15), (318, 15)),
+    8: ((918, 35), (896, 34)),
+    9: ((1450, 35), (1543, 46)),
+    10: ((4755, 126), (4526, 124)),
+    11: ((6366, 126), (7063, 145)),
+    12: ((23331, 440), (21795, 455)),
+    13: ((28472, 440), (31741, 471)),
+    14: ((107748, 1660), (98576, 1700)),
+}
 
 
 class TestSweepChoice:
@@ -351,6 +381,12 @@ class TestSweepChoice:
         measured = [sweep_stats(line_sweep(g, axis), limit=chosen) for axis in AXES]
         best = min((steps for steps, _ in filter(None, measured)), default=chosen)
         assert chosen <= (best if n >= 5 else 1.25 * best)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_sweep_sizes_are_pinned(self, scheme, n):
+        got = tuple(sweep_stats(matchings._sweep(build_diamond(n, primed, scheme)))
+                    for primed in (False, True))
+        assert got == SWEEP_SIZES[n]
 
     @pytest.mark.parametrize("n", range(0, 15))
     def test_greedy_order_is_exact(self, scheme, monkeypatch, n):
