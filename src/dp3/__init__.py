@@ -7,22 +7,14 @@ they raise; everything else is imported from its submodule."""
 
 from .laurent import NotDivisibleError
 from .quiver import recurrence_y
-from .calibration import (
-    CalibrationAmbiguous,
-    CalibrationError,
-    CalibrationFailed,
-    calibrate,
-    default_scheme,
-)
+from .calibration import CalibrationError, calibrate, default_scheme
 from .diamonds import build_diamond, covering_monomial
 from .matchings import weighted_pm_sum
 
 __all__ = [
     "NotDivisibleError",
     "recurrence_y",
-    "CalibrationAmbiguous",
     "CalibrationError",
-    "CalibrationFailed",
     "calibrate",
     "default_scheme",
     "build_diamond",

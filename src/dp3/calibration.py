@@ -21,6 +21,7 @@ all classes but its rotation image; check 2 stays as the only one that ties
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .diamonds import build_diamond, covering_monomial, covering_monomial_closed, pm_count_closed
@@ -38,15 +39,7 @@ from .tiling import (
 
 
 class CalibrationError(RuntimeError):
-    pass
-
-
-class CalibrationFailed(CalibrationError):
-    """No labeling satisfies all oracles: the lattice model itself is broken."""
-
-
-class CalibrationAmbiguous(CalibrationError):
-    """Several essentially different labelings satisfy all oracles."""
+    """No labeling, or several, satisfy all oracles: the lattice model is broken."""
 
 
 def _octahedral_ok(lab: Labeling) -> bool:
@@ -153,20 +146,15 @@ def calibrate() -> BlockScheme:
         if not labeling_failures(lab):
             survivors.append(lab)
     if not survivors:
-        raise CalibrationFailed("no labeling satisfies the calibration oracles")
+        raise CalibrationError("no labeling satisfies the calibration oracles")
     if len(survivors) > 1:
-        raise CalibrationAmbiguous(
+        raise CalibrationError(
             f"{len(survivors)} labelings survive calibration: {survivors}")
     return BlockScheme.from_labeling(survivors[0])
 
 
-_SCHEME: BlockScheme | None = None
-
-
+@functools.cache
 def default_scheme() -> BlockScheme:
     """The calibrated scheme, computed once per process."""
-    global _SCHEME
-    if _SCHEME is None:
-        _SCHEME = calibrate()
-    return _SCHEME
+    return calibrate()
 

@@ -248,10 +248,11 @@ def _work_ahead(names, max_half_order: int,
     """Work out, on every usable CPU, what the suites ``names`` check
     against another route: y_1..y_N by the recurrence (a job whose pairs go
     into the recurrence memo here), the diamond sums, the theorem's
-    covering monomials and the counts, while this process runs the seed
-    route for the quiver suite.  Returns the sums w(D) and the monomials
-    m(D) by (half-order, primed), the counts of D_1..D_N by N, and the seed
-    route's sequence (None without the quiver suite)."""
+    covering monomials and the counts (a summed diamond's count is its sum
+    at x_i = 1), while this process runs the seed route for the quiver
+    suite.  Returns the sums w(D) and the monomials m(D) by (half-order,
+    primed), the counts of D_1..D_N by N, and the seed route's sequence
+    (None without the quiver suite)."""
     covers = ({(n, p) for n in range(1, max_half_order + 1) for p in (False, True)}
               if "theorem" in names else set())
     sums = set(covers)
@@ -268,10 +269,12 @@ def _work_ahead(names, max_half_order: int,
     def run(job):
         if job == "recurrence":
             return {n: quiver.recurrence_y(n) for n in range(1, max_half_order + 1)}
-        graph = build_diamond(*job, scheme)  # one build serves both kernels and the monomial
-        return (weighted_pm_sum(graph) if job in sums else None,
-                count_pm(graph) if job in counts else None,
-                patch_covering_monomial((f for f, _ in graph.faces), scheme)
+        graph = build_diamond(*job, scheme)  # one build serves the sum, count and monomial
+        w = weighted_pm_sum(graph) if job in sums else None
+        count = None
+        if job in counts:  # a sum raises unless its coefficients add up to the count
+            count = count_pm(graph) if w is None else w.evaluate()
+        return (w, count, patch_covering_monomial((f for f, _ in graph.faces), scheme)
                 if job in covers else None)
 
     results, seq = _run_jobs(jobs, run, lambda: (run_periodic_sequence(2 * max_half_order)

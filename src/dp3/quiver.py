@@ -69,9 +69,8 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     """Mutate at node k: exchange binomial from column k, then exact division.
     A binomial that the mutation making ``seed`` computed is reused once, when
     column k picks the very same variable objects with the same or negated exponents."""
-    if not 1 <= k <= 6:
-        raise ValueError(f"node index {k} out of range 1..6")
     b, cl = seed.matrix, seed.cluster
+    matrix = mutate_matrix(b, k)  # before column k is read: it rejects k outside 1..6
     rows = [i for i in range(6) if b[i][k - 1]]
     factors, exps = [cl[i] for i in rows], [b[i][k - 1] for i in rows]
     old, old_exps, binomial = seed.exchange or ((), (), None)
@@ -84,11 +83,16 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
         binomial = pos + neg
     cluster = cl[: k - 1] + (binomial.exact_div(cl[k - 1]),) + cl[k:]
     # one sigma-pair per binomial: held through the next products, it raises peak memory
-    return Seed(mutate_matrix(b, k), cluster, None if reused else (factors, exps, binomial))
+    return Seed(matrix, cluster, None if reused else (factors, exps, binomial))
 
 
-#: recurrence_y's memo, (y_N, y'_N) by N >= 1; a value in it is never replaced.
-_Y: dict[int, tuple[LaurentPoly, LaurentPoly]] = {}
+#: recurrence_y's memo, (y_N, y'_N) by N, holding the bases N = -2, -1, 0
+#: from the start; a value in it is never replaced.
+_Y: dict[int, tuple[LaurentPoly, LaurentPoly]] = {
+    -2: (LaurentPoly.var(2), LaurentPoly.var(4)),
+    -1: (LaurentPoly.var(5), LaurentPoly.var(1)),
+    0: (LaurentPoly.var(3), LaurentPoly.var(6)),
+}
 
 
 def recurrence_y(n: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -102,12 +106,6 @@ def recurrence_y(n: int) -> tuple[LaurentPoly, LaurentPoly]:
         return _Y[n]
     if n < -2:
         raise ValueError("recurrence defined for N >= -2 only")
-    if n == -2:
-        return LaurentPoly.var(2), LaurentPoly.var(4)
-    if n == -1:
-        return LaurentPoly.var(5), LaurentPoly.var(1)
-    if n == 0:
-        return LaurentPoly.var(3), LaurentPoly.var(6)
     y1, yp1 = recurrence_y(n - 1)
     y2, yp2 = recurrence_y(n - 2)
     y3, yp3 = recurrence_y(n - 3)

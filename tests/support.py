@@ -318,11 +318,18 @@ Y1P = parse_poly("x1 x4^-1 x6 + x3 x4^-1 x5")
 
 @contextlib.contextmanager
 def empty_recurrence_memo():
-    """Run the block with ``recurrence_y``'s memo empty, so that it computes
-    every y_N it asks for, and empty the memo again after it, so that no
-    value the block made (or planted) outlives it."""
-    quiver._Y.clear()
+    """Run the block with ``recurrence_y``'s memo holding only its bases
+    N = -2, -1, 0, so that it computes every y_N, N >= 1, it asks for, and
+    cut the memo back to the bases after it, so that no value the block made
+    (or planted) outlives it."""
+    bases = {n: quiver._Y[n] for n in (-2, -1, 0)}
+
+    def reset():
+        quiver._Y.clear()
+        quiver._Y.update(bases)
+
+    reset()
     try:
         yield
     finally:
-        quiver._Y.clear()
+        reset()

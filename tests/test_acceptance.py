@@ -159,7 +159,7 @@ def test_criterion_7_oracle_equivalence(scheme):
 
 
 def test_criterion_8_calibration_soundness(scheme):
-    fresh = calibrate()  # raises CalibrationFailed/Ambiguous unless unique
+    fresh = calibrate()  # raises CalibrationError unless exactly one labeling survives
     assert fresh.labeling == scheme.labeling
 
     up, down = scheme.labeling.up, scheme.labeling.down

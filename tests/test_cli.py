@@ -18,6 +18,7 @@ import dp3
 from dp3 import calibration, cli, diamonds, laurent, matchings, quiver
 from dp3.cli import main
 from dp3.diamonds import covering_monomial, pm_count_closed
+from dp3.tiling import Labeling
 from support import Y1, Y1P, empty_recurrence_memo, x
 
 
@@ -145,13 +146,14 @@ class TestVerify:
 
 class TestSharedSums:
     """The theorem and recursions suites take every w(D) from the sums that
-    ``_work_ahead`` returns, and the counts suite counts on the graphs built
-    for them."""
+    ``_work_ahead`` returns, and the counts suite takes the count of a
+    summed diamond from its sum."""
 
-    def test_each_diamond_summed_once(self, capsys, monkeypatch, scheme):
-        # the oracle suite recomputes on purpose: its 8 diamonds are built
-        # again and swept in both orders; the scheme fixture calibrates
-        # first, whose N=1 checks are not counted
+    @pytest.fixture
+    def calls(self, monkeypatch, scheme):
+        """The diamonds that ``verify`` builds, sums and counts, in this
+        process; the scheme fixture calibrates first, whose N=1 checks are
+        not counted."""
         built, summed, counted = Counter(), Counter(), Counter()
 
         def counting(fn, calls, key):
@@ -169,17 +171,29 @@ class TestSharedSums:
             cli.count_pm, counted, lambda g, *o: (g.half_order, g.primed, *o)))
         # in-process, so that every call is counted here
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        return built, summed, counted
+
+    def test_each_diamond_summed_once(self, capsys, calls):
+        # the oracle suite recomputes on purpose: its 8 diamonds are built
+        # again and swept in both orders, and only its sweeps count
+        built, summed, counted = calls
         code, _, _ = run(capsys, "verify", "--suite", "all", "--max-half-order", "6")
         assert code == 0
         # theorem: N = 1..6, both primings; recursions adds D_0 and D_{7/2};
-        # counts: the unprimed N = 1..6, on the theorem's graphs
+        # counts: the unprimed N = 1..6, from the theorem's sums
         want = Counter({(n, p): 1 for n in range(1, 7) for p in (False, True)})
         want.update([(0, False), (7, False)])
         oracle = Counter({(n, p): 1 for n in range(1, 5) for p in (False, True)})
         assert built == want + oracle
         assert summed == want + oracle + Counter({(*k, "xy"): 1 for k in oracle})
-        assert counted == (Counter({(n, False): 1 for n in range(1, 7)}) + oracle
-                           + Counter({(*k, "xy"): 1 for k in oracle}))
+        assert counted == oracle + Counter({(*k, "xy"): 1 for k in oracle})
+
+    def test_counts_alone_count_every_diamond(self, capsys, calls):
+        built, summed, counted = calls
+        code, _, _ = run(capsys, "verify", "--suite", "counts", "--max-half-order", "6")
+        assert code == 0
+        want = Counter({(n, False): 1 for n in range(1, 7)})
+        assert (built, summed, counted) == (want, Counter(), want)
 
     def test_recursions_alone_match_all_suites(self, capsys):
         def recursions(suite):
@@ -825,14 +839,19 @@ class TestCalibrateCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["calibrate", "verify"])
-    @pytest.mark.parametrize("error", [calibration.CalibrationFailed,
-                                       calibration.CalibrationAmbiguous])
-    def test_failed_search_exits_1(self, capsys, monkeypatch, error, command):
-        def fail():
-            raise error("no unique labeling")
-
-        monkeypatch.setattr(calibration, "calibrate", fail)
-        monkeypatch.setattr(calibration, "_SCHEME", None)  # so verify searches again
+    @pytest.mark.parametrize("survivors", [0, 2], ids=["none", "two"])
+    def test_failed_search_exits_1(self, capsys, monkeypatch, survivors, command):
+        # the real search, in which only the labelings in ``passing`` pass
+        calibration.default_scheme.cache_clear()  # so verify searches again
+        passing = [Labeling(up=(1, 2, 3), down=(4, 5, 6)),
+                   Labeling(up=(1, 2, 3), down=(4, 6, 5))][:survivors]
+        monkeypatch.setattr(calibration, "labeling_failures",
+                            lambda lab: [] if lab in passing else ["patched out"])
+        message = (f"2 labelings survive calibration: {passing}" if passing
+                   else "no labeling satisfies the calibration oracles")
+        with pytest.raises(calibration.CalibrationError) as exc:
+            calibration.calibrate()
+        assert str(exc.value) == message
         argv = {"calibrate": ("calibrate",),
                 "verify": ("verify", "--suite", "quiver", "--max-half-order", "1")}[command]
-        assert run(capsys, *argv) == (1, "", "calibration failed: no unique labeling\n")
+        assert run(capsys, *argv) == (1, "", f"calibration failed: {message}\n")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dp3 import quiver
 from dp3.laurent import SIGMA, LaurentPoly
 from dp3.quiver import (
     B0,
@@ -98,6 +99,12 @@ class TestSeedMutation:
         for i in (0, 2, 3, 4, 5):
             assert s1.cluster[i] == LaurentPoly.var(i + 1)
 
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_node_index_out_of_range(self, k):
+        # k = 0 would read column -1 if nothing checked it first
+        with pytest.raises(ValueError, match=f"node index {k} out of range 1..6"):
+            mutate_seed(initial_seed(), k)
+
 
 class TestSharedBinomial:
     """Steps 2m and 2m+1 mutate antipodal nodes, whose columns are negatives
@@ -173,9 +180,11 @@ class TestSharedBinomial:
 
 class TestRecurrence:
     def test_base_cases(self):
-        assert recurrence_y(-2) == (x(2), x(4))
-        assert recurrence_y(-1) == (x(5), x(1))
-        assert recurrence_y(0) == (x(3), x(6))
+        # the memo holds the bases from the start
+        bases = {-2: (x(2), x(4)), -1: (x(5), x(1)), 0: (x(3), x(6))}
+        for n, pair in bases.items():
+            assert recurrence_y(n) is quiver._Y[n]
+            assert recurrence_y(n) == pair
 
     def test_n1(self):
         assert recurrence_y(1) == (Y1, Y1P)
@@ -204,9 +213,18 @@ class TestRecurrence:
         # the memo holds
         with empty_recurrence_memo():
             assert recurrence_y(1) == (Y1, Y1P)
-            remember_y({1: (x(1), x(2)), 2: (x(3), x(4))})
+            remember_y({0: (x(1), x(2)), 1: (x(1), x(2)), 2: (x(3), x(4))})
+            assert recurrence_y(0) == (x(3), x(6))
             assert recurrence_y(1) == (Y1, Y1P)
             assert recurrence_y(2) == (x(3), x(4))
+
+    def test_an_emptied_memo_keeps_the_bases(self):
+        recurrence_y(1)
+        with empty_recurrence_memo():
+            assert sorted(quiver._Y) == [-2, -1, 0]
+            recurrence_y(2)
+        assert sorted(quiver._Y) == [-2, -1, 0]
+        assert recurrence_y(0) == (x(3), x(6))
 
 
 class TestPeriodicSequence:

@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 
+from dp3 import calibration
 from dp3.calibration import (
-    CalibrationFailed,
+    CalibrationError,
     _octahedral_ok,
     _rho_sigma_ok,
     calibrate,
+    default_scheme,
     labeling_failures,
 )
 from dp3.laurent import SIGMA
@@ -250,6 +252,19 @@ class TestCalibration:
         assert fresh.labeling == scheme.labeling
         assert fresh.shapes == scheme.shapes
 
+    def test_default_scheme_is_calibrated_once(self, monkeypatch):
+        assert default_scheme() is default_scheme()
+        searches = []
+
+        def counting():
+            searches.append(None)
+            return calibrate()
+
+        monkeypatch.setattr(calibration, "calibrate", counting)
+        default_scheme.cache_clear()
+        assert default_scheme() is default_scheme()
+        assert len(searches) == 1
+
     def test_calibrated_half_diamond_weights(self, scheme):
         from dp3.diamonds import build_diamond
         from dp3.matchings import enumerate_pm
@@ -269,7 +284,7 @@ class TestCalibration:
         monkeypatch.setattr(BlockScheme, "block", off_by_one)
         assert labeling_failures(scheme.labeling) == [
             "block grid disagrees with geometric block adjacency"]
-        with pytest.raises(CalibrationFailed):
+        with pytest.raises(CalibrationError, match="no labeling satisfies"):
             calibrate()
 
     def test_octahedral_and_rotation_checks_agree(self):
