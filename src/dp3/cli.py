@@ -8,8 +8,6 @@ input or I/O error, or out of memory.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import signal
 import sys
@@ -53,9 +51,17 @@ from .matchings import (
     weighted_pm_sum,
 )
 
+try:  # hashlib loads OpenSSL (3.6-3.8 MB of RSS); CPython's own SHA-256 is lean
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython <= 3.11
+    except ImportError:
+        from hashlib import sha256
+
+
 def _digest(value) -> str:
-    text = str(value)
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return sha256(str(value).encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -422,6 +428,7 @@ def cmd_verify(args) -> int:
     # charged to the first check, so that the checks' seconds add up to the run
     reports[0].checks[0].seconds += ahead_s
     if args.format == "json":
+        import json  # only here: a run that prints text saves loading it
         print(json.dumps([r.to_doc() for r in reports], indent=1))
     else:
         for rep in reports:
@@ -450,6 +457,7 @@ def cmd_compute(args) -> int:
         poly = recurrence_y(n)[1 if prime else 0]
     name = f"y'_{n}" if prime else f"y_{n}"
     if args.format == "json":
+        import json
         print(json.dumps({
             "target": name, "n": n, "via": args.via, "poly": str(poly),
             "term_count": poly.term_count(),

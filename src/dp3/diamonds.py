@@ -12,7 +12,6 @@ sigma images of the unprimed ones.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -208,6 +207,7 @@ def _draw_xy(v: Vertex) -> tuple[float, float]:
 
 
 def graph_to_json(g: DiamondGraph) -> str:
+    import json  # only here: the other renderers never load it
     doc = {
         "schema_version": _JSON_SCHEMA_VERSION,
         "half_order": g.half_order,

@@ -127,20 +127,25 @@ def face_boundary(f: Face) -> tuple[tuple[Vertex, ...], tuple[Edge, ...]]:
     return verts, edges
 
 
+# The six face classes at the origin.  Face (a, b, up, c) is the base face of
+# class (up, c) translated by (a, b): its neighbours move by (a, b) and its
+# vertices by (12a + 6b, 12b) in 1/12 units.
+_BASE_SPECS = {(up, c): _boundary_spec(Face(0, 0, up, c)) for up in (True, False) for c in range(3)}
+_BASE_NEIGHBOURS = {cls: nbrs for cls, (_, nbrs) in _BASE_SPECS.items()}
+_BASE_CORNER_SUMS = {cls: tuple(map(sum, zip(*map(vertex_coords, verts))))
+                     for cls, (verts, _) in _BASE_SPECS.items()}
+
+
 def face_adjacency(f: Face) -> tuple[Face, ...]:
     """The 4 edge-adjacent faces, aligned with the boundary edges of f."""
-    return _boundary_spec(f)[1]
+    a, b = f.a, f.b
+    return tuple([Face(a + da, b + db, up, c) for da, db, up, c in _BASE_NEIGHBOURS[f.up, f.c]])
 
 
 def face_corner_sum(f: Face) -> tuple[int, int]:
     """Componentwise sum of the 4 boundary vertex coordinates (4x centroid)."""
-    verts, _ = _boundary_spec(f)
-    xs = ys = 0
-    for v in verts:
-        x, y = vertex_coords(v)
-        xs += x
-        ys += y
-    return xs, ys
+    x, y = _BASE_CORNER_SUMS[f.up, f.c]
+    return x + 48 * f.a + 24 * f.b, y + 48 * f.b
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI behavior: suites, compute routes, export determinism, exit codes."""
 
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -715,6 +716,24 @@ Y_DIGESTS = {
 def test_digests_of_y_are_pinned():
     got = {n: tuple(map(cli._digest, quiver.recurrence_y(n))) for n in Y_DIGESTS}
     assert got == Y_DIGESTS
+
+
+def test_digest_is_hashlib_sha256():
+    # _digest takes sha256 from CPython's built-in module, not from hashlib
+    for value in (quiver.recurrence_y(10)[0], (1, "x", None), True):
+        assert cli._digest(value) == hashlib.sha256(str(value).encode()).hexdigest()[:12]
+
+
+def test_start_up_loads_neither_openssl_nor_json():
+    # -S: no site module, so that only dp3 can load them
+    src = str(Path(dp3.__file__).resolve().parent.parent)
+    code = ("import sys, dp3.cli\n"
+            "from dp3 import calibration\n"
+            "calibration.default_scheme()\n"
+            "print(sorted({'_hashlib', 'hashlib', 'json'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_sigma_pair_fails_on_a_perturbed_base(monkeypatch, scheme):

@@ -20,9 +20,11 @@ from dp3.tiling import (
     BlockScheme,
     Face,
     Labeling,
+    _boundary_spec,
     expected_block_type,
     face_adjacency,
     face_boundary,
+    face_corner_sum,
     quiver_from_tiling,
     rotate180,
     vertex_color,
@@ -46,6 +48,19 @@ class TestLatticeGraph:
     def test_boundary_order_tri_mid_centroid_mid(self):
         kinds = [v.kind for v in face_boundary(Face(0, 0, True, 0))[0]]
         assert kinds == ["t", "m", "c", "m"]
+
+    def test_translated_base_faces_match_the_boundary_spec(self):
+        # face_adjacency and face_corner_sum translate the six base faces;
+        # _boundary_spec writes out every face's boundary directly
+        for a, b in itertools.product(range(-4, 5), repeat=2):
+            for up in (True, False):
+                for c in range(3):
+                    f = Face(a, b, up, c)
+                    verts, nbrs = _boundary_spec(f)
+                    coords = [vertex_coords(v) for v in verts]
+                    assert face_adjacency(f) == nbrs, f
+                    assert face_corner_sum(f) == (sum(x for x, _ in coords),
+                                                  sum(y for _, y in coords)), f
 
     def test_adjacency_symmetric(self):
         for f in WINDOW:
@@ -298,6 +313,20 @@ class TestCalibration:
 
     def test_calibrated_labeling_has_no_failures(self, scheme):
         assert labeling_failures(scheme.labeling) == []
+
+    def test_search_finds_the_paper_labeling(self):
+        assert calibrate().labeling == Labeling(up=(4, 6, 5), down=(1, 3, 2))
+
+    @pytest.mark.parametrize("up, down, count", [
+        ((2, 3, 1), (5, 6, 4), 0),
+        ((2, 6, 5), (1, 3, 4), 24),
+        ((4, 3, 1), (5, 6, 2), 42),
+    ])
+    def test_oracles_stop_at_the_first_failure(self, up, down, count):
+        # the three labelings besides the survivor that reach the oracles;
+        # each also fails later oracles, which are not run
+        assert labeling_failures(Labeling(up, down)) == [
+            f"|PM(D_3/2)| = {count}, expected 16"]
 
     def test_every_single_entry_perturbation_breaks(self, scheme):
         up, down = scheme.labeling.up, scheme.labeling.down
