@@ -270,6 +270,7 @@ def _work_ahead(names, max_half_order: int,
     # y_N for the suites that check it against another route; the job calls
     # the quiver module's function, never this module's binding of it
     if {"theorem", "counts", "quiver"}.intersection(names):
+        quiver.check_order(max_half_order)  # both routes' bound, before any job starts
         jobs.insert(0, "recurrence")
 
     def run(job):

@@ -40,11 +40,21 @@ holds every coefficient of both sides; a failed decode or proof doubles
 the width a few times and then leaves the call to leading-term
 elimination.
 
+An exchange binomial ``prod(pos) + prod(neg)`` (``exchange_binomial``, the
+numerator of every cluster mutation) is never formed as a dict: each
+factor is packed once in the pivot box of the binomial's lattice, the union
+of the two products' boxes, at a digit width that holds the sum of the
+products' coefficient bounds; the binomial is the one integer
+``pack(pos_1) ... pack(pos_k) + (pack(neg_1) ... pack(neg_m) << shift)``.
+Each exact quotient divides that integer under the rules above (the same
+``_packed_div``), and its terms are decoded only when read.
+
 Packing pays only when the pivot box is dense: sparse supports of high
-rank make it exponentially large.  So a product (quotient) is packed only
-when its box holds at most _PACK_DENSITY digits per pair of operand terms
-(per numerator term); otherwise the dict schoolbook loop (the
-elimination) runs.  A monomial operand shifts the other's keys in one pass.
+rank make it exponentially large.  So a product (quotient, binomial) is
+packed only when its box holds at most _PACK_DENSITY digits per pair of
+operand terms (per numerator term, per term of the two products);
+otherwise the dict schoolbook loop (the elimination, the ring operations)
+runs.  A monomial operand shifts the other's keys in one pass.
 
 Each value carries its degree box (per-variable lowest and highest
 exponents) and a lattice it lies in one coset of, under one rule: the
@@ -60,8 +70,8 @@ term through; a permutation, which only the sigma checks compare, starts
 with neither.  So each ``y_N`` has its box and
 lattice computed at most once, however often it is an operand.
 
-All values are immutable after construction (the cached box and lattice
-are idempotent fills); every operation returns a new
+All values are immutable after construction (the cached box and lattice,
+and a binomial's terms, are idempotent fills); every operation returns a new
 polynomial, so values can be shared freely between threads.
 """
 
@@ -82,11 +92,12 @@ UNIT_KEY = sum(_BIAS << s for s in _SHIFTS)
 
 _EXP_LIMIT = 1 << 22
 
-# A product (quotient) is packed only when its pivot box holds at most this
-# many digits per pair of operand terms (per numerator term); sparse
-# high-rank supports would make the box exponentially large.  The y_N of
-# the quiver and theorem suites need at most 0.75 (1.25), so the bound has
-# room to spare; only sparse input reaches the dict loops.
+# A product (quotient, binomial) is packed only when its pivot box holds at
+# most this many digits per pair of operand terms (per numerator term, per
+# term of its products); sparse high-rank supports would make the box
+# exponentially large.  The y_N of the quiver and theorem suites need at
+# most 0.75 (1.25), so the bound has room to spare; only sparse input
+# reaches the dict loops.
 _PACK_DENSITY = 8
 # A packed division that cannot decode or prove its quotient doubles the
 # digit width at most this many times before handing over to elimination.
@@ -301,16 +312,17 @@ class LaurentPoly:
         Exact quotients have, in every variable, max and min degree equal to
         the difference of the operands' max/min degrees; an empty such box
         proves inexactness, and the quotient keeps the box.  A monomial
-        divisor shifts every term; a numerator dense in its pivot box goes
-        through ``_packed_div``, whose integer quotient is taken 2-adically
-        and proven by ``q * den == num``; anything else (or a packed
-        division that cannot settle the quotient) through ``_eliminate``.
+        divisor shifts every term; a numerator dense in its pivot box, or a
+        packed binomial, goes through ``_packed_div``, whose integer quotient
+        is taken 2-adically and proven by ``q * den == num``; anything else
+        (or a packed division that cannot settle the quotient) through
+        ``_eliminate``.
         """
         if not den:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return _ZERO
-        num, d = self._terms, den._terms
+        d = den._terms
         (nlo, nhi), (dlo, dhi) = self._degree_box(), den._degree_box()
         lo = [x - y for x, y in zip(nlo, dlo)]
         hi = [x - y for x, y in zip(nhi, dhi)]
@@ -321,7 +333,7 @@ class LaurentPoly:
             ((kd, cd),) = d.items()
             off = kd - UNIT_KEY
             out = {}
-            for k, c in num.items():
+            for k, c in self._terms.items():
                 q, r = divmod(c, cd)
                 if r:
                     raise NotDivisibleError("coefficient not divisible")
@@ -330,8 +342,24 @@ class LaurentPoly:
         # an exact quotient lies in one coset of the operands' lattice sum
         lattice = _pair_lattice(self, den)
         out = _packed_div(self, den, lattice)
-        return LaurentPoly(_raw=_eliminate(num, d, lo, hi) if out is None else out,
+        return LaurentPoly(_raw=_eliminate(self._terms, d, lo, hi) if out is None else out,
                            _box=(lo, hi), _lattice=lattice)
+
+    def _packing(self, pivots):
+        """How the nonzero value packs with the mixed radix of its pivot box
+        for ``pivots``: the box's lowest pivot exponents and widths, a bound on
+        its coefficients' magnitudes, the least digit width it packs at, a
+        point of its coset and its integer at a digit width; None when the
+        box is too sparse for packing."""
+        lows, widths = _pivot_box(self, pivots)
+        radix = mixed_radix(widths)
+        terms = self._terms
+        if radix[-1] > _PACK_DENSITY * len(terms):
+            return None
+        pos = _positions(terms, pivots, lows, radix)
+        bound = max(map(abs, terms.values()))
+        return (lows, widths, bound, -(-bound.bit_length() // 8), unpack_key(next(iter(terms))),
+                lambda width: _pack(pos, terms.values(), radix[-1], width))
 
     def permute(self, perm: VarPermutation) -> "LaurentPoly":
         """Apply x_i -> x_perm(i) to every monomial.  The biased exponent
@@ -600,7 +628,7 @@ def _packed_mul(a: LaurentPoly, b: LaurentPoly, lattice) -> dict[int, int] | Non
     balanced digits of the integer product are its coefficients.  Raises
     ArithmeticError when ``lattice`` cannot hold an operand or the product
     (it is not their ``_pair_lattice``)."""
-    basis, pivots = lattice
+    pivots = lattice[1]
     alo, aw = _pivot_box(a, pivots)
     blo, bw = _pivot_box(b, pivots)
     a, b = a._terms, b._terms
@@ -613,13 +641,20 @@ def _packed_mul(a: LaurentPoly, b: LaurentPoly, lattice) -> dict[int, int] | Non
     bpos = _positions(b, pivots, blo, radix)
     value = (_pack(apos, a.values(), max(apos) + 1, width)
              * _pack(bpos, b.values(), max(bpos) + 1, width))
-    positions, coeffs = unpack_digits(value, radix[-1], width)
-    qs = [[low + i // r % w for i in positions] for low, r, w in zip(
-        [x + y for x, y in zip(alo, blo)], radix, widths)]
     base = [x + y for x, y in zip(unpack_key(next(iter(a))), unpack_key(next(iter(b))))]
-    keys = lift_pivots(base, basis, pivots, qs)
+    return _decode(value, [x + y for x, y in zip(alo, blo)], widths, width, base, lattice)
+
+
+def _decode(value: int, lows, widths, width: int, base, lattice) -> dict[int, int]:
+    """The terms of the value packed as ``value`` with the mixed radix of the
+    pivot box (``lows``, ``widths``) at a digit width that holds them all,
+    lifted through ``lattice`` from ``base``, a point of their coset."""
+    radix = mixed_radix(widths)
+    positions, coeffs = unpack_digits(value, radix[-1], width)
+    keys = lift_pivots(base, *lattice, [[low + i // r % w for i in positions]
+                                        for low, r, w in zip(lows, radix, widths)])
     if keys is None:
-        raise ArithmeticError("packed product left the lattice of its operands")
+        raise ArithmeticError("packed result left the lattice of its operands")
     return dict(zip(keys, coeffs))
 
 
@@ -679,41 +714,39 @@ def _packed_div(num: LaurentPoly, den: LaurentPoly, lattice) -> dict[int, int] |
     quotient pivot box or when the packed divisor does not divide the packed
     numerator.
 
-    Everything is packed with the mixed radix of the numerator's pivot box.
-    An exact quotient ``q`` lies in the coset of num's base minus den's, in
-    the box of pivot ranges num's minus den's, so ``pack(num) = pack(q) *
-    pack(den)`` at every digit width: an integer quotient that does not
-    exist proves there is none.  Otherwise the integer quotient is decoded
-    and lifted; the result is returned only once ``q * den == num`` is
-    proven by comparing packed integers at a digit width that holds every
-    coefficient of both sides, with q's pivot exponents inside the box
-    (then packing is injective and a ring homomorphism).  When the width of
-    the division already holds them, its own exact equation is that
-    comparison.  A failed decode or proof doubles the width, up to
-    _MAX_DOUBLINGS times."""
+    Everything is packed with the mixed radix of the numerator's pivot box
+    (``_packing``: its terms, or a binomial's factors).  An exact quotient
+    ``q`` lies in the coset of num's base minus den's, in the box of pivot
+    ranges num's minus den's, so ``pack(num) = pack(q) * pack(den)`` at
+    every digit width: an integer quotient that does not exist proves there
+    is none.  Otherwise the integer quotient is decoded and lifted; the
+    result is returned only once ``q * den == num`` is proven by comparing
+    packed integers at a digit width that holds every coefficient of both
+    sides, with q's pivot exponents inside the box (then packing is
+    injective and a ring homomorphism).  When the width of the division
+    already holds them, its own exact equation is that comparison.  A
+    failed decode or proof doubles the width, up to _MAX_DOUBLINGS times."""
     basis, pivots = lattice
-    nlo, nw = _pivot_box(num, pivots)
+    packing = num._packing(pivots)
+    if packing is None:
+        return None
+    nlo, nw, bound, width, base, pack = packing
     dlo, dw = _pivot_box(den, pivots)
-    num, den = num._terms, den._terms
+    den = den._terms
     qw = [x - y + 1 for x, y in zip(nw, dw)]
     if any(w < 1 for w in qw):
         raise NotDivisibleError("no exact quotient (empty pivot box)")
     radix = mixed_radix(nw)
-    size = radix[-1]
-    if size > _PACK_DENSITY * len(num):
-        return None
-    npos = _positions(num, pivots, nlo, radix)
     dpos = _positions(den, pivots, dlo, radix)
     qsize = sum((w - 1) * r for w, r in zip(qw, radix)) + 1
     qlo = [x - y for x, y in zip(nlo, dlo)]
-    base = [x - y for x, y in zip(unpack_key(next(iter(num))), unpack_key(next(iter(den))))]
-    nnorms, dnorms = _norms(num.values()), _norms(den.values())
-    # num's and den's digits need only fit unsigned; q's are balanced, with
-    # a sign, and may need more
-    width = -(-max(nnorms[0], dnorms[0]).bit_length() // 8)
+    base = [x - y for x, y in zip(base, unpack_key(next(iter(den))))]
+    dnorms = _norms(den.values())
+    # den's digits need only fit unsigned; q's are balanced, with a sign,
+    # and may need more
+    width = max(width, -(-dnorms[0].bit_length() // 8))
     for _ in range(_MAX_DOUBLINGS + 1):
-        quot = _exact_quotient(_pack(npos, num.values(), size, width),
-                               _pack(dpos, den.values(), max(dpos) + 1, width))
+        quot = _exact_quotient(pack(width), _pack(dpos, den.values(), max(dpos) + 1, width))
         if quot is None:
             raise NotDivisibleError("no exact quotient (packed divisor does not divide)")
         digits = unpack_digits(quot, qsize, width)
@@ -723,14 +756,94 @@ def _packed_div(num: LaurentPoly, den: LaurentPoly, lattice) -> dict[int, int] |
             if all(max(c) < w for c, w in zip(coords, qw)):
                 keys = lift_pivots(base, basis, pivots,
                                    [[low + x for x in c] for low, c in zip(qlo, coords)])
-                proof = max(_product_width(_norms(coeffs), dnorms), digit_bytes(nnorms[0]))
+                proof = max(_product_width(_norms(coeffs), dnorms), digit_bytes(bound))
                 if keys is not None and (proof <= width or (
                         _pack(positions, coeffs, qsize, proof)
-                        * _pack(dpos, den.values(), max(dpos) + 1, proof)
-                        == _pack(npos, num.values(), size, proof))):
+                        * _pack(dpos, den.values(), max(dpos) + 1, proof) == pack(proof))):
                     return dict(zip(keys, coeffs))
         width *= 2
     return None
+
+
+# -- exchange binomials ------------------------------------------------------------
+
+
+def exchange_binomial(pos: Sequence[LaurentPoly], neg: Sequence[LaurentPoly]) -> LaurentPoly:
+    """The binomial prod(pos) + prod(neg) of nonzero factors (an empty
+    product is 1), packed once as the module's docstring tells; when its
+    box is too sparse for packing, the ring operations form it."""
+    products = [list(pos) or [_ONE], list(neg) or [_ONE]]
+    # each product's degree box is the sum of its factors' (a domain)
+    boxes = [[[sum(col) for col in zip(*side)] for side in zip(*(f._degree_box() for f in p))]
+             for p in products]
+    lo = [min(a, b) for a, b in zip(boxes[0][0], boxes[1][0])]
+    hi = [max(a, b) for a, b in zip(boxes[0][1], boxes[1][1])]
+    _check_range(lo, hi)
+    # a point of each product's coset: the sum of its factors' first keys
+    keys = [sum(next(iter(f._terms)) for f in p) - (len(p) - 1) * UNIT_KEY for p in products]
+    lattice = echelon([row for p in products for f in p for row in f._support_basis()[0]]
+                      + [unpack_key(UNIT_KEY + keys[1] - keys[0])])
+    pivots = lattice[1]
+    lows, widths = [lo[j] for j in pivots], [hi[j] - lo[j] + 1 for j in pivots]
+    radix = mixed_radix(widths)
+    if radix[-1] > _PACK_DENSITY * sum(prod(len(f._terms) for f in p) for p in products):
+        return prod(products[0], start=_ONE) + prod(products[1], start=_ONE)
+    packed, bound = [], 0
+    for p, (plo, _) in zip(products, boxes):
+        norms = [_norms(f._terms.values()) for f in p]
+        total = prod(s for _, s in norms)
+        # a product's coefficient is at most one factor's largest times the
+        # others' coefficient sums
+        bound += min(m * (total // s) for m, s in norms)
+        packed.append((sum((plo[j] - low) * r for j, low, r in zip(pivots, lows, radix)),
+                       [(_positions(f._terms, pivots, [f._degree_box()[0][j] for j in pivots],
+                                    radix), f._terms.values()) for f in p]))
+    # with every coefficient positive nothing cancels, so the binomial's
+    # degree box is the union of its products'; else it is found on first use
+    positive = all(min(f._terms.values()) > 0 for p in products for f in p)
+    return _Binomial(lattice, (lo, hi) if positive else None, lows, widths, bound,
+                     unpack_key(keys[0]), packed)
+
+
+class _Binomial(LaurentPoly):
+    """A sum of two products kept as its factors' packed integers (see
+    ``exchange_binomial``): the terms are an idempotent fill, decoded from
+    that integer on first read."""
+
+    __slots__ = ("_lows", "_widths", "_bound", "_base", "_products", "_packed")
+
+    def __init__(self, lattice, box, lows, widths, bound, base, products):
+        self._box, self._lattice = box, lattice
+        self._lows, self._widths, self._bound, self._base = lows, widths, bound, base
+        self._products, self._packed = products, {}
+
+    def __getattr__(self, name):
+        # the one slot a binomial leaves unset until it is read
+        if name != "_terms":
+            raise AttributeError(name)
+        width = digit_bytes(self._bound)
+        self._terms = _decode(self._integer(width), self._lows, self._widths, width,
+                              self._base, self._lattice)
+        return self._terms
+
+    def __bool__(self) -> bool:
+        # packing at a width that holds every coefficient is injective
+        return bool(self._integer(digit_bytes(self._bound)))
+
+    def _integer(self, width: int) -> int:
+        """The binomial packed at this digit width, computed once per width."""
+        value = self._packed.get(width)
+        if value is None:
+            value = self._packed[width] = sum(
+                prod(_pack(pos, coeffs, max(pos) + 1, width) for pos, coeffs in factors)
+                << 8 * width * shift for shift, factors in self._products)
+        return value
+
+    def _packing(self, pivots):
+        if pivots != self._lattice[1]:  # the divisor adds a pivot: pack the terms
+            return LaurentPoly._packing(self, pivots)
+        return (self._lows, self._widths, self._bound, digit_bytes(self._bound), self._base,
+                self._integer)
 
 
 class _FactorTexts(dict):

@@ -19,12 +19,16 @@ Both routes compute the right-hand side they share once; they must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import is_, mul
+from operator import is_
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, exchange_binomial
 
 BMatrix = tuple[tuple[int, ...], ...]
+
+#: The largest N that ``recurrence_y`` and ``run_periodic_sequence`` (2N
+#: steps) compute: a step's time grows about 1.6-fold per N, and N = MAX_N
+#: takes about 40 s of CPU by either route (Python 3.11, a 2-vCPU VM).
+MAX_N = 26
 
 #: Mutation order of the periodic sequence.
 MUTATION_CYCLE = (2, 4, 5, 1, 3, 6)
@@ -77,10 +81,8 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     reused = (len(factors) == len(old) and all(map(is_, factors, old))
               and exps in (old_exps, [-e for e in old_exps]))
     if not reused:
-        # each product starts from its first factor, not from 1
-        pos, neg = (reduce(mul, [v ** (s * e) for v, e in zip(factors, exps) if s * e > 0]
-                           or [LaurentPoly.one()]) for s in (1, -1))
-        binomial = pos + neg
+        binomial = exchange_binomial(*([v ** (s * e) for v, e in zip(factors, exps) if s * e > 0]
+                                       for s in (1, -1)))
     cluster = cl[: k - 1] + (binomial.exact_div(cl[k - 1]),) + cl[k:]
     # one sigma-pair per binomial: held through the next products, it raises peak memory
     return Seed(matrix, cluster, None if reused else (factors, exps, binomial))
@@ -95,22 +97,33 @@ _Y: dict[int, tuple[LaurentPoly, LaurentPoly]] = {
 }
 
 
-def recurrence_y(n: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """The pair (y_N, y'_N) for N >= -2 via the three-term exchange recurrence.
+def check_order(n: int) -> None:
+    """Raise ValueError unless N = n is within MAX_N, the bound of the
+    recurrence and the seed route."""
+    if n > MAX_N:
+        raise ValueError(f"N={n} is past N <= {MAX_N}, the bound of the recurrence and "
+                         "seed routes")
 
-    Memoized in ``_Y``, which ``remember_y`` also fills; it recurses once per
-    N the memo lacks.  Results are immutable and the memo is only appended
-    to, so concurrent readers always observe consistent values.
+
+def recurrence_y(n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The pair (y_N, y'_N) for -2 <= N <= MAX_N via the three-term exchange
+    recurrence.
+
+    Memoized in ``_Y``, which ``remember_y`` also fills; it computes each N
+    up to n that the memo lacks, in order.  Results are immutable and the
+    memo is only appended to, so concurrent readers always observe
+    consistent values.
     """
-    if n in _Y:
-        return _Y[n]
     if n < -2:
         raise ValueError("recurrence defined for N >= -2 only")
-    y1, yp1 = recurrence_y(n - 1)
-    y2, yp2 = recurrence_y(n - 2)
-    y3, yp3 = recurrence_y(n - 3)
-    num = y1 * y2 + yp1 * yp2  # the numerator of both: sigma maps it to itself
-    return _Y.setdefault(n, (num.exact_div(y3), num.exact_div(yp3)))
+    check_order(n)
+    for m in range(1, n + 1):
+        if m not in _Y:
+            (y1, yp1), (y2, yp2), (y3, yp3) = _Y[m - 1], _Y[m - 2], _Y[m - 3]
+            # the numerator of both: sigma maps it to itself
+            num = exchange_binomial((y1, y2), (yp1, yp2))
+            _Y.setdefault(m, (num.exact_div(y3), num.exact_div(yp3)))
+    return _Y[n]
 
 
 def remember_y(pairs: dict[int, tuple[LaurentPoly, LaurentPoly]]) -> None:
@@ -140,6 +153,7 @@ def run_periodic_sequence(steps: int) -> YSequence:
     never consults the recurrence, so the two routes stay independent."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    check_order((steps + 1) // 2)
     seed = initial_seed()
     harvested = []
     for s in range(steps):

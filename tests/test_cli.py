@@ -736,13 +736,12 @@ def test_start_up_loads_neither_openssl_nor_json():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def test_sigma_pair_fails_on_a_perturbed_base(monkeypatch, scheme):
+def test_sigma_pair_fails_on_a_perturbed_base(scheme):
     # y'_0 = -x6 instead of x6 substitutes x6 -> -x6 everywhere, so every
     # division stays exact, but sigma (which swaps x3 and x6) no longer maps
     # y_N to y'_N
-    real = quiver.recurrence_y
-    monkeypatch.setattr(quiver, "recurrence_y", lambda n: (x(3), -x(6)) if n == 0 else real(n))
     with empty_recurrence_memo():
+        quiver._Y[0] = (x(3), -x(6))  # the memo's base, which the recurrence reads
         rep = cli.suite_quiver(4, scheme, quiver.run_periodic_sequence(8))
     failed = [c.check_id for c in rep.checks if not c.ok]
     assert [i for i in failed if i.startswith("quiver/sigma-pair/")]
@@ -787,12 +786,21 @@ class TestCompute:
         assert code == 2
         assert "N >= -2" in err
 
-    def test_too_deep_for_recursion_limit_exits_2(self, capsys):
-        code, out, err = run(capsys, "compute", "--target", "y", "--n", "1500")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: maximum recursion depth exceeded")
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("suite", ["quiver", "counts"])
+    def test_verify_past_the_route_bound_exits_2(self, capsys, suite):
+        # refused before any job or the seed route starts
+        n = quiver.MAX_N + 1
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-half-order", str(n))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: N={n} is past N <= {quiver.MAX_N}")
+
+    def test_past_the_route_bound_exits_2(self, capsys):
+        # refused before any work, by the recurrence and the seed route alike
+        for via in ("recurrence", "seed"):
+            code, out, err = run(capsys, "compute", "--target", "y", "--n", "1500", "--via", via)
+            assert (code, out) == (2, "")
+            assert err == (f"error: N=1500 is past N <= {quiver.MAX_N}, the bound of the "
+                           "recurrence and seed routes\n")
 
 
 class TestExport:

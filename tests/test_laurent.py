@@ -1,12 +1,13 @@
 """Laurent polynomial arithmetic: worked examples and ring properties."""
 
+from math import prod
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dp3 import cli, laurent, matchings
+from dp3 import cli, laurent, matchings, quiver
 from dp3.cli import main
 from dp3.laurent import (
     SIGMA,
@@ -412,27 +413,93 @@ def test_rank_zero_lift_is_the_base_point():
     assert laurent.lift_pivots(base, [], [], []) == [laurent.pack_exponents(base)]
 
 
+@st.composite
+def binomial_cases(draw):
+    """Factor lists (pos, neg) and a divisor: signed factors on one lattice,
+    a monomial, a square and a factor in x3 and x4 that raises the rank to
+    3 and more; with a divisor that is a factor of both products or not."""
+    signed = st.integers(-300, 300).filter(bool)
+    pool = draw(lattice_polys(2, signed))
+    pool += [LaurentPoly.monomial(draw(signed), draw(shifts)), pool[0] ** 2,
+             LaurentPoly.from_exponent_terms({(0, 0, i, j, 0, 0): draw(signed)
+                                              for i in (0, 1) for j in (0, 1)})]
+    picks = st.lists(st.sampled_from(pool), max_size=3)
+    pos, neg, den = draw(picks), draw(picks), draw(st.sampled_from(pool))
+    if draw(st.booleans()):
+        pos, neg = pos + [den], neg + [den]
+    return pos, neg, den
+
+
+def quotient_or_error(num: LaurentPoly, den: LaurentPoly):
+    try:
+        return num.exact_div(den)
+    except NotDivisibleError:
+        return NotDivisibleError
+
+
+@settings(max_examples=150, deadline=None)
+@given(binomial_cases(), st.booleans())
+@example(([x(1) + x(2)], [-x(1) - x(2)], x(1) + x(2)), True)  # a zero binomial
+def test_exchange_binomial_matches_the_ring_operations(case, dense):
+    """The packed binomial against eager products and a sum, then an exact
+    division (or NotDivisibleError) of each; its terms, read lazily, are
+    the eager sum's."""
+    pos, neg, den = case
+    eager = prod(pos, start=ONE) + prod(neg, start=ONE)
+    with mock.patch.object(laurent, "_PACK_DENSITY", laurent._PACK_DENSITY if dense else 0):
+        if not dense:
+            assert not isinstance(laurent.exchange_binomial(pos, neg), laurent._Binomial)
+        got = quotient_or_error(laurent.exchange_binomial(pos, neg), den)
+        lazy = laurent.exchange_binomial(pos, neg)
+    assert got == quotient_or_error(eager, den)
+    if got is not NotDivisibleError and got:
+        assert got._lattice is not None and got._box == laurent._ranges(got._terms)
+    assert lazy.evaluate() == eager.evaluate()
+    assert str(lazy) == str(eager) and lazy == eager and lazy.term_count() == eager.term_count()
+    if eager:
+        assert tuple(lazy._degree_box()) == laurent._ranges(eager._terms)
+
+
+def test_a_quotient_too_wide_for_the_division_is_proven():
+    """pack(num) = pack(q) pack(den) holds at the division's digit width for
+    q = c x1 + c, whose product with den = x1 + 1 needs a wider digit: the
+    proof at that width refuses it, as num is no multiple of den."""
+    den = P("x1 + 1")
+    for num in (P("101 x1^2 - 56 x1 + 100"),  # q = 100 x1 + 100 at 1-byte digits
+                laurent.exchange_binomial([P("20001 x1^2 - 25536 x1 + 19000")], [P("1000")])):
+        with pytest.raises(NotDivisibleError):
+            num.exact_div(den)
+
+
 def test_quiver_routes_match_dict_arithmetic(monkeypatch):
     """The seed route and the recurrence, computed packed and again with
-    every product and quotient forced through the dict loops."""
-    packed = []
-    for name in ("_packed_mul", "_packed_div"):
-        def counting(*args, _f=getattr(laurent, name)):
-            out = _f(*args)
-            packed.append(out is not None)
-            return out
-        monkeypatch.setattr(laurent, name, counting)
+    every binomial, product and quotient forced through the dict loops."""
+    binomials, packed = [], []
+
+    def kernel(pos, neg, _f=quiver.exchange_binomial):
+        out = _f(pos, neg)
+        binomials.append(isinstance(out, laurent._Binomial))
+        return out
+
+    def dividing(*args, _f=laurent._packed_div):
+        out = _f(*args)
+        packed.append(out is not None)
+        return out
+
+    monkeypatch.setattr(quiver, "exchange_binomial", kernel)
+    monkeypatch.setattr(laurent, "_packed_div", dividing)
 
     def both_routes():
         with empty_recurrence_memo():
             return run_periodic_sequence(24).entries, [recurrence_y(n) for n in range(1, 13)]
 
     fast = both_routes()
-    assert len(packed) > 50 and all(packed)
+    # 12 binomials each; all but the divisions by the bases' monomials packed
+    assert binomials == [True] * 24 and packed == [True] * 36
     monkeypatch.setattr(laurent, "_PACK_DENSITY", 0)
-    del packed[:]
+    del binomials[:], packed[:]
     slow = both_routes()
-    assert not any(packed)
+    assert binomials == [False] * 24 and not any(packed)
     assert fast == slow
 
 
@@ -452,17 +519,19 @@ def assert_cached_support_holds(p: LaurentPoly):
 
 def test_cached_boxes_and_lattices_hold_on_the_quiver_values(monkeypatch):
     """Every value made while computing recurrence_y(1..14) and
-    run_periodic_sequence(28), products, sums and quotients
+    run_periodic_sequence(28), products, binomials and quotients
     included."""
     made, given_at_birth = [], []
-    init = LaurentPoly.__init__
 
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-        given_at_birth.append((self._box is not None, self._lattice is not None))
+    def recording(init):
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+            given_at_birth.append((self._box is not None, self._lattice is not None))
+        return record
 
-    monkeypatch.setattr(LaurentPoly, "__init__", recording)
+    for cls in (LaurentPoly, laurent._Binomial):
+        monkeypatch.setattr(cls, "__init__", recording(cls.__init__))
     with empty_recurrence_memo():
         run_periodic_sequence(28)
         for n in range(1, 15):
@@ -470,7 +539,10 @@ def test_cached_boxes_and_lattices_hold_on_the_quiver_values(monkeypatch):
     monkeypatch.undo()
     # the operations that made them gave most of them a box, and every value
     # with more than one term its lattice (a share would move with the count
-    # of monomials, which are made from dicts)
+    # of monomials, which are made from dicts); every binomial, one per
+    # sigma-pair of each route, got both, its terms still unread
+    binomials = [i for i, p in enumerate(made) if isinstance(p, laurent._Binomial)]
+    assert len(binomials) == 28 and all(all(given_at_birth[i]) for i in binomials)
     boxes, lattices = zip(*given_at_birth)
     assert sum(boxes) > 0.6 * len(made)
     assert all(lattice for p, lattice in zip(made, lattices) if p.term_count() > 1)

@@ -112,19 +112,31 @@ class TestSharedBinomial:
 
     @pytest.fixture
     def sums(self, monkeypatch):
-        """The binomials the mutations compute: one ``__add__`` each."""
-        made, add = [], LaurentPoly.__add__
+        """The binomials the mutations compute: one ``exchange_binomial`` each."""
+        made, kernel = [], quiver.exchange_binomial
 
-        def counting(a, b):
-            made.append((a, b))
-            return add(a, b)
+        def counting(pos, neg):
+            made.append(kernel(pos, neg))
+            return made[-1]
 
-        monkeypatch.setattr(LaurentPoly, "__add__", counting)
+        monkeypatch.setattr(quiver, "exchange_binomial", counting)
         return made
 
-    def test_one_binomial_per_antipodal_pair(self, sums):
+    def test_one_binomial_per_antipodal_pair(self, sums, monkeypatch):
+        divided, exact_div = [], LaurentPoly.exact_div
+
+        def counting(num, den):
+            divided.append(num)
+            return exact_div(num, den)
+
+        monkeypatch.setattr(LaurentPoly, "exact_div", counting)
         seq = run_periodic_sequence(12)
+        monkeypatch.undo()
         assert len(sums) == 6
+        # each binomial is divided twice, once per variable of its sigma-pair,
+        # and is packed once: both divisions divide one integer
+        assert list(map(id, divided)) == [id(b) for b in sums for _ in range(2)]
+        assert all(len(b._packed) == 1 for b in sums)
         assert seq.entries == tuple(v for n in range(1, 7) for v in recurrence_y(n))
 
     def test_a_reusing_step_keeps_no_binomial(self):
