@@ -6,17 +6,18 @@ face classes carries, how the four block types group faces, and where the
 anchor block T(0,0) sits.  calibrate() searches all 720 labelings, derives
 the (forced) block shapes for each, and keeps those passing, in order:
 
-  1. octahedral adjacency (no face touches its antipodal label),
-  2. sigma-relabeling under the 180-degree rotation,
-  3. the closed-form block grid agreeing with geometric block adjacency,
-  4. opposite boundary edges of a label-2 square facing labels {3,5}/{1,6},
-  5. perfect matching counts of the four smallest diamonds (2, 4, 16, 64),
-  6. covering monomial closed forms for those diamonds,
-  7. the cluster identity y_1 = w(D_1/2) m(D_1/2).
+  1. sigma-relabeling under the 180-degree rotation,
+  2. the closed-form block grid agreeing with geometric block adjacency,
+  3. opposite boundary edges of a label-2 square facing labels {3,5}/{1,6},
+  4. perfect matching counts of the four smallest diamonds (2, 4, 16, 64),
+  5. covering monomial closed forms for those diamonds,
+  6. the cluster identity y_1 = w(D_1/2) m(D_1/2).
 
-Checks 1 and 2 accept the same 48 labelings, since each face class touches
-all classes but its rotation image; check 2 stays as the only one that ties
-``rotate180`` to sigma.  Exactly one assignment survives; anything else raises.
+Check 1 accepts 48 labelings, exactly those in which no face touches its
+antipodal label (each face class touches all classes but its rotation
+image), so octahedral adjacency needs no check of its own; check 1 is the
+only one that ties ``rotate180`` to sigma.  Exactly one assignment
+survives; anything else raises.
 """
 
 from __future__ import annotations
@@ -41,24 +42,6 @@ from .tiling import (
 
 class CalibrationError(RuntimeError):
     """No labeling, or several, satisfy all oracles: the lattice model is broken."""
-
-
-def _class_index(f: Face) -> int:
-    """Where the label of f's class sits in ``labeling.up + labeling.down``."""
-    return f.c if f.up else 3 + f.c
-
-
-#: The twelve pairs of face classes that share an edge, read off the
-#: neighbours of the six base faces.
-_ADJACENT_CLASSES = tuple(sorted({
-    tuple(sorted((_class_index(f), _class_index(g))))
-    for f in (Face(0, 0, up, c) for up in (True, False) for c in range(3))
-    for g in face_adjacency(f)}))
-
-
-def _octahedral_ok(lab: Labeling) -> bool:
-    labels = lab.up + lab.down
-    return all(labels[i] != SIGMA(labels[k]) for i, k in _ADJACENT_CLASSES)
 
 
 def _rho_sigma_ok(lab: Labeling) -> bool:
@@ -133,8 +116,6 @@ def labeling_failures(lab: Labeling) -> list[str]:
     list; empty means it passes.  The checks run in the order of the module
     docstring and stop at the first that fails, oracles included.  Used
     both by the search and by the perturbation tests."""
-    if not _octahedral_ok(lab):
-        return ["adjacent faces carry antipodal labels"]
     if not _rho_sigma_ok(lab):
         return ["180-degree rotation does not relabel by sigma"]
     try:

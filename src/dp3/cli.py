@@ -270,7 +270,6 @@ def _work_ahead(names, max_half_order: int,
     # y_N for the suites that check it against another route; the job calls
     # the quiver module's function, never this module's binding of it
     if {"theorem", "counts", "quiver"}.intersection(names):
-        quiver.check_order(max_half_order)  # both routes' bound, before any job starts
         jobs.insert(0, "recurrence")
 
     def run(job):
@@ -418,6 +417,7 @@ SUITES = tuple(_SUITE_FUNCS)
 def cmd_verify(args) -> int:
     if args.max_half_order < 1:
         raise ValueError("max_half_order must be >= 1")
+    quiver.check_order(args.max_half_order)  # every suite's bound, before any work starts
     scheme = cal.default_scheme()
     names = SUITES if args.suite == "all" else (args.suite,)
     start = time.monotonic()

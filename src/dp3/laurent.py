@@ -13,21 +13,33 @@ significant), and monomial multiplication is a single integer addition.
 Exponents must stay below 2**22 in magnitude; a product, power or quotient
 whose exponents would leave that range raises OverflowError.
 
-Products and quotients of dense polynomials are computed on big integers
-(a Kronecker substitution).  The exponent differences within each operand
-span a lattice ``L``; every operand lies in one coset of ``L``, and so do
-the product and any exact quotient (cosets of ``L`` cannot cancel against
-each other, and the Laurent ring is a domain).  ``echelon`` gives a basis
-of ``L`` whose pivot exponents determine a point of a coset.  Each operand
-becomes one integer: a coefficient is one digit, of a fixed number of bytes
-and balanced around zero, at the mixed-radix position of its pivot
-exponents in the result's pivot box.  One multiplication or exact division
-of Python integers then does the work; the digits are read back with one
-``to_bytes`` pass (``unpack_digits``) and lifted to packed keys through
-the basis (``lift_pivots``), both shared with the weighted matching sum.
+Products, exchange binomials and quotients of dense polynomials are
+computed on big integers (a Kronecker substitution).  The exponent
+differences within each operand span a lattice ``L``; every operand lies in
+one coset of ``L``, and so do the product and any exact quotient (cosets of
+``L`` cannot cancel against each other, and the Laurent ring is a domain).
+``echelon`` gives a basis of ``L`` whose pivot exponents determine a point
+of a coset.  One kernel, ``_pack_products``, packs a sum of products of
+factors: a product (``__mul__``) or the binomial ``prod(pos) + prod(neg)``
+that is the numerator of every cluster mutation (``exchange_binomial``).
+Its lattice is ``echelon`` of the factors' lattices and the differences of
+the products' base points (a product's is the sum of its factors' first
+exponents), its pivot box the union of the products' degree boxes.  Each
+factor becomes one integer: a coefficient is one digit, of a fixed number
+of bytes and balanced around zero, at the mixed-radix position of its pivot
+exponents in that box.  The digit width holds the sum of the products'
+coefficient bounds; a product's bound is the least, over its factors, of
+one factor's largest coefficient times the others' coefficient sums.  The
+sum is then the one integer ``pack(pos_1) ... pack(pos_k) + (pack(neg_1)
+... pack(neg_m) << shift)``.  A product is decoded at once; a binomial is
+decoded only when its terms are read, and each exact quotient divides its
+integer (the same ``_packed_div`` as for any numerator).  The digits are
+read back with one ``to_bytes`` pass (``unpack_digits``) and lifted to
+packed keys through the basis (``lift_pivots``), both shared with the
+weighted matching sum.
 
 A product is exact by construction: the box's widths are the sums of the
-operands', so positions never wrap, and the digit width holds the largest
+factors', so positions never wrap, and the digit width holds the largest
 possible coefficient.  A quotient is exact only by proof.  The integer
 quotient is found 2-adically (``_exact_quotient``): from the low end, with
 a Newton-iterated inverse of the divisor's odd part, in Karatsuba products
@@ -40,21 +52,13 @@ holds every coefficient of both sides; a failed decode or proof doubles
 the width a few times and then leaves the call to leading-term
 elimination.
 
-An exchange binomial ``prod(pos) + prod(neg)`` (``exchange_binomial``, the
-numerator of every cluster mutation) is never formed as a dict: each
-factor is packed once in the pivot box of the binomial's lattice, the union
-of the two products' boxes, at a digit width that holds the sum of the
-products' coefficient bounds; the binomial is the one integer
-``pack(pos_1) ... pack(pos_k) + (pack(neg_1) ... pack(neg_m) << shift)``.
-Each exact quotient divides that integer under the rules above (the same
-``_packed_div``), and its terms are decoded only when read.
-
 Packing pays only when the pivot box is dense: sparse supports of high
-rank make it exponentially large.  So a product (quotient, binomial) is
-packed only when its box holds at most _PACK_DENSITY digits per pair of
-operand terms (per numerator term, per term of the two products);
-otherwise the dict schoolbook loop (the elimination, the ring operations)
-runs.  A monomial operand shifts the other's keys in one pass.
+rank make it exponentially large.  So a sum of products (quotient) is
+packed only when its box holds at most _PACK_DENSITY digits per term of
+its products, a product having as many as the product of its factors'
+term counts (per numerator term); otherwise the dict schoolbook loop or,
+for a binomial, the ring operations (the elimination) run.  A monomial
+operand shifts the other's keys in one pass.
 
 Each value carries its degree box (per-variable lowest and highest
 exponents) and a lattice it lies in one coset of, under one rule: the
@@ -92,12 +96,12 @@ UNIT_KEY = sum(_BIAS << s for s in _SHIFTS)
 
 _EXP_LIMIT = 1 << 22
 
-# A product (quotient, binomial) is packed only when its pivot box holds at
-# most this many digits per pair of operand terms (per numerator term, per
-# term of its products); sparse high-rank supports would make the box
-# exponentially large.  The y_N of the quiver and theorem suites need at
-# most 0.75 (1.25), so the bound has room to spare; only sparse input
-# reaches the dict loops.
+# A sum of products (quotient) is packed only when its pivot box holds at
+# most this many digits per term of its products, a product having as many
+# as the product of its factors' term counts (per numerator term); sparse
+# high-rank supports would make the box exponentially large.  The y_N of
+# the quiver and theorem suites need at most 0.75 (1.25), so the bound has
+# room to spare; only sparse input reaches the dict loops.
 _PACK_DENSITY = 8
 # A packed division that cannot decode or prove its quotient doubles the
 # digit width at most this many times before handing over to elimination.
@@ -286,10 +290,9 @@ class LaurentPoly:
             return LaurentPoly(_raw={k + off: c * cb for k, c in a.items()}, _box=box,
                                _lattice=f._support_basis())
         # the product lies in one coset of the sum of its factors' lattices
-        lattice = _pair_lattice(f, g)
-        out = _packed_mul(f, g, lattice)
-        return LaurentPoly(_raw=_schoolbook_mul(a, b) if out is None else out, _box=box,
-                           _lattice=lattice)
+        lattice, packed = _pack_products([[f, g]])
+        return LaurentPoly(_raw=_schoolbook_mul(a, b) if packed is None else packed._terms,
+                           _box=box, _lattice=lattice)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -617,34 +620,6 @@ def _product_width(a: tuple[int, int], b: tuple[int, int]) -> int:
     return digit_bytes(min(a[0] * b[1], a[1] * b[0]))
 
 
-def _packed_mul(a: LaurentPoly, b: LaurentPoly, lattice) -> dict[int, int] | None:
-    """The product by one big-integer multiplication, or None when the
-    operands' pivot box is too sparse for packing.  ``lattice`` is their
-    ``_pair_lattice``.
-
-    Both operands are packed with the mixed radix of the product's pivot
-    box, whose widths are the sums of theirs, so positions add without
-    wrapping; the digit width holds every product coefficient, so the
-    balanced digits of the integer product are its coefficients.  Raises
-    ArithmeticError when ``lattice`` cannot hold an operand or the product
-    (it is not their ``_pair_lattice``)."""
-    pivots = lattice[1]
-    alo, aw = _pivot_box(a, pivots)
-    blo, bw = _pivot_box(b, pivots)
-    a, b = a._terms, b._terms
-    widths = [x + y - 1 for x, y in zip(aw, bw)]
-    radix = mixed_radix(widths)
-    if radix[-1] > _PACK_DENSITY * len(a) * len(b):
-        return None
-    width = _product_width(_norms(a.values()), _norms(b.values()))
-    apos = _positions(a, pivots, alo, radix)
-    bpos = _positions(b, pivots, blo, radix)
-    value = (_pack(apos, a.values(), max(apos) + 1, width)
-             * _pack(bpos, b.values(), max(bpos) + 1, width))
-    base = [x + y for x, y in zip(unpack_key(next(iter(a))), unpack_key(next(iter(b))))]
-    return _decode(value, [x + y for x, y in zip(alo, blo)], widths, width, base, lattice)
-
-
 def _decode(value: int, lows, widths, width: int, base, lattice) -> dict[int, int]:
     """The terms of the value packed as ``value`` with the mixed radix of the
     pivot box (``lows``, ``widths``) at a digit width that holds them all,
@@ -765,29 +740,30 @@ def _packed_div(num: LaurentPoly, den: LaurentPoly, lattice) -> dict[int, int] |
     return None
 
 
-# -- exchange binomials ------------------------------------------------------------
+# -- sums of products --------------------------------------------------------------
 
 
-def exchange_binomial(pos: Sequence[LaurentPoly], neg: Sequence[LaurentPoly]) -> LaurentPoly:
-    """The binomial prod(pos) + prod(neg) of nonzero factors (an empty
-    product is 1), packed once as the module's docstring tells; when its
-    box is too sparse for packing, the ring operations form it."""
-    products = [list(pos) or [_ONE], list(neg) or [_ONE]]
+def _pack_products(products: list[list[LaurentPoly]]):
+    """The sum of the products of nonzero factors, packed once as the
+    module's docstring tells: the lattice the sum lies in one coset of, and
+    its ``_Binomial`` (given the union of the products' degree boxes), or
+    None in its place when the pivot box is too sparse for packing.  Raises
+    ArithmeticError when a factor's lattice cannot hold it (``_pivot_box``)."""
     # each product's degree box is the sum of its factors' (a domain)
     boxes = [[[sum(col) for col in zip(*side)] for side in zip(*(f._degree_box() for f in p))]
              for p in products]
-    lo = [min(a, b) for a, b in zip(boxes[0][0], boxes[1][0])]
-    hi = [max(a, b) for a, b in zip(boxes[0][1], boxes[1][1])]
+    lo = [min(col) for col in zip(*(plo for plo, _ in boxes))]
+    hi = [max(col) for col in zip(*(phi for _, phi in boxes))]
     _check_range(lo, hi)
     # a point of each product's coset: the sum of its factors' first keys
     keys = [sum(next(iter(f._terms)) for f in p) - (len(p) - 1) * UNIT_KEY for p in products]
     lattice = echelon([row for p in products for f in p for row in f._support_basis()[0]]
-                      + [unpack_key(UNIT_KEY + keys[1] - keys[0])])
+                      + [unpack_key(UNIT_KEY + k - keys[0]) for k in keys[1:]])
     pivots = lattice[1]
     lows, widths = [lo[j] for j in pivots], [hi[j] - lo[j] + 1 for j in pivots]
     radix = mixed_radix(widths)
     if radix[-1] > _PACK_DENSITY * sum(prod(len(f._terms) for f in p) for p in products):
-        return prod(products[0], start=_ONE) + prod(products[1], start=_ONE)
+        return lattice, None
     packed, bound = [], 0
     for p, (plo, _) in zip(products, boxes):
         norms = [_norms(f._terms.values()) for f in p]
@@ -796,18 +772,30 @@ def exchange_binomial(pos: Sequence[LaurentPoly], neg: Sequence[LaurentPoly]) ->
         # others' coefficient sums
         bound += min(m * (total // s) for m, s in norms)
         packed.append((sum((plo[j] - low) * r for j, low, r in zip(pivots, lows, radix)),
-                       [(_positions(f._terms, pivots, [f._degree_box()[0][j] for j in pivots],
-                                    radix), f._terms.values()) for f in p]))
+                       [(_positions(f._terms, pivots, _pivot_box(f, pivots)[0], radix),
+                         f._terms.values()) for f in p]))
+    return lattice, _Binomial(lattice, (lo, hi), lows, widths, bound, unpack_key(keys[0]),
+                              packed)
+
+
+def exchange_binomial(pos: Sequence[LaurentPoly], neg: Sequence[LaurentPoly]) -> LaurentPoly:
+    """The binomial prod(pos) + prod(neg) of nonzero factors (an empty
+    product is 1), packed once by ``_pack_products``; when its box is too
+    sparse for packing, the ring operations form it."""
+    products = [list(pos) or [_ONE], list(neg) or [_ONE]]
+    _, binomial = _pack_products(products)
+    if binomial is None:
+        return prod(products[0], start=_ONE) + prod(products[1], start=_ONE)
     # with every coefficient positive nothing cancels, so the binomial's
     # degree box is the union of its products'; else it is found on first use
-    positive = all(min(f._terms.values()) > 0 for p in products for f in p)
-    return _Binomial(lattice, (lo, hi) if positive else None, lows, widths, bound,
-                     unpack_key(keys[0]), packed)
+    if any(min(f._terms.values()) < 0 for p in products for f in p):
+        binomial._box = None
+    return binomial
 
 
 class _Binomial(LaurentPoly):
-    """A sum of two products kept as its factors' packed integers (see
-    ``exchange_binomial``): the terms are an idempotent fill, decoded from
+    """A sum of products kept as its factors' packed integers (see
+    ``_pack_products``): the terms are an idempotent fill, decoded from
     that integer on first read."""
 
     __slots__ = ("_lows", "_widths", "_bound", "_base", "_products", "_packed")

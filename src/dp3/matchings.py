@@ -55,6 +55,7 @@ from __future__ import annotations
 from .laurent import (UNIT_KEY, LaurentPoly, digit_bytes, echelon, label_exponents, lift_pivots,
                       mixed_radix, pack_exponents, unpack_digits, unpack_key)
 from .diamonds import RECURSION_FACTOR_LABELS, DiamondGraph, build_diamond, covering_monomial
+from .quiver import check_order
 from .tiling import BlockScheme, vertex_coords
 
 #: The tie-break of the greedy sweep order: a vertex at ``(x, y) =
@@ -545,4 +546,5 @@ def matchings_route_y(n: int, primed: bool, scheme: BlockScheme) -> LaurentPoly:
     """y_N (or y'_N) through the matching model: w(D_{N/2}) m(D_{N/2})."""
     if n < 1:
         raise ValueError("matching route defined for N >= 1")
+    check_order(n)
     return weighted_pm_sum(build_diamond(n, primed, scheme)) * covering_monomial(n, primed, scheme)

@@ -786,21 +786,22 @@ class TestCompute:
         assert code == 2
         assert "N >= -2" in err
 
-    @pytest.mark.parametrize("suite", ["quiver", "counts"])
-    def test_verify_past_the_route_bound_exits_2(self, capsys, suite):
-        # refused before any job or the seed route starts
+    @pytest.mark.parametrize("suite", ["theorem", "counts", "recursions", "quiver", "oracle"])
+    def test_verify_past_the_route_bound_exits_2(self, capsys, monkeypatch, suite):
+        # refused before calibration, any job or the seed route starts
+        monkeypatch.setattr(calibration, "default_scheme", lambda: pytest.fail("calibrated"))
         n = quiver.MAX_N + 1
         code, out, err = run(capsys, "verify", "--suite", suite, "--max-half-order", str(n))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: N={n} is past N <= {quiver.MAX_N}")
 
-    def test_past_the_route_bound_exits_2(self, capsys):
-        # refused before any work, by the recurrence and the seed route alike
-        for via in ("recurrence", "seed"):
-            code, out, err = run(capsys, "compute", "--target", "y", "--n", "1500", "--via", via)
-            assert (code, out) == (2, "")
-            assert err == (f"error: N=1500 is past N <= {quiver.MAX_N}, the bound of the "
-                           "recurrence and seed routes\n")
+    @pytest.mark.parametrize("via", ["recurrence", "seed", "matchings"])
+    def test_past_the_route_bound_exits_2(self, capsys, via):
+        # refused before any work, by every route alike
+        code, out, err = run(capsys, "compute", "--target", "y", "--n", "1500", "--via", via)
+        assert (code, out) == (2, "")
+        assert err == (f"error: N=1500 is past N <= {quiver.MAX_N}, the bound of the "
+                       "recurrence, seed and matching routes\n")
 
 
 class TestExport:

@@ -271,7 +271,10 @@ def lattice_polys(draw, count: int, coeffs=coefficients) -> list[LaurentPoly]:
 
 
 def packed_mul(a: LaurentPoly, b: LaurentPoly):
-    return laurent._packed_mul(a, b, laurent._pair_lattice(a, b))
+    """The product's terms through the packing kernel, or None when its
+    pivot box is too sparse."""
+    _, packed = laurent._pack_products([[a, b]])
+    return None if packed is None else packed._terms
 
 
 def packed_div(num: LaurentPoly, den: LaurentPoly):
@@ -389,9 +392,15 @@ def test_sparse_high_rank_product_is_not_packed():
 def test_rank_zero_lattice_cannot_hold_a_packed_operand():
     # a rank-0 lattice holds one point per coset, so no two-term operand
     with pytest.raises(ArithmeticError):
-        laurent._packed_mul(x(1) + x(2), x(3) + x(4), ([], []))
-    with pytest.raises(ArithmeticError):
         laurent._packed_div(x(1) * x(3) + x(2) * x(4), x(3) + x(4), ([], []))
+    # nor a two-term factor that carries one: the pivots of the product and
+    # of the binomial are x3 (and x4), on which its terms share one point
+    a = LaurentPoly(_raw={**x(1)._terms, **x(2)._terms}, _lattice=([], []))
+    b = x(1) * x(3) + x(1) * x(4)
+    with pytest.raises(ArithmeticError):
+        a * b
+    with pytest.raises(ArithmeticError):
+        laurent.exchange_binomial([a], [b])
 
 
 def test_rank_zero_lattice_divides_monomials():

@@ -18,7 +18,7 @@ from dp3.matchings import (
     verify_condensation,
     weighted_pm_sum,
 )
-from dp3.quiver import recurrence_y
+from dp3.quiver import MAX_N, recurrence_y
 from support import (
     greedy_order_by_definition,
     line_sweep,
@@ -584,3 +584,9 @@ class TestMatchingRoute:
     def test_needs_positive_order(self, scheme):
         with pytest.raises(ValueError):
             matchings_route_y(0, False, scheme)
+
+    def test_refuses_past_the_route_bound(self, scheme, monkeypatch):
+        # refused before the diamond is built
+        monkeypatch.setattr(matchings, "build_diamond", None)
+        with pytest.raises(ValueError, match=f"is past N <= {MAX_N}"):
+            matchings_route_y(MAX_N + 1, False, scheme)

@@ -7,7 +7,6 @@ import pytest
 from dp3 import calibration
 from dp3.calibration import (
     CalibrationError,
-    _octahedral_ok,
     _rho_sigma_ok,
     calibrate,
     default_scheme,
@@ -303,10 +302,14 @@ class TestCalibration:
             calibrate()
 
     def test_octahedral_and_rotation_checks_agree(self):
-        # checks 1 and 2 of the search accept the same 48 labelings; check 2
-        # is the only one that ties rotate180 to sigma
+        # the rotation check accepts exactly the 48 labelings in which no
+        # face touches its antipodal label, so the search needs no check of
+        # that property; the neighbours of the six base faces show every
+        # pair of face classes that share an edge
+        base = [Face(0, 0, up, c) for up in (True, False) for c in range(3)]
         labelings = [Labeling(up=p[:3], down=p[3:]) for p in itertools.permutations(range(1, 7))]
-        octahedral = [_octahedral_ok(lab) for lab in labelings]
+        octahedral = [all(lab.label(g) != SIGMA(lab.label(f))
+                          for f in base for g in face_adjacency(f)) for lab in labelings]
         rotation = [_rho_sigma_ok(lab) for lab in labelings]
         assert (sum(octahedral), sum(rotation)) == (48, 48)
         assert octahedral == rotation
