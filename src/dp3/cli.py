@@ -472,6 +472,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_export(args) -> int:
+    quiver.check_order(args.half_order)
     graph = build_diamond(args.half_order, args.primed, cal.default_scheme())
     render = {"json": graph_to_json, "dot": graph_to_dot, "svg": graph_to_svg}[args.format]
     text = render(graph)

@@ -20,23 +20,24 @@ one coset of ``L``, and so do the product and any exact quotient (cosets of
 ``L`` cannot cancel against each other, and the Laurent ring is a domain).
 ``echelon`` gives a basis of ``L`` whose pivot exponents determine a point
 of a coset.  One kernel, ``_pack_products``, packs a sum of products of
-factors: a product (``__mul__``) or the binomial ``prod(pos) + prod(neg)``
-that is the numerator of every cluster mutation (``exchange_binomial``).
-Its lattice is ``echelon`` of the factors' lattices and the differences of
-the products' base points (a product's is the sum of its factors' first
-exponents), its pivot box the union of the products' degree boxes.  Each
-factor becomes one integer: a coefficient is one digit, of a fixed number
-of bytes and balanced around zero, at the mixed-radix position of its pivot
-exponents in that box.  The digit width holds the sum of the products'
-coefficient bounds; a product's bound is the least, over its factors, of
-one factor's largest coefficient times the others' coefficient sums.  The
-sum is then the one integer ``pack(pos_1) ... pack(pos_k) + (pack(neg_1)
-... pack(neg_m) << shift)``.  A product is decoded at once; a binomial is
-decoded only when its terms are read, and each exact quotient divides its
-integer (the same ``_packed_div`` as for any numerator).  The digits are
-read back with one ``to_bytes`` pass (``unpack_digits``) and lifted to
-packed keys through the basis (``lift_pivots``), both shared with the
-weighted matching sum.
+factors: a product (``__mul__``), the binomial ``prod(pos) + prod(neg)``
+that is the numerator of every cluster mutation (``exchange_binomial``), or
+a division's numerator, a product of one factor (``_packed_div``).  Its
+lattice is ``echelon`` of the factors' lattices and the differences of the
+products' base points (a product's is the sum of its factors' first
+exponents), or the division's, its pivot box the union of the products'
+degree boxes.  Each factor becomes one integer: a coefficient is one digit,
+of a fixed number of bytes and balanced around zero, at the mixed-radix
+position of its pivot exponents in that box.  The digit width holds the sum
+of the products' coefficient bounds; a product's bound is the least, over
+its factors, of one factor's largest coefficient times the others'
+coefficient sums (``_product_bound``).  The sum is then the one integer
+``pack(pos_1) ... pack(pos_k) + (pack(neg_1) ... pack(neg_m) << shift)``.
+A product is decoded at once; a binomial is decoded only when its terms are
+read, and each exact quotient divides its integer when the division's
+pivots are its own.  The digits are read back with one ``to_bytes`` pass
+(``unpack_digits``) and lifted to packed keys through the basis
+(``lift_pivots``), both shared with the weighted matching sum.
 
 A product is exact by construction: the box's widths are the sums of the
 factors', so positions never wrap, and the digit width holds the largest
@@ -280,17 +281,17 @@ class LaurentPoly:
             return _ZERO
         f, g = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
         a, b = f._terms, g._terms
-        (alo, ahi), (blo, bhi) = f._degree_box(), g._degree_box()
-        # the degree box of a product is the sum of its factors' (a domain)
-        box = [x + y for x, y in zip(alo, blo)], [x + y for x, y in zip(ahi, bhi)]
-        _check_range(*box)
         if len(b) == 1:
+            (alo, ahi), (blo, bhi) = f._degree_box(), g._degree_box()
+            # the degree box of a product is the sum of its factors' (a domain)
+            box = [x + y for x, y in zip(alo, blo)], [x + y for x, y in zip(ahi, bhi)]
+            _check_range(*box)
             ((kb, cb),) = b.items()
             off = kb - UNIT_KEY
             return LaurentPoly(_raw={k + off: c * cb for k, c in a.items()}, _box=box,
                                _lattice=f._support_basis())
         # the product lies in one coset of the sum of its factors' lattices
-        lattice, packed = _pack_products([[f, g]])
+        lattice, box, packed = _pack_products([[f, g]])
         return LaurentPoly(_raw=_schoolbook_mul(a, b) if packed is None else packed._terms,
                            _box=box, _lattice=lattice)
 
@@ -347,22 +348,6 @@ class LaurentPoly:
         out = _packed_div(self, den, lattice)
         return LaurentPoly(_raw=_eliminate(self._terms, d, lo, hi) if out is None else out,
                            _box=(lo, hi), _lattice=lattice)
-
-    def _packing(self, pivots):
-        """How the nonzero value packs with the mixed radix of its pivot box
-        for ``pivots``: the box's lowest pivot exponents and widths, a bound on
-        its coefficients' magnitudes, the least digit width it packs at, a
-        point of its coset and its integer at a digit width; None when the
-        box is too sparse for packing."""
-        lows, widths = _pivot_box(self, pivots)
-        radix = mixed_radix(widths)
-        terms = self._terms
-        if radix[-1] > _PACK_DENSITY * len(terms):
-            return None
-        pos = _positions(terms, pivots, lows, radix)
-        bound = max(map(abs, terms.values()))
-        return (lows, widths, bound, -(-bound.bit_length() // 8), unpack_key(next(iter(terms))),
-                lambda width: _pack(pos, terms.values(), radix[-1], width))
 
     def permute(self, perm: VarPermutation) -> "LaurentPoly":
         """Apply x_i -> x_perm(i) to every monomial.  The biased exponent
@@ -614,10 +599,12 @@ def digit_bytes(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-def _product_width(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Digit width for every coefficient of a product of polynomials with
-    (max, sum) coefficient magnitudes ``a`` and ``b``."""
-    return digit_bytes(min(a[0] * b[1], a[1] * b[0]))
+def _product_bound(norms: Sequence[tuple[int, int]]) -> int:
+    """A bound on every coefficient magnitude of a product of factors with
+    (largest, sum) coefficient magnitudes ``norms``: one factor's largest
+    times the others' sums, the least such."""
+    total = prod(s for _, s in norms)
+    return min(m * (total // s) for m, s in norms)
 
 
 def _decode(value: int, lows, widths, width: int, base, lattice) -> dict[int, int]:
@@ -689,23 +676,27 @@ def _packed_div(num: LaurentPoly, den: LaurentPoly, lattice) -> dict[int, int] |
     quotient pivot box or when the packed divisor does not divide the packed
     numerator.
 
-    Everything is packed with the mixed radix of the numerator's pivot box
-    (``_packing``: its terms, or a binomial's factors).  An exact quotient
-    ``q`` lies in the coset of num's base minus den's, in the box of pivot
-    ranges num's minus den's, so ``pack(num) = pack(q) * pack(den)`` at
-    every digit width: an integer quotient that does not exist proves there
-    is none.  Otherwise the integer quotient is decoded and lifted; the
-    result is returned only once ``q * den == num`` is proven by comparing
-    packed integers at a digit width that holds every coefficient of both
-    sides, with q's pivot exponents inside the box (then packing is
-    injective and a ring homomorphism).  When the width of the division
-    already holds them, its own exact equation is that comparison.  A
-    failed decode or proof doubles the width, up to _MAX_DOUBLINGS times."""
+    Everything is packed with the mixed radix of the numerator's pivot box, the
+    numerator by ``_pack_products``: a binomial packed with the division's
+    pivots as it is, any other numerator from its terms, at the digit width
+    of its coefficient bound.  An exact quotient ``q`` lies in the coset of
+    num's base minus den's, in the box of pivot ranges num's minus den's,
+    so ``pack(num) = pack(q) * pack(den)`` at every digit width: an integer
+    quotient that does not exist proves there is none.  Otherwise the
+    integer quotient is decoded and lifted; the result is returned only
+    once ``q * den == num`` is proven by comparing packed integers at a
+    digit width that holds every coefficient of both sides, with q's pivot
+    exponents inside the box (then packing is injective and a ring
+    homomorphism).  When the width of the division already holds them, its
+    own exact equation is that comparison.  A failed decode or proof
+    doubles the width, up to _MAX_DOUBLINGS times."""
     basis, pivots = lattice
-    packing = num._packing(pivots)
-    if packing is None:
-        return None
-    nlo, nw, bound, width, base, pack = packing
+    if not (isinstance(num, _Binomial) and num._lattice[1] == pivots):
+        # the divisor adds a pivot to a binomial's, or num is no binomial
+        num = _pack_products([[num]], lattice)[2]
+        if num is None:
+            return None
+    nlo, nw, bound, pack = num._lows, num._widths, num._bound, num._integer
     dlo, dw = _pivot_box(den, pivots)
     den = den._terms
     qw = [x - y + 1 for x, y in zip(nw, dw)]
@@ -715,11 +706,11 @@ def _packed_div(num: LaurentPoly, den: LaurentPoly, lattice) -> dict[int, int] |
     dpos = _positions(den, pivots, dlo, radix)
     qsize = sum((w - 1) * r for w, r in zip(qw, radix)) + 1
     qlo = [x - y for x, y in zip(nlo, dlo)]
-    base = [x - y for x, y in zip(base, unpack_key(next(iter(den))))]
+    base = [x - y for x, y in zip(num._base, unpack_key(next(iter(den))))]
     dnorms = _norms(den.values())
     # den's digits need only fit unsigned; q's are balanced, with a sign,
     # and may need more
-    width = max(width, -(-dnorms[0].bit_length() // 8))
+    width = max(digit_bytes(bound), -(-dnorms[0].bit_length() // 8))
     for _ in range(_MAX_DOUBLINGS + 1):
         quot = _exact_quotient(pack(width), _pack(dpos, den.values(), max(dpos) + 1, width))
         if quot is None:
@@ -731,7 +722,7 @@ def _packed_div(num: LaurentPoly, den: LaurentPoly, lattice) -> dict[int, int] |
             if all(max(c) < w for c, w in zip(coords, qw)):
                 keys = lift_pivots(base, basis, pivots,
                                    [[low + x for x in c] for low, c in zip(qlo, coords)])
-                proof = max(_product_width(_norms(coeffs), dnorms), digit_bytes(bound))
+                proof = digit_bytes(max(_product_bound([_norms(coeffs), dnorms]), bound))
                 if keys is not None and (proof <= width or (
                         _pack(positions, coeffs, qsize, proof)
                         * _pack(dpos, den.values(), max(dpos) + 1, proof) == pack(proof))):
@@ -743,12 +734,14 @@ def _packed_div(num: LaurentPoly, den: LaurentPoly, lattice) -> dict[int, int] |
 # -- sums of products --------------------------------------------------------------
 
 
-def _pack_products(products: list[list[LaurentPoly]]):
+def _pack_products(products: list[list[LaurentPoly]], lattice=None):
     """The sum of the products of nonzero factors, packed once as the
-    module's docstring tells: the lattice the sum lies in one coset of, and
-    its ``_Binomial`` (given the union of the products' degree boxes), or
-    None in its place when the pivot box is too sparse for packing.  Raises
-    ArithmeticError when a factor's lattice cannot hold it (``_pivot_box``)."""
+    module's docstring tells, in the pivot box of ``lattice`` if given (it
+    must hold the sum): the lattice the sum lies in one coset of, the union
+    of the products' degree boxes (a product's own box) and the sum's
+    ``_Binomial``, or None in its place when the pivot box is too sparse
+    for packing.  Raises ArithmeticError when a factor's lattice cannot hold
+    it (``_pivot_box``)."""
     # each product's degree box is the sum of its factors' (a domain)
     boxes = [[[sum(col) for col in zip(*side)] for side in zip(*(f._degree_box() for f in p))]
              for p in products]
@@ -757,25 +750,22 @@ def _pack_products(products: list[list[LaurentPoly]]):
     _check_range(lo, hi)
     # a point of each product's coset: the sum of its factors' first keys
     keys = [sum(next(iter(f._terms)) for f in p) - (len(p) - 1) * UNIT_KEY for p in products]
-    lattice = echelon([row for p in products for f in p for row in f._support_basis()[0]]
-                      + [unpack_key(UNIT_KEY + k - keys[0]) for k in keys[1:]])
+    if lattice is None:
+        lattice = echelon([row for p in products for f in p for row in f._support_basis()[0]]
+                          + [unpack_key(UNIT_KEY + k - keys[0]) for k in keys[1:]])
     pivots = lattice[1]
     lows, widths = [lo[j] for j in pivots], [hi[j] - lo[j] + 1 for j in pivots]
     radix = mixed_radix(widths)
     if radix[-1] > _PACK_DENSITY * sum(prod(len(f._terms) for f in p) for p in products):
-        return lattice, None
+        return lattice, (lo, hi), None
     packed, bound = [], 0
     for p, (plo, _) in zip(products, boxes):
-        norms = [_norms(f._terms.values()) for f in p]
-        total = prod(s for _, s in norms)
-        # a product's coefficient is at most one factor's largest times the
-        # others' coefficient sums
-        bound += min(m * (total // s) for m, s in norms)
+        bound += _product_bound([_norms(f._terms.values()) for f in p])
         packed.append((sum((plo[j] - low) * r for j, low, r in zip(pivots, lows, radix)),
                        [(_positions(f._terms, pivots, _pivot_box(f, pivots)[0], radix),
                          f._terms.values()) for f in p]))
-    return lattice, _Binomial(lattice, (lo, hi), lows, widths, bound, unpack_key(keys[0]),
-                              packed)
+    return lattice, (lo, hi), _Binomial(lattice, (lo, hi), lows, widths, bound,
+                                        unpack_key(keys[0]), packed)
 
 
 def exchange_binomial(pos: Sequence[LaurentPoly], neg: Sequence[LaurentPoly]) -> LaurentPoly:
@@ -783,7 +773,7 @@ def exchange_binomial(pos: Sequence[LaurentPoly], neg: Sequence[LaurentPoly]) ->
     product is 1), packed once by ``_pack_products``; when its box is too
     sparse for packing, the ring operations form it."""
     products = [list(pos) or [_ONE], list(neg) or [_ONE]]
-    _, binomial = _pack_products(products)
+    binomial = _pack_products(products)[2]
     if binomial is None:
         return prod(products[0], start=_ONE) + prod(products[1], start=_ONE)
     # with every coefficient positive nothing cancels, so the binomial's
@@ -826,12 +816,6 @@ class _Binomial(LaurentPoly):
                 prod(_pack(pos, coeffs, max(pos) + 1, width) for pos, coeffs in factors)
                 << 8 * width * shift for shift, factors in self._products)
         return value
-
-    def _packing(self, pivots):
-        if pivots != self._lattice[1]:  # the divisor adds a pivot: pack the terms
-            return LaurentPoly._packing(self, pivots)
-        return (self._lows, self._widths, self._bound, digit_bytes(self._bound), self._base,
-                self._integer)
 
 
 class _FactorTexts(dict):

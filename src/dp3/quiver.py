@@ -26,9 +26,10 @@ from .laurent import LaurentPoly, exchange_binomial
 BMatrix = tuple[tuple[int, ...], ...]
 
 #: The largest N that ``recurrence_y``, ``run_periodic_sequence`` (2N
-#: steps) and the matching route compute: a recurrence step's time grows
-#: about 1.6-fold per N, and N = MAX_N takes about 40 s of CPU by the
-#: recurrence or the seed route (Python 3.11, a 2-vCPU VM).
+#: steps) and the matching route compute, and that ``dp3 export`` builds a
+#: diamond for: a recurrence step's time grows about 1.6-fold per N, and
+#: N = MAX_N takes about 40 s of CPU by the recurrence or the seed route
+#: (Python 3.11, a 2-vCPU VM).
 MAX_N = 26
 
 #: Mutation order of the periodic sequence.
@@ -100,10 +101,9 @@ _Y: dict[int, tuple[LaurentPoly, LaurentPoly]] = {
 
 def check_order(n: int) -> None:
     """Raise ValueError unless N = n is within MAX_N, the bound of the
-    recurrence, the seed route and the matching route."""
+    recurrence, the seed route, the matching route and the diamond export."""
     if n > MAX_N:
-        raise ValueError(f"N={n} is past N <= {MAX_N}, the bound of the recurrence, seed and "
-                         "matching routes")
+        raise ValueError(f"N={n} is past N <= {MAX_N}, the bound on N of every dp3 command")
 
 
 def recurrence_y(n: int) -> tuple[LaurentPoly, LaurentPoly]:

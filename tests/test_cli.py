@@ -800,11 +800,20 @@ class TestCompute:
         # refused before any work, by every route alike
         code, out, err = run(capsys, "compute", "--target", "y", "--n", "1500", "--via", via)
         assert (code, out) == (2, "")
-        assert err == (f"error: N=1500 is past N <= {quiver.MAX_N}, the bound of the "
-                       "recurrence, seed and matching routes\n")
+        assert err == (f"error: N=1500 is past N <= {quiver.MAX_N}, the bound on N of every "
+                       "dp3 command\n")
 
 
 class TestExport:
+    def test_past_the_bound_exits_2(self, capsys, tmp_path):
+        # refused before the diamond is built, so no file is written
+        out_file = tmp_path / "d.json"
+        code, out, err = run(capsys, "export", "--half-order", "1500", "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == (f"error: N=1500 is past N <= {quiver.MAX_N}, the bound on N of every "
+                       "dp3 command\n")
+        assert not out_file.exists()
+
     def test_json_export(self, capsys, tmp_path):
         out_file = tmp_path / "d.json"
         code, _, _ = run(capsys, "export", "--half-order", "2",

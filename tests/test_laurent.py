@@ -273,7 +273,7 @@ def lattice_polys(draw, count: int, coeffs=coefficients) -> list[LaurentPoly]:
 def packed_mul(a: LaurentPoly, b: LaurentPoly):
     """The product's terms through the packing kernel, or None when its
     pivot box is too sparse."""
-    _, packed = laurent._pack_products([[a, b]])
+    packed = laurent._pack_products([[a, b]])[2]
     return None if packed is None else packed._terms
 
 
@@ -329,15 +329,34 @@ def test_packed_division_refuses_an_inexact_quotient(ab, index, c):
 
 
 @pytest.mark.parametrize("q, den, widths", [
-    # quotient coefficients up to 184756 against the numerator's 48450
-    ((ONE + x(1)) ** 20, ONE - x(1), [2, 4]),
-    # 162 needs a second byte, and its carry lands between the quotient's
-    # rows, at x1^3, outside its pivot box
-    (P("-9 x1^2 x2 + 162 x1^2 - 4 x1 x2 + 16 x1 + 2 x2"), P("x1 x2 - x1 + x2 + 1"), [1, 2]),
-], ids=["binomial", "row-padding"])
+    # quotient coefficients up to 48620 against the numerator's 13260
+    ((ONE + x(1)) ** 18, ONE - x(1), [2, 4]),
+    # up to 10400600 against 2414425
+    ((ONE + x(1)) ** 26, ONE - x(1), [3, 6]),
+    # 200 needs a second byte, and its carry lands between the quotient's
+    # rows, at x1^3 x2, outside its pivot box
+    (P("100 x1^2 x2^2 + 200 x1^2 x2 + 100 x1^2 - 100 x1 x2^2 - 100 x1 x2 + 1"),
+     P("- x1 x2 + x1 + 1"), [1, 2]),
+], ids=["binomial", "binomial-3-bytes", "row-padding"])
 def test_quotient_wider_than_numerator_doubles_the_width(monkeypatch, q, den, widths):
     num = q * den
-    assert max(abs(c) for _, c in num.terms()).bit_length() <= 8 * widths[0]
+    # the division starts at the width that holds the numerator's coefficients
+    assert laurent.digit_bytes(max(abs(c) for _, c in num.terms())) == widths[0]
+    assert division_widths(monkeypatch, num, den) == (q._terms, widths)
+    assert num.exact_div(den) == q
+
+
+def test_division_starts_at_the_numerators_balanced_width(monkeypatch):
+    # 48450 has 16 bits, so its balanced digit takes 3 bytes, which also
+    # hold the quotient's 184756: no doubling
+    q = (ONE + x(1)) ** 20
+    num = q * (ONE - x(1))
+    assert max(abs(c) for _, c in num.terms()) == 48450
+    assert division_widths(monkeypatch, num, ONE - x(1)) == (q._terms, [3])
+
+
+def division_widths(monkeypatch, num: LaurentPoly, den: LaurentPoly):
+    """The packed quotient num / den and the digit widths it decoded at."""
     seen = []
     unpack = laurent.unpack_digits
 
@@ -345,10 +364,9 @@ def test_quotient_wider_than_numerator_doubles_the_width(monkeypatch, q, den, wi
         seen.append(width)
         return unpack(value, length, width)
 
-    monkeypatch.setattr(laurent, "unpack_digits", recording)
-    assert packed_div(num, den) == q._terms
-    assert seen == widths
-    assert num.exact_div(den) == q
+    with monkeypatch.context() as m:
+        m.setattr(laurent, "unpack_digits", recording)
+        return packed_div(num, den), seen
 
 
 def test_divisor_wider_than_numerator():
@@ -478,6 +496,22 @@ def test_a_quotient_too_wide_for_the_division_is_proven():
                 laurent.exchange_binomial([P("20001 x1^2 - 25536 x1 + 19000")], [P("1000")])):
         with pytest.raises(NotDivisibleError):
             num.exact_div(den)
+
+
+def test_divisor_adding_a_pivot_repacks_the_binomial():
+    """(x1 + x2) x1 + (x1 + x2) x2 has pivot x1 alone; the divisor x1 + x2,
+    made as (x1 + x3) + (x2 - x3), carries a lattice with pivots x1 and x2,
+    so the division packs the binomial again from its decoded terms."""
+    binomial = laurent.exchange_binomial([x(1) + x(2), x(1)], [x(1) + x(2), x(2)])
+    den = (x(1) + x(3)) + (x(2) - x(3))
+    lattice = laurent._pair_lattice(binomial, den)
+    assert isinstance(binomial, laurent._Binomial)
+    assert binomial._lattice[1] == [0] and lattice[1] == [0, 1]
+    got = laurent._packed_div(binomial, den, lattice)
+    (nlo, nhi), (dlo, dhi) = laurent._ranges(binomial._terms), laurent._ranges(den._terms)
+    lo, hi = [s - t for s, t in zip(nlo, dlo)], [s - t for s, t in zip(nhi, dhi)]
+    assert got == laurent._eliminate(binomial._terms, den._terms, lo, hi) == (x(1) + x(2))._terms
+    assert binomial.exact_div(den) == x(1) + x(2)
 
 
 def test_quiver_routes_match_dict_arithmetic(monkeypatch):

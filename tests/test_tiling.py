@@ -17,6 +17,7 @@ from dp3.quiver import B0
 from dp3.tiling import (
     RHO_CENTER,
     BlockScheme,
+    BlockSchemeError,
     Face,
     Labeling,
     _boundary_spec,
@@ -313,6 +314,41 @@ class TestCalibration:
         rotation = [_rho_sigma_ok(lab) for lab in labelings]
         assert (sum(octahedral), sum(rotation)) == (48, 48)
         assert octahedral == rotation
+
+    def test_each_check_accepts_a_pinned_share(self, scheme):
+        # how many of the 720 labelings each check accepts on its own (the
+        # checks after the rotation one given just a block scheme), and the
+        # search's funnel; a weakened check moves one of these counts
+        accepted = {name: [] for name in ("rotation", "scheme", "grid", "opposite pairs",
+                                          "count oracle", "cover oracle", "y_1 oracle")}
+        funnel = [720, 0, 0, 0, 0, 0]
+        for p in itertools.permutations(range(1, 7)):
+            lab = Labeling(up=p[:3], down=p[3:])
+            rotation = _rho_sigma_ok(lab)
+            accepted["rotation"] += [lab] * rotation
+            funnel[1] += rotation
+            try:
+                s = BlockScheme.from_labeling(lab)
+            except BlockSchemeError:
+                continue
+            failures = list(calibration._oracle_failures(s))
+            passed = {"scheme": True, "grid": calibration._grid_ok(s),
+                      "opposite pairs": calibration._opposite_pairs_ok(s),
+                      "count oracle": not any(f.startswith("|PM(") for f in failures),
+                      "cover oracle": not any(f.startswith("m(") for f in failures),
+                      "y_1 oracle": not any(f.startswith("w(") for f in failures)}
+            for name, ok in passed.items():
+                accepted[name] += [lab] * ok
+            stages = (rotation, passed["grid"], passed["opposite pairs"], not failures)
+            for i in range(len(stages)):
+                funnel[i + 2] += all(stages[:i + 1])
+        assert {name: len(labs) for name, labs in accepted.items()} == {
+            "rotation": 48, "scheme": 160, "grid": 8, "opposite pairs": 8,
+            "count oracle": 1, "cover oracle": 1, "y_1 oracle": 8}
+        assert funnel == [720, 48, 16, 8, 4, 1]
+        # w(D_1/2) sums over the two opposite-edge pairs of the label-2 square
+        assert accepted["opposite pairs"] == accepted["y_1 oracle"]
+        assert accepted["count oracle"] == accepted["cover oracle"] == [scheme.labeling]
 
     def test_calibrated_labeling_has_no_failures(self, scheme):
         assert labeling_failures(scheme.labeling) == []
