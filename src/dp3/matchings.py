@@ -16,12 +16,16 @@ The frontier is the set of swept vertices that still have unswept
 neighbors; each step sweeps a neighbor of the swept part that widens the
 frontier least, ties broken along the lattice direction ``SWEEP``.  A
 state records, as a bitmask, which frontier vertices still await a
-partner.  Diamond frontiers stay narrow, so the reachable state sets
-remain small even for graphs with millions of matchings: at N=18 the peak
-is 23 860 states, against 105 948 along ``SWEEP`` alone.  A vertex is
-either matched to a pending earlier neighbor or deferred (if it still has
-unseen neighbors); a state that would keep a vertex pending beyond its
-last neighbor is pruned before it is folded (``_frontier_sum``).
+partner.  Its bits are slots, not sweep positions: a vertex holds a slot
+only while it can be pending, and a freed slot is reused, so 13 bits serve
+the 208 vertices of N=14 (``_layout``).  Diamond frontiers stay narrow, so
+the reachable state sets remain small even for graphs with millions of
+matchings: at N=18 the peak is 23 860 states, against 105 948 along
+``SWEEP`` alone.  A vertex is either matched to a pending earlier neighbor
+or deferred (if it still has unseen neighbors); a state that would keep a
+vertex pending beyond its last neighbor is pruned before it is folded.
+Each step hands the fold one batch of states per edge and one for the
+deferral, not one call per state (``_frontier_sum``).
 
 The count attaches to every state the number of partial matchings.  The
 weighted sum attaches one big integer: the state's polynomial of weights
@@ -141,17 +145,16 @@ def _reduce(points: list, edges: list[tuple[int, int, int]]):
 
 
 def _sweep(graph: DiamondGraph, order: str | None = None):
-    """Vertex order plus, per vertex, its earlier neighbors (with weight key
-    offsets) and the prune mask of vertices whose last neighbor it is; a
-    vertex is in its own mask exactly when it has no later neighbor.
+    """The sweep ``(verts, earlier, program)``: the vertex order, per vertex
+    its earlier neighbors as sorted ``(step, weight key offset)`` pairs, and
+    the slot program that ``_frontier_sum`` runs (see ``_layout``).
+    ``earlier`` is what ``_difference_lattice`` and the tests' reference
+    kernel read; the program holds the same edges in slots.
 
     ``order`` None sweeps the graph ``_reduce`` leaves in the order of
     ``_min_frontier_order``; a name in ``SWEEP_ORDERS`` sweeps the graph as
     built along its direction, so it is the reference the reduction and
     the greedy order are checked against.
-
-    The prune mask is exact: a vertex whose last neighbor is the current
-    one is matched now or never (see ``_frontier_sum``).
     """
     points, edges = _points_edges(graph)
     if order is None:
@@ -231,7 +234,19 @@ def _min_frontier_order(points: list, edges: list[tuple[int, int, int]]) -> list
 
 def _layout(points: list, edges: list[tuple[int, int, int]], ranked: list[int]):
     """The sweep of ``_sweep`` for the points visited in the order
-    ``ranked``, a permutation of their indices."""
+    ``ranked``, a permutation of their indices.
+
+    ``program[s]`` is ``(bit, back, dead)`` for step ``s``, in slot bits.  A
+    vertex holds a slot from its own step to its last neighbor's step:
+    ``bit`` is the slot of step ``s``'s vertex, 0 when it has no later
+    neighbor and so is never deferred; ``back`` lists its earlier neighbors
+    as ``(slot bit, weight key offset)``; ``dead`` holds the slots of the
+    earlier vertices whose last neighbor it is.  Those slots are freed at
+    this step and may be taken by its own vertex at once: no state that
+    goes on holds a dying slot, since it is either matched now, clearing
+    the slot, or dropped (``_frontier_sum``).  The slots are the lowest
+    bits, as many as the most vertices that can be pending together.
+    """
     pos = [0] * len(ranked)
     for p, i in enumerate(ranked):
         pos[i] = p
@@ -246,97 +261,114 @@ def _layout(points: list, edges: list[tuple[int, int, int]], ranked: list[int]):
         earlier[j].append((i, w))
         if j > last[i]:
             last[i] = j
-    for lst in earlier:
-        lst.sort()
-    dead_at = [0] * nv
-    for i, j in enumerate(last):
-        # an isolated vertex can never be covered: its own step kills all states
-        dead_at[j] |= 1 << i
-    return verts, earlier, dead_at
+    freed: list[list[int]] = [[] for _ in range(nv)]  # the slot bits freed at each step
+    slot = [0] * nv  # each vertex's slot bit, 0 for one never deferred
+    free: list[int] = []
+    slots = 0
+    program = []
+    for s, back in enumerate(earlier):
+        back.sort()
+        free += freed[s]
+        if last[s] > s:
+            if not free:
+                free.append(1 << slots)
+                slots += 1
+            slot[s] = free.pop()
+            freed[last[s]].append(slot[s])
+        program.append((slot[s], [(slot[u], w) for u, w in back], sum(freed[s])))
+    return verts, earlier, program
 
 
 def _reweigh(sweep, weight: dict[int, int]):
     """The same sweep with every edge's weight key offset ``w`` replaced by
-    ``weight[w]``."""
-    verts, earlier, dead_at = sweep
-    return verts, [[(u, weight[w]) for u, w in back] for back in earlier], dead_at
+    ``weight[w]``, in ``earlier`` and in the program alike."""
+    verts, earlier, program = sweep
+    return (verts, [[(u, weight[w]) for u, w in back] for back in earlier],
+            [(bit, [(u, weight[w]) for u, w in back], dead) for bit, back, dead in program])
 
 
 def _frontier_sum(sweep, unit, fold):
-    """The frontier sweep shared by the count and every weighted pass.
+    """The frontier sweep shared by the count and every weighted pass: it
+    runs the sweep's slot program.
 
     ``sweep`` is what ``_sweep`` returns, possibly reweighed.  ``unit`` is
-    the value of the empty partial matching.  ``fold(new, mask, value, w)``
-    adds ``value``, times the edge weight ``w`` (0 when a vertex is
-    deferred, adding no edge), into ``new[mask]``; it must never mutate
-    ``value``.  Returns the value of the empty final frontier, or None when
-    the graph has no perfect matching.
+    the value of the empty partial matching.  ``fold(new, pairs, w)`` adds,
+    for every ``(mask, value)`` of the list or tuple ``pairs``, ``value``
+    times the edge weight ``w`` (0 when a vertex is deferred, adding no
+    edge) into ``new[mask]``.  One value may sit in several batches, so a
+    fold must never mutate a value.  Returns the value of the empty final
+    frontier, or None when the graph has no perfect matching.
 
-    A state is pruned before it is folded, which is exact: a vertex whose
-    last neighbor is the current one must be matched to it now, and one
-    step matches at most one pending vertex.  So a state holding two such
-    vertices has no completion and is skipped, and one holding exactly one
-    folds only the edges to it.
+    Each step splits its states once.  A vertex whose last neighbor is the
+    current one must be matched to it now, and one step matches at most
+    one pending vertex, so a state holding two such doomed vertices has no
+    completion and is dropped, and one holding exactly one folds only the
+    edges to it.  The other states are live: they hold no dying slot, so
+    the current vertex may take one.  Then the fold is called once per
+    earlier edge, with the live states holding its other end or with the
+    states doomed by it, and once for the deferral, with all live states.
     """
-    verts, earlier, dead_at = sweep
     states = {0: unit}
-    for s in range(len(verts)):
-        bit = 1 << s
-        back, dead = earlier[s], dead_at[s]
-        future = not dead & bit
-        forced: dict[int, list[int]] = {}
-        for u, w in back:
-            if dead >> u & 1:
-                forced.setdefault(1 << u, []).append(w)
+    for bit, back, dead in sweep[2]:
+        forced: dict[int, list] = {}
+        if dead:
+            live = []
+            for item in states.items():
+                doomed = item[0] & dead
+                if not doomed:
+                    live.append(item)
+                elif not doomed & doomed - 1:  # two or more find no entry
+                    forced.setdefault(doomed, []).append((item[0] ^ doomed, item[1]))
+        else:
+            live = states.items()
         new: dict = {}
-        for mask, value in states.items():
-            doomed = mask & dead
-            if doomed:
-                # two or more doomed vertices find no entry
-                for w in forced.get(doomed, ()):
-                    fold(new, mask ^ doomed, value, w)
-                continue
-            if future:
-                fold(new, mask | bit, value, 0)
-            for u, w in back:
-                if mask >> u & 1:
-                    fold(new, mask & ~(1 << u), value, w)
+        if bit:
+            fold(new, [(mask | bit, value) for mask, value in live], 0)
+        for u, w in back:
+            if u & dead:
+                fold(new, forced.get(u, ()), w)
+            else:
+                fold(new, [(mask ^ u, value) for mask, value in live if mask & u], w)
         states = new
     return states.get(0)
 
 
-def _add_count(new: dict[int, int], mask: int, count: int, w: int) -> None:
-    new[mask] = new.get(mask, 0) + count
+def _add_count(new: dict[int, int], pairs, w: int) -> None:
+    get = new.get
+    for mask, count in pairs:
+        new[mask] = get(mask, 0) + count
 
 
-def _add_extremes(new: dict[int, tuple[int, int, int]], mask: int,
-                  value: tuple[int, int, int], w: int) -> None:
-    # value = (number of partial matchings, largest and smallest weight sum)
-    old = new.get(mask)
-    if old is None:
-        new[mask] = (value[0], value[1] + w, value[2] + w) if w else value
-    else:
-        count, hi, lo = value
-        hi += w
-        lo += w
-        count0, hi0, lo0 = old
-        new[mask] = (count0 + count, hi if hi > hi0 else hi0, lo if lo < lo0 else lo0)
+def _add_extremes(new: dict[int, tuple[int, int, int]], pairs, w: int) -> None:
+    # a value is (number of partial matchings, largest and smallest weight sum)
+    get = new.get
+    for mask, value in pairs:
+        old = get(mask)
+        if old is None:
+            new[mask] = (value[0], value[1] + w, value[2] + w) if w else value
+        else:
+            count, hi, lo = value
+            hi += w
+            lo += w
+            count0, hi0, lo0 = old
+            new[mask] = (count0 + count, hi if hi > hi0 else hi0, lo if lo < lo0 else lo0)
 
 
-def _add_packed(new: dict[int, tuple[int, int]], mask: int, value: tuple[int, int],
-                w: int) -> None:
+def _add_packed(new: dict[int, tuple[int, int]], pairs, w: int) -> None:
     # a value (off, big) stands for big * 2**off: a polynomial in t = 2**B
     # whose lowest digit is the coefficient of t**(off // B); w is a shift
     # in bits, a multiple of B
-    off, big = value
-    off += w
-    old = new.get(mask)
-    if old is None:
-        new[mask] = (off, big) if w else value
-    elif off < old[0]:
-        new[mask] = (off, big + (old[1] << old[0] - off))
-    else:
-        new[mask] = (old[0], old[1] + (big << off - old[0]))
+    get = new.get
+    for mask, value in pairs:
+        off, big = value
+        off += w
+        old = get(mask)
+        if old is None:
+            new[mask] = (off, big) if w else value
+        elif off < old[0]:
+            new[mask] = (off, big + (old[1] << old[0] - off))
+        else:
+            new[mask] = (old[0], old[1] + (big << off - old[0]))
 
 
 def _difference_lattice(sweep) -> tuple[list[list[int]], list[int]]:

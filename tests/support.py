@@ -210,19 +210,20 @@ def sweep_stats(sweep, limit: int | None = None) -> tuple[int, int] | None:
     """State-steps and peak states of a frontier sweep: the number of states
     in each frontier from the first to the last, summed and at its largest,
     or None once the sum would pass ``limit``.  Runs the package's own
-    kernel with a fold whose value is the number of steps taken."""
+    kernel with a batch fold whose value is the number of steps taken."""
     from dp3.matchings import _frontier_sum
 
     sizes = [1] + [0] * len(sweep[0])
     total = [1]
 
-    def fold(new, mask, steps, w):
-        if mask not in new:
-            new[mask] = steps + 1
-            sizes[steps + 1] += 1
-            total[0] += 1
-            if limit is not None and total[0] > limit:
-                raise _OverLimit
+    def fold(new, pairs, w):
+        for mask, steps in pairs:
+            if mask not in new:
+                new[mask] = steps + 1
+                sizes[steps + 1] += 1
+                total[0] += 1
+                if limit is not None and total[0] > limit:
+                    raise _OverLimit
 
     try:
         _frontier_sum(sweep, 0, fold)

@@ -90,20 +90,21 @@ class TestWeightedSums:
             assert weighted_pm_sum(g) == weighted_pm_sum(g, "yx") == weighted_pm_sum(g, "xy")
 
 
-def _add_shifted(new, mask, poly, w):
+def _add_shifted(new, pairs, w):
     """The weighted fold the packed one replaced: a dict of packed exponent
     keys per state, merged term by term."""
-    tgt = new.get(mask)
-    if tgt is None:
-        new[mask] = {k + w: c for k, c in poly.items()} if w else dict(poly)
-        return
-    for k, c in poly.items():
-        k += w
-        v = tgt.get(k, 0) + c
-        if v:
-            tgt[k] = v
-        else:
-            del tgt[k]
+    for mask, poly in pairs:
+        tgt = new.get(mask)
+        if tgt is None:
+            new[mask] = {k + w: c for k, c in poly.items()} if w else dict(poly)
+            continue
+        for k, c in poly.items():
+            k += w
+            v = tgt.get(k, 0) + c
+            if v:
+                tgt[k] = v
+            else:
+                del tgt[k]
 
 
 def dict_fold_sum(graph, order):
@@ -173,9 +174,9 @@ class TestPackedFold:
         # a fold that adds every value twice overflows the digits
         fold = matchings._add_packed
 
-        def twice(new, mask, value, w):
-            fold(new, mask, value, w)
-            fold(new, mask, value, w)
+        def twice(new, pairs, w):
+            fold(new, pairs, w)
+            fold(new, pairs, w)
 
         monkeypatch.setattr(matchings, "_add_packed", twice)
         with pytest.raises(ArithmeticError, match="disagree"):
@@ -183,25 +184,30 @@ class TestPackedFold:
 
 
 def post_filter_frontier_sum(sweep, unit, fold):
-    """The kernel the pruning one replaced: every transition is folded, and
-    the states keeping a vertex past its last neighbor are dropped after
-    the step."""
-    verts, earlier, dead_at = sweep
+    """The kernel the pruning one replaced, kept apart from the slot
+    program: one state at a time on masks of sweep indices, with prune
+    masks of its own taken from ``earlier``.  Every transition is folded,
+    one pair per batch, and the states keeping a vertex past its last
+    neighbor are dropped after the step."""
+    _, earlier, _ = sweep
+    last = list(range(len(earlier)))
+    for s, back in enumerate(earlier):
+        for u, _ in back:
+            last[u] = max(last[u], s)
+    dead_at = [0] * len(earlier)
+    for u, s in enumerate(last):
+        dead_at[s] |= 1 << u
     states = {0: unit}
-    for s in range(len(verts)):
+    for s, back in enumerate(earlier):
         bit = 1 << s
-        future, back = not dead_at[s] & bit, earlier[s]
         new = {}
         for mask, value in states.items():
-            if future:
-                fold(new, mask | bit, value, 0)
+            if last[s] > s:
+                fold(new, ((mask | bit, value),), 0)
             for u, w in back:
                 if mask >> u & 1:
-                    fold(new, mask & ~(1 << u), value, w)
-        if dead_at[s]:
-            d = dead_at[s]
-            new = {m: v for m, v in new.items() if not (m & d)}
-        states = new
+                    fold(new, ((mask & ~(1 << u), value),), w)
+        states = {m: v for m, v in new.items() if not m & dead_at[s]}
     return states.get(0)
 
 
@@ -326,6 +332,67 @@ class TestReduction:
         assert len(matchings._sweep(g)[0]) == 4
 
 
+def program_slots(program):
+    """The number of slots a slot program uses; they are the lowest bits."""
+    used = 0
+    for bit, back, dead in program:
+        used |= bit | dead
+        for u, _ in back:
+            used |= u
+    assert used & used + 1 == 0
+    return used.bit_length()
+
+
+def assert_slot_case(monkeypatch, graph):
+    """Every order agrees with enumeration and with the post-filter kernel;
+    returns the weighted sum."""
+    w = assert_reduction_exact(graph)
+    for order in ALL_ORDERS:
+        assert assert_kernels_agree(monkeypatch, graph, order) == (len(enumerate_pm(graph)), w)
+    return w
+
+
+class TestSlotProgram:
+    """Slot reuse on small graphs whose sweeps reach each case.  The vertex
+    indices are into ``made_graph``'s diamond; ``xy`` visits 0, 2, 4, 1, 3,
+    5 in that order."""
+
+    def test_vertex_takes_the_slot_freed_at_its_own_step(self, scheme, monkeypatch):
+        # a path 0-2-1-3: vertex 0 dies at 2's step, where 2 takes its slot
+        g = made_graph(scheme, 4, [(0, 2, 1, 2), (2, 1, 3, 4), (1, 3, 5, 6)])
+        assert any(bit & dead for bit, _, dead in matchings._sweep(g, "xy")[2])
+        assert_slot_case(monkeypatch, g)
+
+    def test_parallel_edges_into_a_dying_vertex(self, scheme, monkeypatch):
+        # the path with 0-2 and 1-3 doubled: both doubled edges end at a
+        # vertex whose last neighbor is the other end
+        g = made_graph(scheme, 4, [(0, 2, 1, 2), (0, 2, 3, 4), (2, 1, 3, 4), (1, 3, 5, 6),
+                                   (1, 3, 1, 6)])
+        forced = [[u for u, _ in back if u & dead] for _, back, dead in matchings._sweep(g, "xy")[2]]
+        assert [len(f) for f in forced] == [0, 2, 1, 2] and all(len(set(f)) <= 1 for f in forced)
+        assert assert_slot_case(monkeypatch, g).term_count() == 4
+
+    def test_last_neighbor_of_two_pending_partners(self, scheme, monkeypatch):
+        # 0 and 2 both meet 4 and 1, and 4 also meets 3, which meets 5: at
+        # 1's step in xy order both die, and the state that deferred 0, 2 and
+        # 4 holds both and is dropped
+        g = made_graph(scheme, 6, [(0, 4, 1, 2), (0, 1, 3, 4), (2, 4, 5, 6), (2, 1, 1, 3),
+                                   (3, 4, 2, 4), (3, 5, 5, 6)])
+        dead = [dead for _, _, dead in matchings._sweep(g, "xy")[2]]
+        assert [d.bit_count() for d in dead] == [0, 0, 0, 2, 1, 1]
+        assert assert_slot_case(monkeypatch, g).term_count() == 2
+
+    def test_two_components(self, scheme, monkeypatch):
+        # two 4-cycles, each reduced to two vertices joined twice: the second
+        # component reuses the slot the first freed
+        g = made_graph(scheme, 8, [(0, 1, 1, 2), (2, 1, 3, 4), (0, 3, 5, 6), (2, 3, 1, 6),
+                                   (4, 5, 1, 2), (5, 6, 3, 4), (6, 7, 5, 6), (7, 4, 2, 3)])
+        program = matchings._sweep(g)[2]
+        assert [bool(back) for _, back, _ in program] == [False, True, False, True]
+        assert program_slots(program) == 1
+        assert assert_slot_case(monkeypatch, g).term_count() == 4
+
+
 #: The six lattice axes of ``tiling.vertex_coords`` and their reverses.
 AXES = ((1, 0), (-1, 0), (2, 1), (-2, -1), (2, -1), (-2, 1),
         (2, 3), (-2, -3), (2, -3), (-2, 3), (0, 1), (0, -1))
@@ -368,6 +435,53 @@ SWEEP_SIZES = {
 }
 
 
+#: (slots, fold calls per pass) of the default sweep of D_N and of D'_N.  A
+#: pass calls the fold once per edge of the reduced graph and once per vertex
+#: with a later neighbor, however many states there are; a change to the
+#: graph, the order or the slot program that moves them updates this table
+#: and says why
+KERNEL_SIZES = {
+    1: ((1, 3), (1, 3)),
+    2: ((1, 5), (1, 5)),
+    3: ((2, 18), (2, 18)),
+    4: ((3, 28), (3, 28)),
+    5: ((4, 55), (4, 55)),
+    6: ((5, 82), (5, 83)),
+    7: ((6, 126), (6, 127)),
+    8: ((7, 171), (7, 172)),
+    9: ((8, 233), (8, 234)),
+    10: ((9, 296), (9, 297)),
+    11: ((10, 376), (10, 377)),
+    12: ((11, 457), (11, 458)),
+    13: ((12, 555), (12, 556)),
+    14: ((13, 654), (13, 655)),
+}
+
+
+def kernel_size(monkeypatch, graph):
+    """The slots of ``graph``'s default program and the fold calls of each
+    pass of ``count_pm`` and ``weighted_pm_sum``, checking that every mask
+    handed to a fold fits in the slots."""
+    slots = program_slots(matchings._sweep(graph)[2])
+    kernel, calls = matchings._frontier_sum, []
+
+    def counted(sweep, unit, fold):
+        calls.append(0)
+
+        def checked(new, pairs, w):
+            calls[-1] += 1
+            assert all(0 <= mask < 1 << slots for mask, _ in pairs)
+            fold(new, pairs, w)
+
+        return kernel(sweep, unit, checked)
+
+    with monkeypatch.context() as m:
+        m.setattr(matchings, "_frontier_sum", counted)
+        count_pm(graph)
+        weighted_pm_sum(graph)
+    return slots, calls
+
+
 class TestSweepChoice:
     @pytest.mark.parametrize("primed", [False, True])
     @pytest.mark.parametrize("n", range(1, 15))
@@ -387,6 +501,16 @@ class TestSweepChoice:
         got = tuple(sweep_stats(matchings._sweep(build_diamond(n, primed, scheme)))
                     for primed in (False, True))
         assert got == SWEEP_SIZES[n]
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_kernel_sizes_are_pinned(self, scheme, monkeypatch, n):
+        # the count, extremes and packed passes each fold whole batches
+        got = []
+        for primed in (False, True):
+            slots, calls = kernel_size(monkeypatch, build_diamond(n, primed, scheme))
+            assert len(calls) == 3 and len(set(calls)) == 1
+            got.append((slots, calls[0]))
+        assert tuple(got) == KERNEL_SIZES[n]
 
     @pytest.mark.parametrize("n", range(0, 15))
     def test_greedy_order_is_exact(self, scheme, monkeypatch, n):
