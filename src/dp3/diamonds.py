@@ -13,15 +13,16 @@ sigma images of the unprimed ones.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .laurent import LaurentPoly, label_exponents
+from .laurent import LaurentPoly
 from .tiling import (
+    FACE_CLASSES,
     BlockScheme,
     Face,
     Vertex,
-    face_adjacency,
     face_boundary,
     rotate180,
     vertex_color,
@@ -83,23 +84,25 @@ class DiamondGraph:
 
 def build_patch(faces: Iterable[Face], scheme: BlockScheme, half_order: int,
                 primed: bool) -> DiamondGraph:
-    """The graph carried by an arbitrary set of lattice faces."""
-    lab = scheme.labeling
+    """The graph carried by an arbitrary set of lattice faces.  Each face adds
+    its class's 4 edges in ``FACE_CLASSES``, translated by its (a, b), under
+    plain-tuple keys, with label pairs looked up once per class edge (they
+    depend on the classes only); one ``Vertex`` is made per distinct vertex."""
+    label = scheme.labeling.label
     face_set = frozenset(faces)
-    verts: set[Vertex] = set()
-    edges: dict[tuple[Vertex, Vertex], tuple[int, int]] = {}
-    for f in face_set:
-        bverts, bedges = face_boundary(f)
-        verts.update(bverts)
-        for e in bedges:
-            la, lb = sorted(lab.label(g) for g in e.faces)
-            edges[(e.u, e.v)] = (la, lb)
+    template = {cls: [(u, v, tuple(sorted((label(Face(0, 0, *cls)), label(g)))))
+                      for u, v, g in edges] for cls, edges in FACE_CLASSES.items()}
+    edges = {}
+    for a, b, up, c in face_set:
+        for (uk, ua, ub, ut), (vk, va, vb, vt), labels in template[up, c]:
+            edges[(uk, a + ua, b + ub, ut), (vk, a + va, b + vb, vt)] = labels
+    vertex = {v: Vertex._make(v) for v in sorted({v for uv in edges for v in uv})}
     return DiamondGraph(
         half_order=half_order,
         primed=primed,
-        faces=tuple(sorted((f, lab.label(f)) for f in face_set)),
-        vertices=tuple(sorted(verts)),
-        edges=tuple((u, v, la, lb) for (u, v), (la, lb) in sorted(edges.items())),
+        faces=tuple(sorted((f, label(f)) for f in face_set)),
+        vertices=tuple(vertex.values()),
+        edges=tuple((vertex[u], vertex[v], la, lb) for (u, v), (la, lb) in sorted(edges.items())),
     )
 
 
@@ -109,24 +112,24 @@ def build_diamond(n: int, primed: bool, scheme: BlockScheme) -> DiamondGraph:
 
 
 def patch_face_vector(faces: Iterable[Face], scheme: BlockScheme) -> tuple[int, ...]:
-    return label_exponents(scheme.labeling.label(f) for f in faces)
+    lab = scheme.labeling
+    exps = [0] * 6
+    for (up, c), k in Counter(f[2:] for f in faces).items():
+        exps[(lab.up if up else lab.down)[c] - 1] += k
+    return tuple(exps)
 
 
-def patch_boundary_faces(faces: Iterable[Face]) -> frozenset[Face]:
-    inside = frozenset(faces)
-    out = set()
-    for f in inside:
-        for g in face_adjacency(f):
-            if g not in inside:
-                out.add(g)
-    return frozenset(out)
+def patch_boundary_faces(inside: frozenset[Face]) -> set[tuple[int, int, bool, int]]:
+    """The faces outside ``inside`` sharing an edge with it, from ``FACE_CLASSES``,
+    as plain ``(a, b, up, c)`` tuples (equal to, and hashing as, their ``Face``)."""
+    return {(a + ga, b + gb, g_up, gc) for a, b, up, c in inside
+            for _, _, (ga, gb, g_up, gc) in FACE_CLASSES[up, c]} - inside
 
 
 def patch_covering_monomial(faces: Iterable[Face], scheme: BlockScheme) -> LaurentPoly:
     inside = frozenset(faces)
-    fv = patch_face_vector(inside, scheme)
-    hv = patch_face_vector(patch_boundary_faces(inside), scheme)
-    return LaurentPoly.monomial(1, tuple(a + b for a, b in zip(fv, hv)))
+    faces = inside | patch_boundary_faces(inside)
+    return LaurentPoly.monomial(1, patch_face_vector(faces, scheme))
 
 
 def face_vector(n: int, primed: bool, scheme: BlockScheme) -> tuple[int, ...]:

@@ -169,11 +169,13 @@ def _sweep(graph: DiamondGraph, order: str | None = None):
 
 def _points_edges(graph: DiamondGraph):
     """The graph as ``_reduce`` takes it: its ``(x, y, vertex)`` points and
-    its edges as triples of two point indices and a weight key offset."""
+    its edges as triples of two point indices and a weight key offset.  The
+    key offset is worked out once per distinct label pair (at most 21)."""
     points = [(*vertex_coords(v), v) for v in graph.vertices]
     index = {v: i for i, v in enumerate(graph.vertices)}
-    return points, [(index[u], index[v], pack_exponents(label_exponents((la, lb), -1)) - UNIT_KEY)
-                    for u, v, la, lb in graph.edges]
+    keys = {pair: pack_exponents(label_exponents(pair, -1)) - UNIT_KEY
+            for pair in {(la, lb) for _, _, la, lb in graph.edges}}
+    return points, [(index[u], index[v], keys[la, lb]) for u, v, la, lb in graph.edges]
 
 
 def _line_order(points: list, direction: tuple[int, int]) -> list[int]:

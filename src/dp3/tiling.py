@@ -15,6 +15,12 @@ index c in {0,1,2}:
 Midpoint vertices are black, triangle vertices and centroids are white.
 Every face boundary is a 4-cycle TriVertex - Midpoint - Centroid - Midpoint.
 
+A face is its class (up, c) translated by (a, b), and so is its boundary.
+``FACE_CLASSES``, derived once from ``_boundary_spec`` at the origin, is the
+single source of a face's boundary edges and neighbours: the diamond builder,
+the boundary counts, ``face_adjacency`` and ``face_corner_sum`` translate it.
+``face_boundary`` spells one face out from ``_boundary_spec``, for drawing.
+
 All coordinates are exact integers in 1/12 units of the lattice spacing
 (sqrt3/2 scales to 6), which keeps sorting, rotation and orientation tests
 free of floating point.
@@ -127,24 +133,32 @@ def face_boundary(f: Face) -> tuple[tuple[Vertex, ...], tuple[Edge, ...]]:
     return verts, edges
 
 
-# The six face classes at the origin.  Face (a, b, up, c) is the base face of
-# class (up, c) translated by (a, b): its neighbours move by (a, b) and its
-# vertices by (12a + 6b, 12b) in 1/12 units.
-_BASE_SPECS = {(up, c): _boundary_spec(Face(0, 0, up, c)) for up in (True, False) for c in range(3)}
-_BASE_NEIGHBOURS = {cls: nbrs for cls, (_, nbrs) in _BASE_SPECS.items()}
-_BASE_CORNER_SUMS = {cls: tuple(map(sum, zip(*map(vertex_coords, verts))))
-                     for cls, (verts, _) in _BASE_SPECS.items()}
+def _class_edges(up: bool, c: int) -> tuple[tuple[Vertex, Vertex, Face], ...]:
+    verts, nbrs = _boundary_spec(Face(0, 0, up, c))
+    return tuple((*sorted((verts[i], verts[(i + 1) % 4])), nbrs[i]) for i in range(4))
+
+
+#: The six face classes at the origin: per class (up, c), its 4 boundary
+#: edges in rotational order as ``(u, v, g)``, endpoints u < v and g the face
+#: across the edge.  Translating a face by (a, b) moves its vertices and
+#: neighbours by (a, b) and keeps each edge's endpoint order (the endpoints
+#: differ in kind) and the classes, hence the labels, of its two faces.
+FACE_CLASSES = {(up, c): _class_edges(up, c) for up in (True, False) for c in range(3)}
+_CORNER_SUMS = {cls: tuple(sum(p) // 2 for p in zip(*(vertex_coords(v) for *uv, _ in edges
+                                                           for v in uv)))  # 2 per vertex
+                for cls, edges in FACE_CLASSES.items()}
 
 
 def face_adjacency(f: Face) -> tuple[Face, ...]:
     """The 4 edge-adjacent faces, aligned with the boundary edges of f."""
     a, b = f.a, f.b
-    return tuple([Face(a + da, b + db, up, c) for da, db, up, c in _BASE_NEIGHBOURS[f.up, f.c]])
+    return tuple([Face(a + ga, b + gb, up, c)
+                  for _, _, (ga, gb, up, c) in FACE_CLASSES[f.up, f.c]])
 
 
 def face_corner_sum(f: Face) -> tuple[int, int]:
     """Componentwise sum of the 4 boundary vertex coordinates (4x centroid)."""
-    x, y = _BASE_CORNER_SUMS[f.up, f.c]
+    x, y = _CORNER_SUMS[f.up, f.c]
     return x + 48 * f.a + 24 * f.b, y + 48 * f.b
 
 

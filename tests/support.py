@@ -3,12 +3,32 @@ formatter, and small graph and labeling predicates that the package itself
 never needs."""
 
 import contextlib
+import random
 
 from dp3 import quiver
 from dp3.calibration import labeling_failures
 from dp3.diamonds import DiamondGraph
-from dp3.laurent import N_VARS, SIGMA, LaurentPoly, label_exponents
-from dp3.tiling import Labeling
+from dp3.laurent import N_VARS, SIGMA, UNIT_KEY, LaurentPoly, label_exponents, pack_exponents
+from dp3.tiling import Face, Labeling, face_boundary, vertex_coords
+
+#: The labeling that the calibration search finds (the paper's); the tests'
+#: ``scheme`` fixture is built from it directly.
+CALIBRATED_LABELING = Labeling(up=(4, 6, 5), down=(1, 3, 2))
+
+#: Five more bijective labelings, for the checks that hold under any one.
+OTHER_LABELINGS = (
+    Labeling(up=(1, 2, 3), down=(4, 5, 6)),
+    Labeling(up=(6, 5, 4), down=(3, 2, 1)),
+    Labeling(up=(2, 4, 6), down=(1, 3, 5)),
+    Labeling(up=(5, 1, 3), down=(6, 2, 4)),
+    Labeling(up=(3, 6, 1), down=(5, 4, 2)),
+)
+LABELINGS = (CALIBRATED_LABELING, *OTHER_LABELINGS)
+
+
+def labeling_id(lab: Labeling) -> str:
+    """A test id for a labeling: its up and down labels, e.g. ``465-132``."""
+    return "".join(map(str, lab.up)) + "-" + "".join(map(str, lab.down))
 
 
 class ParseError(ValueError):
@@ -334,3 +354,69 @@ def empty_recurrence_memo():
         yield
     finally:
         reset()
+
+
+def build_patch_by_faces(faces, scheme, half_order: int, primed: bool) -> DiamondGraph:
+    """The graph carried by a set of faces, built face by face from
+    ``tiling.face_boundary`` as ``diamonds.build_patch`` did before it read
+    the class table: each face's four ``Edge`` objects, their labels sorted
+    per edge.  The reference the template path is checked against."""
+    lab = scheme.labeling
+    face_set = frozenset(faces)
+    verts = set()
+    edges = {}
+    for f in face_set:
+        bverts, bedges = face_boundary(f)
+        verts.update(bverts)
+        for e in bedges:
+            la, lb = sorted(lab.label(g) for g in e.faces)
+            edges[(e.u, e.v)] = (la, lb)
+    return DiamondGraph(
+        half_order=half_order,
+        primed=primed,
+        faces=tuple(sorted((f, lab.label(f)) for f in face_set)),
+        vertices=tuple(sorted(verts)),
+        edges=tuple((u, v, la, lb) for (u, v), (la, lb) in sorted(edges.items())),
+    )
+
+
+def boundary_faces_by_edges(faces) -> frozenset:
+    """The faces outside a set that share an edge with it, read off the
+    edges of ``tiling.face_boundary``."""
+    inside = frozenset(faces)
+    return frozenset(g for f in inside for e in face_boundary(f)[1] for g in e.faces) - inside
+
+
+def covering_monomial_by_faces(faces, scheme) -> LaurentPoly:
+    """The faces of a set and their outside neighbours, each counted once by
+    its label: the reference of ``diamonds.patch_covering_monomial``."""
+    inside = frozenset(faces)
+    labels = map(scheme.labeling.label, inside | boundary_faces_by_edges(inside))
+    return LaurentPoly.monomial(1, label_exponents(labels))
+
+
+def points_edges_by_edge(graph: DiamondGraph):
+    """``matchings._points_edges`` with every edge's weight key worked out
+    on its own: the reference of the one key per label pair."""
+    points = [(*vertex_coords(v), v) for v in graph.vertices]
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    return points, [(index[u], index[v], pack_exponents(label_exponents((la, lb), -1)) - UNIT_KEY)
+                    for u, v, la, lb in graph.edges]
+
+
+def random_patches(seed: int) -> list[frozenset]:
+    """Face sets for the template checks: the empty set, one face of each
+    class far from the origin (either sign), and scattered non-contiguous
+    sets of 1 to 60 faces around the origin and at negative coordinates."""
+    rng = random.Random(seed)
+    classes = [(up, c) for up in (True, False) for c in range(3)]
+    patches = [frozenset()]
+    for up, c in classes:
+        a, b = rng.choice((-1, 1)) * rng.randrange(500, 5000), rng.randrange(-5000, 5000)
+        patches.append(frozenset({Face(a, b, up, c)}))
+    for lo, hi in ((-6, 6), (-40, -25), (-15, 15)):
+        for size in (1, 2, 5, 20, 60):
+            patches.append(frozenset(
+                Face(rng.randrange(lo, hi), rng.randrange(lo, hi), *rng.choice(classes))
+                for _ in range(size)))
+    return patches

@@ -18,11 +18,23 @@ from dp3.diamonds import (
     graph_to_dot,
     graph_to_json,
     graph_to_svg,
+    patch_boundary_faces,
     patch_covering_monomial,
+    patch_face_vector,
 )
-from dp3.laurent import SIGMA, LaurentPoly
-from dp3.tiling import RHO_CENTER, Face, face_corner_sum
-from support import is_connected, sigma_vector
+from dp3.laurent import SIGMA, LaurentPoly, label_exponents
+from dp3.tiling import RHO_CENTER, BlockScheme, Face, Vertex, face_corner_sum
+from support import (
+    LABELINGS,
+    OTHER_LABELINGS,
+    boundary_faces_by_edges,
+    build_patch_by_faces,
+    covering_monomial_by_faces,
+    is_connected,
+    labeling_id,
+    random_patches,
+    sigma_vector,
+)
 
 
 def mono(*labels):
@@ -172,6 +184,55 @@ class TestTranslationInvariance:
             g = build_patch({shifted}, scheme, -1, False)
             assert weighted_pm_sum(g) == base_w
             assert patch_covering_monomial({shifted}, scheme) == base_m
+
+
+class TestTemplatePath:
+    """build_patch and the boundary counts read the class table
+    (``tiling.FACE_CLASSES``); support's builders read ``face_boundary``."""
+
+    @pytest.mark.parametrize("primed", (False, True))
+    def test_diamonds_equal_the_per_face_build(self, scheme, primed):
+        for n in range(0, 23):
+            faces = diamond_face_set(n, primed, scheme)
+            g = build_diamond(n, primed, scheme)
+            assert g == build_patch_by_faces(faces, scheme, n, primed), n
+            assert all(type(v) is Vertex for v in g.vertices)
+            assert all(type(u) is type(v) is Vertex for u, v, _, _ in g.edges)
+
+    @pytest.mark.parametrize("primed", (False, True))
+    def test_diamond_covers_and_boundaries_equal_the_reference(self, scheme, primed):
+        label = scheme.labeling.label
+        for n in range(1, 23):
+            faces = diamond_face_set(n, primed, scheme)
+            assert covering_monomial(n, primed, scheme) == \
+                covering_monomial_by_faces(faces, scheme), n
+            assert boundary_vector(n, primed, scheme) == \
+                label_exponents(map(label, boundary_faces_by_edges(faces))), n
+
+    @pytest.mark.parametrize("labeling", LABELINGS, ids=labeling_id)
+    def test_patches_equal_the_reference(self, labeling):
+        scheme = BlockScheme(labeling, {})  # the builders read only the labeling
+        for seed in range(3):
+            for faces in random_patches(seed):
+                assert build_patch(faces, scheme, -1, False) == \
+                    build_patch_by_faces(faces, scheme, -1, False)
+                assert patch_covering_monomial(faces, scheme) == \
+                    covering_monomial_by_faces(faces, scheme)
+                outside = boundary_faces_by_edges(faces)
+                assert patch_boundary_faces(faces) == outside
+                assert patch_face_vector(outside, scheme) == \
+                    label_exponents(map(labeling.label, outside))
+
+    @pytest.mark.parametrize("labeling", OTHER_LABELINGS, ids=labeling_id)
+    def test_diamond_face_sets_under_other_labelings(self, scheme, labeling):
+        other = BlockScheme(labeling, {})
+        for n in range(0, 13):
+            for primed in (False, True):
+                faces = diamond_face_set(n, primed, scheme)
+                assert build_patch(faces, other, n, primed) == \
+                    build_patch_by_faces(faces, other, n, primed)
+                assert patch_covering_monomial(faces, other) == \
+                    covering_monomial_by_faces(faces, other)
 
 
 class TestExports:

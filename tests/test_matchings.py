@@ -6,7 +6,7 @@ import random
 import pytest
 
 from dp3 import cli, matchings
-from dp3.diamonds import build_diamond, covering_monomial
+from dp3.diamonds import build_diamond, build_patch, covering_monomial
 from dp3.laurent import SIGMA, UNIT_KEY, LaurentPoly
 from dp3.matchings import (
     LimitExceededError,
@@ -19,12 +19,17 @@ from dp3.matchings import (
     weighted_pm_sum,
 )
 from dp3.quiver import MAX_N, recurrence_y
+from dp3.tiling import BlockScheme
 from support import (
+    LABELINGS,
     greedy_order_by_definition,
+    labeling_id,
     line_sweep,
     matching_covers,
     matching_weight,
     parse_poly,
+    points_edges_by_edge,
+    random_patches,
     sweep_stats,
 )
 
@@ -480,6 +485,22 @@ def kernel_size(monkeypatch, graph):
         count_pm(graph)
         weighted_pm_sum(graph)
     return slots, calls
+
+
+class TestPointsEdges:
+    def test_one_key_per_label_pair_equals_one_per_edge(self, scheme):
+        for n in range(0, 23):
+            for primed in (False, True):
+                g = build_diamond(n, primed, scheme)
+                assert matchings._points_edges(g) == points_edges_by_edge(g), (n, primed)
+
+    @pytest.mark.parametrize("labeling", LABELINGS, ids=labeling_id)
+    def test_patches_under_any_labeling(self, labeling):
+        scheme = BlockScheme(labeling, {})
+        for seed in range(3):
+            for faces in random_patches(seed):
+                g = build_patch(faces, scheme, -1, False)
+                assert matchings._points_edges(g) == points_edges_by_edge(g)
 
 
 class TestSweepChoice:

@@ -30,7 +30,7 @@ from dp3.tiling import (
     vertex_color,
     vertex_coords,
 )
-from support import perturbation_failures
+from support import CALIBRATED_LABELING, perturbation_failures
 
 WINDOW = [Face(a, b, up, c)
           for a in range(-3, 3) for b in range(-2, 3)
@@ -355,6 +355,12 @@ class TestCalibration:
 
     def test_search_finds_the_paper_labeling(self):
         assert calibrate().labeling == Labeling(up=(4, 6, 5), down=(1, 3, 2))
+
+    def test_default_scheme_has_the_pinned_labeling(self, scheme):
+        # the scheme fixture is built from CALIBRATED_LABELING without the
+        # search; this ties it to what default_scheme() finds
+        assert default_scheme().labeling == CALIBRATED_LABELING
+        assert default_scheme().shapes == scheme.shapes
 
     @pytest.mark.parametrize("up, down, count", [
         ((2, 3, 1), (5, 6, 4), 0),
