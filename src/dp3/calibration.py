@@ -68,6 +68,9 @@ def _grid_ok(scheme: BlockScheme) -> bool:
     agreement holds everywhere.  Walking block adjacency out from the anchor
     T(0, 0) = ([254], 0, 0) therefore reproduces the formula, so this check
     is at least as strict as checking a walked grid against the parity rule.
+    Rows 1 and 2 each reject a scheme that row 0 accepts (a test moves the
+    [214] blocks one unit east).  Row -1 rests on the translation argument
+    alone: no scheme moved by 1 or 2 units in one block type fails it alone.
     """
     block = scheme.block
     try:

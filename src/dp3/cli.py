@@ -243,22 +243,15 @@ def _condensation_orders(top: int) -> list[int]:
     return [*range(4, top + 1, 2), *range(3, top + 3, 2)]
 
 
-def _cover_product(n: int) -> tuple[int, ...]:
-    """The exponents of m(D_N) m(D_{N-3}) for N = n >= 3, in closed form."""
-    a, b = (n * n - 3 * n + 6) // 2, (n * n - n + 4) // 2
-    return a, a, b, a - 1, a, b - 1
-
-
-def _work_ahead(names, max_half_order: int,
-                scheme: BlockScheme) -> tuple[dict, dict, dict, quiver.YSequence | None]:
+def _work_ahead(names, max_half_order: int, scheme: BlockScheme) -> dict:
     """Work out, on every usable CPU, what the suites ``names`` check
     against another route: y_1..y_N by the recurrence (a job whose pairs go
     into the recurrence memo here), the diamond sums, the theorem's
     covering monomials and the counts (a summed diamond's count is its sum
     at x_i = 1), while this process runs the seed route for the quiver
-    suite.  Returns the sums w(D) and the monomials m(D) by (half-order,
-    primed), the counts of D_1..D_N by N, and the seed route's sequence
-    (None without the quiver suite)."""
+    suite.  Returns what every suite is handed: the sums w(D), monomials
+    m(D) and counts by (half-order, primed) under "sum", "cover" and
+    "count", and the seed route's sequence (or None) under "seed"."""
     covers = ({(n, p) for n in range(1, max_half_order + 1) for p in (False, True)}
               if "theorem" in names else set())
     sums = set(covers)
@@ -287,35 +280,31 @@ def _work_ahead(names, max_half_order: int,
                                                  if "quiver" in names else None))
     values = dict(zip(jobs, results))
     quiver.remember_y(values.get("recurrence", {}))
-    return ({d: values[d][0] for d in sums}, {d: values[d][2] for d in covers},
-            {n: values[n, p][1] for n, p in counts}, seq)
+    return {"sum": {d: values[d][0] for d in sums}, "cover": {d: values[d][2] for d in covers},
+            "count": {d: values[d][1] for d in counts}, "seed": seq}
 
 
-def suite_counts(max_half_order: int, counts: dict[int, int]) -> SuiteReport:
-    """``counts`` holds the count of D_N by N, as ``_work_ahead`` returns."""
+def suite_counts(max_half_order: int, scheme: BlockScheme, ahead: dict) -> SuiteReport:
     rep = SuiteReport("counts")
     for n in range(1, max_half_order + 1):
-        rep.check(f"counts/pm/N={n}", counts[n], pm_count_closed(n))
+        rep.check(f"counts/pm/N={n}", ahead["count"][n, False], pm_count_closed(n))
         spec = recurrence_y(n)[0].evaluate()
         rep.check(f"counts/specialize/N={n}", spec, pm_count_closed(n))
     return rep
 
 
-def suite_theorem(max_half_order: int, sums: dict, covers: dict) -> SuiteReport:
-    """``sums`` and ``covers`` hold w(D) and m(D) by (half-order, primed),
-    as ``_work_ahead`` returns."""
+def suite_theorem(max_half_order: int, scheme: BlockScheme, ahead: dict) -> SuiteReport:
     rep = SuiteReport("theorem")
     for n in range(1, max_half_order + 1):
         y, yp = recurrence_y(n)
-        rep.check(f"theorem/y/N={n}", sums[n, False] * covers[n, False], y)
-        rep.check(f"theorem/yprime/N={n}", sums[n, True] * covers[n, True], yp)
+        rep.check(f"theorem/y/N={n}", ahead["sum"][n, False] * ahead["cover"][n, False], y)
+        rep.check(f"theorem/yprime/N={n}", ahead["sum"][n, True] * ahead["cover"][n, True], yp)
     return rep
 
 
-def suite_recursions(max_half_order: int, scheme: BlockScheme, sums: dict) -> SuiteReport:
-    """``sums`` holds w(D) by (half-order, primed), as ``_work_ahead`` returns.
-    A check at half-order N is named kind 1, n = N/2 for even N, and kind 2,
-    n = (N-1)/2 for odd N."""
+def suite_recursions(max_half_order: int, scheme: BlockScheme, ahead: dict) -> SuiteReport:
+    """A check at half-order N is named kind 1, n = N/2 for even N, and
+    kind 2, n = (N-1)/2 for odd N."""
     rep = SuiteReport("recursions")
 
     @cache  # for this call only: the checks below use most monomials several times
@@ -324,7 +313,7 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme, sums: dict) -> Su
 
     for n in _condensation_orders(max_half_order):
         rep.check(f"recursions/weights/kind{1 + n % 2}/n={n // 2}",
-                  *verify_condensation(n, sums))
+                  *verify_condensation(n, ahead["sum"]))
 
     # the closed-form checks are monomial arithmetic; always cover n <= 5
     top = max(5, (max_half_order + 1) // 2)
@@ -334,9 +323,8 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme, sums: dict) -> Su
         rep.check(f"recursions/boundary/N={n}", boundary_vector(n, False, scheme),
                   boundary_vector_closed(n))
         rep.check(f"recursions/cover/N={n}", m(n, False), covering_monomial_closed(n))
-    rep.check("recursions/cover/N=1", m(1, False),
-              LaurentPoly.monomial(1, label_exponents((1, 2, 3, 5, 6))))
-    rep.check("recursions/cover/N=0", m(0, False), LaurentPoly.var(3))
+    for n in (1, 0):
+        rep.check(f"recursions/cover/N={n}", m(n, False), covering_monomial_closed(n))
 
     unprimed_factor, primed_factor = (LaurentPoly.monomial(1, label_exponents(labels))
                                       for labels in RECURSION_FACTOR_LABELS)
@@ -346,12 +334,13 @@ def suite_recursions(max_half_order: int, scheme: BlockScheme, sums: dict) -> Su
         lhs = big * center
         rep.check(tag.format("unprimed"), a * b * unprimed_factor, lhs)
         rep.check(tag.format("primed"), ap * bp * primed_factor, lhs)
-        rep.check(tag.format("product"), lhs, LaurentPoly.monomial(1, _cover_product(n)))
+        rep.check(tag.format("product"), lhs,
+                  covering_monomial_closed(n) * covering_monomial_closed(n - 3))
     return rep
 
 
-def suite_quiver(max_half_order: int, scheme: BlockScheme, seq: quiver.YSequence) -> SuiteReport:
-    """``seq`` is the seed route's sequence of 2N steps, as ``_work_ahead`` returns."""
+def suite_quiver(max_half_order: int, scheme: BlockScheme, ahead: dict) -> SuiteReport:
+    """``ahead["seed"]`` is the seed route's sequence of 2N steps."""
     rep = SuiteReport("quiver")
 
     rep.check("quiver/skew", all(B0[i][j] == -B0[j][i] for i in range(6) for j in range(6)),
@@ -382,7 +371,8 @@ def suite_quiver(max_half_order: int, scheme: BlockScheme, seq: quiver.YSequence
     rep.check("quiver/tiling-duality", dual == B0 or neg == B0, True)
 
     want = tuple(v for n in range(1, max_half_order + 1) for v in recurrence_y(n))
-    rep.check(f"quiver/seed-vs-recurrence/N<={max_half_order}", seq.entries == want, True)
+    rep.check(f"quiver/seed-vs-recurrence/N<={max_half_order}",
+              ahead["seed"].entries == want, True)
 
     for n in range(1, max_half_order + 1):
         y, yp = recurrence_y(n)
@@ -391,7 +381,7 @@ def suite_quiver(max_half_order: int, scheme: BlockScheme, seq: quiver.YSequence
     return rep
 
 
-def suite_oracle(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
+def suite_oracle(max_half_order: int, scheme: BlockScheme, ahead: dict) -> SuiteReport:
     rep = SuiteReport("oracle")
     for n in range(1, min(4, max_half_order) + 1):
         for primed in (False, True):
@@ -404,6 +394,7 @@ def suite_oracle(max_half_order: int, scheme: BlockScheme) -> SuiteReport:
     return rep
 
 
+#: Each suite is called as ``f(max_half_order, scheme, _work_ahead(...))``.
 _SUITE_FUNCS = {
     "theorem": suite_theorem,
     "counts": suite_counts,
@@ -421,11 +412,9 @@ def cmd_verify(args) -> int:
     scheme = cal.default_scheme()
     names = SUITES if args.suite == "all" else (args.suite,)
     start = time.monotonic()
-    sums, covers, counts, seq = _work_ahead(names, args.max_half_order, scheme)
+    ahead = _work_ahead(names, args.max_half_order, scheme)
     ahead_s = time.monotonic() - start
-    ahead = {"theorem": (sums, covers), "counts": (counts,), "recursions": (scheme, sums),
-             "quiver": (scheme, seq), "oracle": (scheme,)}
-    reports = [_SUITE_FUNCS[name](args.max_half_order, *ahead[name]) for name in names]
+    reports = [_SUITE_FUNCS[name](args.max_half_order, scheme, ahead) for name in names]
     # charged to the first check, so that the checks' seconds add up to the run
     reports[0].checks[0].seconds += ahead_s
     if args.format == "json":

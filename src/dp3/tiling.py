@@ -18,8 +18,9 @@ Every face boundary is a 4-cycle TriVertex - Midpoint - Centroid - Midpoint.
 A face is its class (up, c) translated by (a, b), and so is its boundary.
 ``FACE_CLASSES``, derived once from ``_boundary_spec`` at the origin, is the
 single source of a face's boundary edges and neighbours: the diamond builder,
-the boundary counts, ``face_adjacency`` and ``face_corner_sum`` translate it.
-``face_boundary`` spells one face out from ``_boundary_spec``, for drawing.
+the boundary counts, ``face_adjacency``, ``face_corner_sum`` and the quiver
+duality read it.  ``face_boundary`` spells one face out from
+``_boundary_spec``, for drawing and as the tests' reference.
 
 All coordinates are exact integers in 1/12 units of the lattice spacing
 (sqrt3/2 scales to 6), which keeps sorting, rotation and orientation tests
@@ -29,7 +30,7 @@ free of floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 LABELS = (1, 2, 3, 4, 5, 6)
 
@@ -332,39 +333,19 @@ def expected_block_type(i: int, j: int) -> str:
 # Quiver duality
 
 
-def _unit_cell_edges() -> Iterator[Edge]:
-    """One representative edge per edge class: every edge has exactly one
-    black (midpoint) endpoint, so the midpoints of cell (0,0) enumerate the
-    twelve classes."""
-    edge_map: dict[tuple[Vertex, Vertex], Edge] = {}
-    for a in (-1, 0, 1):
-        for b in (-1, 0, 1):
-            for up in (True, False):
-                for c in range(3):
-                    for e in face_boundary(Face(a, b, up, c))[1]:
-                        edge_map[(e.u, e.v)] = e
-    cell_mids = {midpoint(0, 0, d) for d in "END"}
-    for e in edge_map.values():
-        black = e.u if e.u.kind == "m" else e.v
-        if black in cell_mids:
-            yield e
-
-
 def quiver_from_tiling(labeling: Labeling) -> tuple[tuple[int, ...], ...]:
-    """The exchange matrix dual to the tiling: one arrow per edge class,
-    oriented so that, walking the edge white to black, the left face is the
-    arrow's source."""
+    """The exchange matrix dual to the tiling: one arrow per edge class.
+    Each of the 12 classes is a side of two face classes in ``FACE_CLASSES``
+    and counts once, from the face on its left as it is walked white to
+    black, which is the arrow's source."""
     b = [[0] * 6 for _ in range(6)]
-    for e in _unit_cell_edges():
-        white, black = (e.u, e.v) if e.u.kind != "m" else (e.v, e.u)
-        wx, wy = vertex_coords(white)
-        bx, by = vertex_coords(black)
-        dx, dy = bx - wx, by - wy
-        f, g = e.faces
-        fx, fy = face_corner_sum(f)
-        cross_f = dx * (fy - 4 * wy) - dy * (fx - 4 * wx)
-        src, dst = (f, g) if cross_f > 0 else (g, f)
-        s, t = labeling.label(src), labeling.label(dst)
-        b[s - 1][t - 1] += 1
-        b[t - 1][s - 1] -= 1
+    for cls, edges in FACE_CLASSES.items():
+        fx, fy = _CORNER_SUMS[cls]  # 4x the face's centre
+        s = labeling.label(Face(0, 0, *cls))
+        for u, v, g in edges:
+            (wx, wy), (bx, by) = map(vertex_coords, (v, u) if u.kind == "m" else (u, v))
+            if (bx - wx) * (fy - 4 * wy) - (by - wy) * (fx - 4 * wx) > 0:
+                t = labeling.label(g)
+                b[s - 1][t - 1] += 1
+                b[t - 1][s - 1] -= 1
     return tuple(tuple(row) for row in b)

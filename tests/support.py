@@ -9,7 +9,7 @@ from dp3 import quiver
 from dp3.calibration import labeling_failures
 from dp3.diamonds import DiamondGraph
 from dp3.laurent import N_VARS, SIGMA, UNIT_KEY, LaurentPoly, label_exponents, pack_exponents
-from dp3.tiling import Face, Labeling, face_boundary, vertex_coords
+from dp3.tiling import Face, Labeling, face_boundary, face_corner_sum, midpoint, vertex_coords
 
 #: The labeling that the calibration search finds (the paper's); the tests'
 #: ``scheme`` fixture is built from it directly.
@@ -402,6 +402,41 @@ def points_edges_by_edge(graph: DiamondGraph):
     index = {v: i for i, v in enumerate(graph.vertices)}
     return points, [(index[u], index[v], pack_exponents(label_exponents((la, lb), -1)) - UNIT_KEY)
                     for u, v, la, lb in graph.edges]
+
+
+def unit_cell_edges():
+    """One ``face_boundary`` edge per edge class: every edge has exactly one
+    black (midpoint) endpoint, so the midpoints of cell (0, 0) enumerate the
+    twelve classes."""
+    edge_map = {}
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            for up in (True, False):
+                for c in range(3):
+                    for e in face_boundary(Face(a, b, up, c))[1]:
+                        edge_map[(e.u, e.v)] = e
+    cell_mids = {midpoint(0, 0, d) for d in "END"}
+    return [e for e in edge_map.values() if (e.u if e.u.kind == "m" else e.v) in cell_mids]
+
+
+def quiver_from_unit_cell(labeling: Labeling) -> tuple[tuple[int, ...], ...]:
+    """``tiling.quiver_from_tiling`` over ``unit_cell_edges``, as it was
+    before it read the class table: each edge once, its source the face on
+    the left as the edge is walked white to black."""
+    b = [[0] * 6 for _ in range(6)]
+    for e in unit_cell_edges():
+        white, black = (e.u, e.v) if e.u.kind != "m" else (e.v, e.u)
+        wx, wy = vertex_coords(white)
+        bx, by = vertex_coords(black)
+        dx, dy = bx - wx, by - wy
+        f, g = e.faces
+        fx, fy = face_corner_sum(f)
+        cross_f = dx * (fy - 4 * wy) - dy * (fx - 4 * wx)
+        src, dst = (f, g) if cross_f > 0 else (g, f)
+        s, t = labeling.label(src), labeling.label(dst)
+        b[s - 1][t - 1] += 1
+        b[t - 1][s - 1] -= 1
+    return tuple(tuple(row) for row in b)
 
 
 def random_patches(seed: int) -> list[frozenset]:

@@ -18,7 +18,7 @@ import pytest
 import dp3
 from dp3 import calibration, cli, diamonds, laurent, matchings, quiver
 from dp3.cli import main
-from dp3.diamonds import covering_monomial, pm_count_closed
+from dp3.diamonds import covering_monomial, covering_monomial_closed, pm_count_closed
 from dp3.tiling import Labeling
 from support import Y1, Y1P, empty_recurrence_memo, x
 
@@ -133,7 +133,8 @@ class TestVerify:
 
     def test_cover_product_matches_both_families(self):
         # the closed forms of m(D_N) m(D_{N-3}) that the even (kind 1, N = 2n)
-        # and odd (kind 2, N = 2n + 1) checks had before they were merged
+        # and odd (kind 2, N = 2n + 1) checks had before they were merged,
+        # against the product of covering_monomial_closed that the checks take
         for big in range(3, 61):
             n = big // 2
             if big % 2 == 0:
@@ -142,7 +143,8 @@ class TestVerify:
             else:
                 want = (2 * n * n - n + 2, 2 * n * n - n + 2, 2 * n * n + n + 2,
                         2 * n * n - n + 1, 2 * n * n - n + 2, 2 * n * n + n + 1)
-            assert cli._cover_product(big) == want, big
+            got = covering_monomial_closed(big) * covering_monomial_closed(big - 3)
+            assert got == laurent.LaurentPoly.monomial(1, want), big
 
 
 class TestSharedSums:
@@ -447,7 +449,7 @@ class TestWorkers:
     @pytest.mark.parametrize("cpus", [3, 1])
     def test_theorem_jobs_return_the_covering_monomials(self, monkeypatch, forks, scheme, cpus):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        _, covers, _, _ = cli._work_ahead(("theorem",), 8, scheme)
+        covers = cli._work_ahead(("theorem",), 8, scheme)["cover"]
         assert covers == {(n, p): covering_monomial(n, p, scheme)
                           for n in range(1, 9) for p in (False, True)}
         assert len(forks) == (3 if cpus > 1 else 0)
@@ -586,6 +588,27 @@ class TestWorkers:
         assert got == ([(job, os.getpid()) for job in jobs], "ahead")
         assert (forks, order) == ([], [*jobs, "meanwhile"])
 
+    def test_failed_fork_exits_2(self, capsys, monkeypatch, forks):
+        # the second fork fails: the first worker is killed and reaped
+        fork = os.fork
+
+        def second_fork_fails():
+            if forks:
+                raise OSError("no second worker")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        got = self.verify(capsys, monkeypatch, 3, "--suite", "theorem", "--max-half-order", "3")
+        assert got == (2, "", "error: no second worker\n")
+        assert len(forks) == 1
+        no_child_left()
+
+    @pytest.mark.parametrize("count, want", [(5, 5), (None, 1)])
+    def test_cpu_count_without_an_affinity_api(self, monkeypatch, count, want):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._usable_cpus() == want
+
     def test_queue_never_blocks(self, monkeypatch, forks):
         # more jobs than a 64 KiB pipe holds 8-byte records
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
@@ -667,7 +690,7 @@ class TestSuiteReport:
             return build(*args)
 
         monkeypatch.setattr(cli, "build_diamond", slow_build)
-        rep = cli.suite_oracle(2, scheme)
+        rep = cli.suite_oracle(2, scheme, {})
         assert [c.seconds for c in rep.checks] == [1.0, 0.0, 0.0] * 4
         assert sum(c.seconds for c in rep.checks) == clock[0] == 4.0
 
@@ -742,7 +765,7 @@ def test_sigma_pair_fails_on_a_perturbed_base(scheme):
     # y_N to y'_N
     with empty_recurrence_memo():
         quiver._Y[0] = (x(3), -x(6))  # the memo's base, which the recurrence reads
-        rep = cli.suite_quiver(4, scheme, quiver.run_periodic_sequence(8))
+        rep = cli.suite_quiver(4, scheme, {"seed": quiver.run_periodic_sequence(8)})
     failed = [c.check_id for c in rep.checks if not c.ok]
     assert [i for i in failed if i.startswith("quiver/sigma-pair/")]
     assert "quiver/positivity/N=1" in failed  # y_1 = (x3 x5 - x1 x6) / x2
@@ -780,6 +803,10 @@ class TestCompute:
                            "--via", "matchings")
         assert code == 2
         assert "N >= 1" in err
+
+    def test_seed_route_requires_positive_n(self, capsys):
+        got = run(capsys, "compute", "--target", "y", "--n", "0", "--via", "seed")
+        assert got == (2, "", "error: the seed route needs N >= 1\n")
 
     def test_recurrence_requires_n_at_least_minus_2(self, capsys):
         code, _, err = run(capsys, "compute", "--target", "y", "--n", "-3")

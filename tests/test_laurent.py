@@ -64,6 +64,29 @@ class TestRingOps:
         with pytest.raises(ValueError, match="negative power"):
             p ** -1
 
+    def test_equals_an_integer(self):
+        # a constant equals the int of its value, zero equals 0
+        three = LaurentPoly.monomial(3, (0,) * 6)
+        assert three == 3 and LaurentPoly.zero() == 0
+        assert not (three == 2 or x(1) == 1 or LaurentPoly.zero() == 1)
+
+
+class TestGuards:
+    @pytest.mark.parametrize("exps, error", [((0,) * 5, ValueError),
+                                             ((1 << 22, 0, 0, 0, 0, 0), OverflowError)],
+                             ids=["five-exponents", "exponent-2**22"])
+    def test_pack_exponents_refuses(self, exps, error):
+        with pytest.raises(error):
+            laurent.pack_exponents(exps)
+
+    def test_no_seventh_variable(self):
+        with pytest.raises(ValueError, match="out of range 1..6"):
+            LaurentPoly.var(7)
+
+    def test_zero_has_no_min_coefficient(self):
+        with pytest.raises(ValueError, match="no coefficients"):
+            LaurentPoly.zero().min_coefficient()
+
 
 class TestExactDivision:
     def test_difference_of_squares(self):
@@ -126,6 +149,13 @@ class TestText:
     def test_zero(self):
         assert format_poly(LaurentPoly.zero()) == "0"
         assert P("x1 - x1") == LaurentPoly.zero()
+
+    def test_repr_cuts_text_past_120_characters(self):
+        assert repr(x(1) + x(2)) == "LaurentPoly('x1 + x2')"
+        p = sum((x(1) ** k for k in range(40)), LaurentPoly.zero())
+        text = str(p)
+        assert len(text) > 120
+        assert repr(p) == f"LaurentPoly('<40 terms> {text[:100]}...')"
 
     @pytest.mark.parametrize("bad, pos", [
         ("", 0),

@@ -690,7 +690,8 @@ class TestDiamondSum:
 
     @pytest.mark.parametrize("primed", [False, True])
     def test_equals_kernel_on_built_diamond(self, scheme, primed):
-        sums, covers, _, _ = cli._work_ahead(("theorem", "recursions"), 6, scheme)
+        ahead = cli._work_ahead(("theorem", "recursions"), 6, scheme)
+        sums, covers = ahead["sum"], ahead["cover"]
         # theorem: N = 1..6; recursions adds D_0 and D_{7/2}, unprimed,
         # whose covering monomials its own checks make
         want = set(range(1, 7)) | (set() if primed else {0, 7})

@@ -15,6 +15,8 @@ from dp3.calibration import (
 from dp3.laurent import SIGMA
 from dp3.quiver import B0
 from dp3.tiling import (
+    FACE_CLASSES,
+    LABELS,
     RHO_CENTER,
     BlockScheme,
     BlockSchemeError,
@@ -30,7 +32,7 @@ from dp3.tiling import (
     vertex_color,
     vertex_coords,
 )
-from support import CALIBRATED_LABELING, perturbation_failures
+from support import CALIBRATED_LABELING, perturbation_failures, quiver_from_unit_cell
 
 WINDOW = [Face(a, b, up, c)
           for a in range(-3, 3) for b in range(-2, 3)
@@ -88,16 +90,23 @@ class TestLatticeGraph:
             assert len(incident[("m", 0, 0, d)]) == 4
 
     def test_fundamental_domain_counts(self):
-        # 6 faces, 12 edge classes, 3 black + 3 white vertex classes: V-E+F=0
-        from dp3.tiling import _unit_cell_edges
-
-        edges = list(_unit_cell_edges())
-        assert len(edges) == 12
-        cm = sum(1 for e in edges if (e.u.kind, e.v.kind).count("c"))
-        assert cm == 6  # centroid-midpoint edges; the rest are trivertex halves
-        blacks = {e.u if e.u.kind == "m" else e.v for e in edges}
-        whites = {(v.kind, v.tag) for e in edges for v in (e.u, e.v) if v.kind != "m"}
-        assert len(blacks) == 3 and len(whites) == 3
+        # the 24 sides of FACE_CLASSES make 12 edge classes, each seen from
+        # both its faces and counted from the one on its left as it is walked
+        # white to black; 6 faces, 12 edges, 3 black + 3 white vertex classes
+        sides = {}
+        for cls, edges in FACE_CLASSES.items():
+            fx, fy = face_corner_sum(Face(0, 0, *cls))
+            for u, v, _ in edges:
+                white, black = (v, u) if u.kind == "m" else (u, v)
+                (wx, wy), (bx, by) = vertex_coords(white), vertex_coords(black)
+                cross = (bx - wx) * (fy - 4 * wy) - (by - wy) * (fx - 4 * wx)
+                key = (black.tag, white.kind, white.tag, white.a - black.a, white.b - black.b)
+                sides.setdefault(key, []).append(cross > 0)
+        assert len(sides) == 12
+        assert all(sorted(left) == [False, True] for left in sides.values())
+        assert sum(1 for key in sides if key[1] == "c") == 6  # centroid-midpoint
+        assert len({key[0] for key in sides}) == 3  # black: the midpoints E, N, D
+        assert len({key[1:3] for key in sides}) == 3  # white: tri-vertex, 2 centroids
         assert 6 - 12 + 6 == 0  # V - E + F on the torus quotient
 
     def test_coordinates_injective(self):
@@ -249,6 +258,12 @@ class TestQuiverDuality:
         neg = tuple(tuple(-v for v in row) for row in dual)
         assert dual == B0 or neg == B0
 
+    def test_equals_the_unit_cell_route_for_every_labeling(self):
+        # the orientation matters here: the duality check allows a global sign
+        for perm in itertools.permutations(LABELS):
+            lab = Labeling(up=perm[:3], down=perm[3:])
+            assert quiver_from_tiling(lab) == quiver_from_unit_cell(lab), lab
+
     def test_twelve_arrows(self, scheme):
         dual = quiver_from_tiling(scheme.labeling)
         assert sum(1 for row in dual for v in row if v > 0) == 12
@@ -301,6 +316,19 @@ class TestCalibration:
             "block grid disagrees with geometric block adjacency"]
         with pytest.raises(CalibrationError, match="no labeling satisfies"):
             calibrate()
+
+    def test_grid_check_needs_the_rows_above_the_regime_boundary(self):
+        # every [214] block, a type of rows b >= 1 only, moved one unit east:
+        # the blocks of row j = 0 still see the formula's neighbours, but
+        # those of rows 1 and 2 do not, so the check rejects the scheme
+        s = BlockScheme.from_labeling(Labeling(up=(2, 3, 4), down=(6, 1, 5)))
+        s.shapes["214"] = {cls: da + 1 for cls, da in s.shapes["214"].items()}
+        for i in (0, 1):
+            assert s._instance_neighbors(*s.block(i, 0)) == {
+                "N": s.block(i, 1), "S": s.block(i, -1),
+                "E": s.block(i + 1, 0), "W": s.block(i - 1, 0)}
+        assert (s.labeling.label(s.s2()), s.labeling.label(s.s3())) == (2, 3)
+        assert not calibration._grid_ok(s)
 
     def test_octahedral_and_rotation_checks_agree(self):
         # the rotation check accepts exactly the 48 labelings in which no
