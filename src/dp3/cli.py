@@ -12,10 +12,9 @@ import os
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
-from pathlib import Path
+from typing import NamedTuple
 
 from .laurent import SIGMA, LaurentPoly, label_exponents
 from .quiver import (
@@ -64,8 +63,7 @@ def _digest(value) -> str:
     return sha256(str(value).encode()).hexdigest()[:12]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     ok: bool
     lhs_digest: str
@@ -87,16 +85,14 @@ def _difference(lhs, rhs) -> dict:
             "diff_terms": diff.term_count(), "lhs_minus_rhs": text}
 
 
-@dataclass
 class SuiteReport:
     """The checks of one suite, in order.  A check's seconds run from the end
     of the previous check (for the first, from the report's creation), so
     they add up to the suite's run time."""
 
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checks: list[CheckResult] = []
         self._last_end = time.monotonic()
 
     @property
@@ -416,7 +412,8 @@ def cmd_verify(args) -> int:
     ahead_s = time.monotonic() - start
     reports = [_SUITE_FUNCS[name](args.max_half_order, scheme, ahead) for name in names]
     # charged to the first check, so that the checks' seconds add up to the run
-    reports[0].checks[0].seconds += ahead_s
+    first = reports[0].checks
+    first[0] = first[0]._replace(seconds=first[0].seconds + ahead_s)
     if args.format == "json":
         import json  # only here: a run that prints text saves loading it
         print(json.dumps([r.to_doc() for r in reports], indent=1))
@@ -465,6 +462,7 @@ def cmd_export(args) -> int:
     graph = build_diamond(args.half_order, args.primed, cal.default_scheme())
     render = {"json": graph_to_json, "dot": graph_to_dot, "svg": graph_to_svg}[args.format]
     text = render(graph)
+    from pathlib import Path  # only here: the other commands save loading it
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .laurent import LaurentPoly
 from .tiling import (
@@ -23,7 +22,7 @@ from .tiling import (
     BlockScheme,
     Face,
     Vertex,
-    face_boundary,
+    face_vertices,
     rotate180,
     vertex_color,
     vertex_coords,
@@ -68,8 +67,7 @@ def diamond_face_set(n: int, primed: bool, scheme: BlockScheme) -> frozenset[Fac
     return frozenset(map(rotate180, faces) if primed else faces)
 
 
-@dataclass(frozen=True)
-class DiamondGraph:
+class DiamondGraph(NamedTuple):
     """A finite patch of the lattice: the faces of one diamond together with
     every vertex and edge on their boundaries.  Each edge records the labels
     of its two incident faces in the infinite lattice (one of which may lie
@@ -268,7 +266,7 @@ def graph_to_svg(g: DiamondGraph) -> str:
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
            f'viewBox="0 0 {w:.2f} {h:.2f}">']
     for f, lbl in g.faces:
-        cyc = face_boundary(f)[0]
+        cyc = face_vertices(f)
         path = " ".join(f"{sxy(v)[0]},{sxy(v)[1]}" for v in cyc)
         out.append(f'  <polygon points="{path}" fill="{_FACE_FILL[lbl]}" stroke="none"/>')
         cx = sum(sxy(v)[0] for v in cyc) / 4

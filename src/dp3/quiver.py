@@ -18,8 +18,8 @@ Both routes compute the right-hand side they share once; they must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import is_
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, exchange_binomial
 
@@ -57,14 +57,19 @@ def mutate_matrix(b: BMatrix, k: int) -> BMatrix:
                        for j in range(len(b))) for i in range(len(b)))
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(NamedTuple):
     """An exchange matrix together with the cluster variables at its nodes;
     ``exchange`` (not part of its value) is what ``mutate_seed`` may reuse."""
 
     matrix: BMatrix
     cluster: tuple[LaurentPoly, ...]
-    exchange: tuple | None = field(default=None, compare=False, repr=False)
+    exchange: tuple | None = None
+
+    def __eq__(self, other):
+        return self[:2] == other[:2]
+
+    def __ne__(self, other):  # tuple's own would compare exchange too
+        return self[:2] != other[:2]
 
 
 def initial_seed() -> Seed:
@@ -134,8 +139,7 @@ def remember_y(pairs: dict[int, tuple[LaurentPoly, LaurentPoly]]) -> None:
         _Y.setdefault(n, pair)
 
 
-@dataclass(frozen=True)
-class YSequence:
+class YSequence(NamedTuple):
     """Variables harvested from the periodic mutation sequence, in order
     y_1, y'_1, y_2, y'_2, ..."""
 

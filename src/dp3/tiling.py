@@ -19,8 +19,8 @@ A face is its class (up, c) translated by (a, b), and so is its boundary.
 ``FACE_CLASSES``, derived once from ``_boundary_spec`` at the origin, is the
 single source of a face's boundary edges and neighbours: the diamond builder,
 the boundary counts, ``face_adjacency``, ``face_corner_sum`` and the quiver
-duality read it.  ``face_boundary`` spells one face out from
-``_boundary_spec``, for drawing and as the tests' reference.
+duality read it.  ``face_vertices`` spells out one face's vertex cycle from
+``_boundary_spec``, for drawing.
 
 All coordinates are exact integers in 1/12 units of the lattice spacing
 (sqrt3/2 scales to 6), which keeps sorting, rotation and orientation tests
@@ -29,7 +29,6 @@ free of floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 LABELS = (1, 2, 3, 4, 5, 6)
@@ -47,12 +46,6 @@ class Face(NamedTuple):
     b: int
     up: bool
     c: int
-
-
-class Edge(NamedTuple):
-    u: Vertex
-    v: Vertex
-    faces: tuple[Face, Face]
 
 
 def tri(a: int, b: int) -> Vertex:
@@ -83,12 +76,6 @@ def vertex_coords(v: Vertex) -> tuple[int, int]:
 
 def vertex_color(v: Vertex) -> str:
     return "black" if v.kind == "m" else "white"
-
-
-def _edge(u: Vertex, v: Vertex, f: Face, g: Face) -> Edge:
-    if v < u:
-        u, v = v, u
-    return Edge(u, v, (f, g) if f <= g else (g, f))
 
 
 # Boundary cycle (TriVertex, Midpoint, Centroid, Midpoint) of each face class,
@@ -126,12 +113,9 @@ def _boundary_spec(f: Face):
     return verts, nbrs
 
 
-def face_boundary(f: Face) -> tuple[tuple[Vertex, ...], tuple[Edge, ...]]:
-    """The 4 boundary vertices in rotational order and the 4 boundary edges,
-    each edge carrying its two incident faces in the infinite lattice."""
-    verts, nbrs = _boundary_spec(f)
-    edges = tuple(_edge(verts[i], verts[(i + 1) % 4], f, nbrs[i]) for i in range(4))
-    return verts, edges
+def face_vertices(f: Face) -> tuple[Vertex, ...]:
+    """The 4 boundary vertices of f in rotational order."""
+    return _boundary_spec(f)[0]
 
 
 def _class_edges(up: bool, c: int) -> tuple[tuple[Vertex, Vertex, Face], ...]:
@@ -172,16 +156,15 @@ def face_corner_sum(f: Face) -> tuple[int, int]:
 RHO_CENTER = (9, 6)
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple("Labeling", [("up", tuple), ("down", tuple)])):
     """Bijective face labels per class."""
 
-    up: tuple[int, int, int]
-    down: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.up + self.down) != list(LABELS):
-            raise ValueError(f"labels must be a bijection onto 1..6: {self.up}+{self.down}")
+    def __new__(cls, up: tuple[int, int, int], down: tuple[int, int, int]):
+        if sorted(up + down) != list(LABELS):
+            raise ValueError(f"labels must be a bijection onto 1..6: {up}+{down}")
+        return super().__new__(cls, up, down)
 
     def label(self, f: Face) -> int:
         return (self.up if f.up else self.down)[f.c]

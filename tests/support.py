@@ -4,12 +4,21 @@ never needs."""
 
 import contextlib
 import random
+from typing import NamedTuple
 
 from dp3 import quiver
 from dp3.calibration import labeling_failures
 from dp3.diamonds import DiamondGraph
 from dp3.laurent import N_VARS, SIGMA, UNIT_KEY, LaurentPoly, label_exponents, pack_exponents
-from dp3.tiling import Face, Labeling, face_boundary, face_corner_sum, midpoint, vertex_coords
+from dp3.tiling import (
+    Face,
+    Labeling,
+    Vertex,
+    _boundary_spec,
+    face_corner_sum,
+    midpoint,
+    vertex_coords,
+)
 
 #: The labeling that the calibration search finds (the paper's); the tests'
 #: ``scheme`` fixture is built from it directly.
@@ -356,9 +365,25 @@ def empty_recurrence_memo():
         reset()
 
 
+class Edge(NamedTuple):
+    u: Vertex
+    v: Vertex
+    faces: tuple[Face, Face]
+
+
+def face_boundary(f: Face) -> tuple[tuple[Vertex, ...], tuple[Edge, ...]]:
+    """The 4 boundary vertices of f in rotational order and its 4 boundary
+    edges, endpoints and faces sorted, each edge carrying its two incident
+    faces in the infinite lattice: spelled out from ``tiling._boundary_spec``
+    face by face, the reference that the package's ``FACE_CLASSES`` replaced."""
+    verts, nbrs = _boundary_spec(f)
+    return verts, tuple(Edge(*sorted((verts[i], verts[(i + 1) % 4])), tuple(sorted((f, g))))
+                        for i, g in enumerate(nbrs))
+
+
 def build_patch_by_faces(faces, scheme, half_order: int, primed: bool) -> DiamondGraph:
     """The graph carried by a set of faces, built face by face from
-    ``tiling.face_boundary`` as ``diamonds.build_patch`` did before it read
+    ``face_boundary`` as ``diamonds.build_patch`` did before it read
     the class table: each face's four ``Edge`` objects, their labels sorted
     per edge.  The reference the template path is checked against."""
     lab = scheme.labeling
@@ -382,7 +407,7 @@ def build_patch_by_faces(faces, scheme, half_order: int, primed: bool) -> Diamon
 
 def boundary_faces_by_edges(faces) -> frozenset:
     """The faces outside a set that share an edge with it, read off the
-    edges of ``tiling.face_boundary``."""
+    edges of ``face_boundary``."""
     inside = frozenset(faces)
     return frozenset(g for f in inside for e in face_boundary(f)[1] for g in e.faces) - inside
 

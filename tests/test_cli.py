@@ -747,13 +747,16 @@ def test_digest_is_hashlib_sha256():
         assert cli._digest(value) == hashlib.sha256(str(value).encode()).hexdigest()[:12]
 
 
-def test_start_up_loads_neither_openssl_nor_json():
-    # -S: no site module, so that only dp3 can load them
+def test_start_up_skips_openssl_json_dataclasses_and_pathlib():
+    # -S: no site module, so that only dp3 can load them; hashlib brings
+    # OpenSSL, dataclasses brings inspect, and pathlib and json are loaded
+    # by the commands that use them
     src = str(Path(dp3.__file__).resolve().parent.parent)
     code = ("import sys, dp3.cli\n"
             "from dp3 import calibration\n"
             "calibration.default_scheme()\n"
-            "print(sorted({'_hashlib', 'hashlib', 'json'} & set(sys.modules)))")
+            "print(sorted({'_hashlib', 'hashlib', 'json', 'dataclasses', 'inspect', 'pathlib'}\n"
+            "             & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

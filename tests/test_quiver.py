@@ -179,6 +179,12 @@ class TestSharedBinomial:
         for seed in (initial_seed(), mutate_seed(mutate_seed(initial_seed(), 2), 5)):
             assert mutate_seed(mutate_seed(seed, k), k) == seed
 
+    def test_the_exchange_is_not_part_of_a_seeds_value(self):
+        s = mutate_seed(initial_seed(), 2)
+        bare = Seed(s.matrix, s.cluster)
+        assert s.exchange is not None and bare.exchange is None
+        assert s == bare and not s != bare
+
     def test_recurrence_never_permutes(self, monkeypatch):
         def fail(self, perm):
             raise AssertionError("permute called")

@@ -25,14 +25,19 @@ from dp3.tiling import (
     _boundary_spec,
     expected_block_type,
     face_adjacency,
-    face_boundary,
     face_corner_sum,
+    face_vertices,
     quiver_from_tiling,
     rotate180,
     vertex_color,
     vertex_coords,
 )
-from support import CALIBRATED_LABELING, perturbation_failures, quiver_from_unit_cell
+from support import (
+    CALIBRATED_LABELING,
+    face_boundary,
+    perturbation_failures,
+    quiver_from_unit_cell,
+)
 
 WINDOW = [Face(a, b, up, c)
           for a in range(-3, 3) for b in range(-2, 3)
@@ -48,7 +53,7 @@ class TestLatticeGraph:
             assert colors == ["white", "black", "white", "black"]
 
     def test_boundary_order_tri_mid_centroid_mid(self):
-        kinds = [v.kind for v in face_boundary(Face(0, 0, True, 0))[0]]
+        kinds = [v.kind for v in face_vertices(Face(0, 0, True, 0))]
         assert kinds == ["t", "m", "c", "m"]
 
     def test_translated_base_faces_match_the_boundary_spec(self):
@@ -117,6 +122,11 @@ class TestLatticeGraph:
 
 
 class TestLabeling:
+    def test_a_repeated_label_is_refused(self):
+        with pytest.raises(ValueError) as e:
+            Labeling(up=(1, 1, 2), down=(3, 4, 5))
+        assert str(e.value) == "labels must be a bijection onto 1..6: (1, 1, 2)+(3, 4, 5)"
+
     def test_label_2_neighbors(self, scheme):
         lab = scheme.labeling
         two = next(f for f in WINDOW if lab.label(f) == 2)
